@@ -24,6 +24,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -153,7 +154,13 @@ def _expect_int(value, path: str, minimum: Optional[int] = None) -> int:
 def _expect_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number")
+    return number
 
 
 def _reject_unknown(mapping: dict, allowed: Sequence[str], path: str) -> None:
@@ -287,6 +294,8 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
         out_dir=out_dir,
         sweep_horizons=sweep,
     )
+    if theta is not None and config.resolved_variant == "general":
+        raise ConfigError("theta: the general variant has no mixing step")
 
     # Resolved configs written by run_experiment carry their own hash; when a
     # file declares one it must match what the values actually hash to, so a

@@ -15,6 +15,7 @@ which is the same as starting the updates one slot late.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Tuple
@@ -80,7 +81,8 @@ class DualState:
     eq: Array  # H, signed
 
     def norms(self) -> Tuple[float, float]:
-        return float(np.linalg.norm(self.ineq)), float(np.linalg.norm(self.eq))
+        # np.linalg.norm computes the same sqrt(v @ v), with more call overhead.
+        return math.sqrt(self.ineq @ self.ineq), math.sqrt(self.eq @ self.eq)
 
 
 @dataclass(frozen=True)
@@ -193,6 +195,18 @@ def step(
         raise ProblemError("inequality observation shape mismatch")
     if obs.eq_matrix.shape != (n_eq, dim):
         raise ProblemError("equality observation shape mismatch")
+    # The sum is finite exactly when every entry is, short of an overflow the
+    # multiplier arithmetic could not absorb either; it costs one reduction
+    # per array, cheaper than an elementwise test.
+    total = (
+        obs.objective_value
+        + np.add.reduce(obs.objective_grad, None)
+        + np.add.reduce(obs.ineq_values, None)
+        + np.add.reduce(obs.ineq_grads, None)
+        + np.add.reduce(obs.eq_matrix, None)
+    )
+    if not math.isfinite(total):
+        raise ProblemError(f"slot {obs.slot}: observation is not finite")
 
     mu_prev = state.decision
     if state.variant == "simplex":

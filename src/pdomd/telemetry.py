@@ -491,7 +491,20 @@ def _import_record_csv(path) -> RunRecord:
         header = json.loads(header_line[len(prefix):])
         reader = csv.reader(fh)
         names = next(reader)
-        rows = [row for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            # reader.line_num counts lines after the header line read above
+            where = f"{path}:{reader.line_num + 1}"
+            if len(row) != len(names):
+                raise ProblemError(
+                    f"{where}: expected {len(names)} columns, got {len(row)}"
+                )
+            try:
+                rows.append([float(x) for x in row[1:]])
+            except ValueError:
+                raise ProblemError(f"{where}: non-numeric cell") from None
     d = sum(1 for n in names if n.startswith("mu_"))
     n_ineq = sum(1 for n in names if n.startswith("g_"))
     n_eq = sum(1 for n in names if n.startswith("h_") and n != "h_norm")
@@ -503,8 +516,7 @@ def _import_record_csv(path) -> RunRecord:
     q_norm = np.zeros(horizon)
     h_norm = np.zeros(horizon)
     drift = np.zeros(horizon)
-    for t, row in enumerate(rows):
-        values = [float(x) for x in row[1:]]
+    for t, values in enumerate(rows):
         k = 0
         decisions[t] = values[k : k + d]
         k += d

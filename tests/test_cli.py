@@ -48,6 +48,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"datacenter\.pareto_shape"):
             config_from_mapping({"datacenter": {"pareto_shape": 0.5}})
 
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys):
+        # Python's json accepts NaN and Infinity; a config must not.
+        for entries, key in (
+            ({"V": float("nan")}, "V"),
+            ({"alpha": float("inf")}, "alpha"),
+            ({"theta": float("-inf")}, "theta"),
+            ({"scenario": "datacenter", "datacenter": {"pareto_shape": float("nan")}}, "pareto_shape"),
+            ({"V": 10**400}, "V"),
+        ):
+            path = write_config(tmp_path / "c.json", **entries)
+            assert main(["run", "--config", str(path)]) == 2
+            assert key in capsys.readouterr().err
+
+    def test_theta_rejected_on_general_variant(self):
+        with pytest.raises(ConfigError, match="theta"):
+            config_from_mapping({"variant": "general", "theta": 0.01})
+        with pytest.raises(ConfigError, match="theta"):
+            config_from_mapping({"scenario": "datacenter", "theta": 0.01})
+        assert config_from_mapping({"theta": 0.01}).mixing_weight == 0.01
+
     def test_short_horizon_rejected(self):
         with pytest.raises(ConfigError, match="T"):
             config_from_mapping({"T": 1})
@@ -388,6 +408,31 @@ class TestMainExitCodes:
         )
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    def test_malformed_record_rows_are_exit_3(self, tmp_path, capsys):
+        config_path = write_config(
+            tmp_path / "c.json",
+            scenario="synthetic",
+            T=40,
+            seeds=[0],
+            synthetic={"d": 4, "n_ineq": 1, "n_eq": 1},
+            out_dir=str(tmp_path / "out"),
+        )
+        assert main(["run", "--config", str(config_path)]) == 0
+        record_path = tmp_path / "out" / "records" / "run_seed0.csv"
+        lines = record_path.read_text().splitlines()
+        # lines[0] is the json header, lines[1] the column names
+        truncated = lines[:5] + [lines[5].rsplit(",", 2)[0]] + lines[6:]
+        fields = lines[3].split(",")
+        fields[2] = "abc"
+        garbled = lines[:3] + [",".join(fields)] + lines[4:]
+        for rows, line in ((truncated, 6), (garbled, 4)):
+            record_path.write_text("\n".join(rows) + "\n")
+            code = main(
+                ["audit", "--config", str(config_path), "--record", str(record_path)]
+            )
+            assert code == 3
+            assert f"run_seed0.csv:{line}:" in capsys.readouterr().err
 
     def test_seed_override_applies(self, tmp_path):
         config_path = write_config(

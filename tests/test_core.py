@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,33 @@ class TestStep:
         obs = fns.observe(np.full(4, 0.25))
         with pytest.raises(ProblemError):
             step(state, obs)
+
+    def test_non_finite_observation_rejected(self):
+        # A NaN constraint value on the box path must not reach the
+        # multipliers; every observation field is checked at entry.
+        box = Box(np.zeros(3), np.ones(3))
+        problem = make_linear_problem(
+            box,
+            np.array([1.0, -2.0, 0.5]),
+            ineq_rows=np.array([[1.0, 1.0, 1.0]]),
+            ineq_margins=np.array([1.0]),
+            eq_rows=np.array([[1.0, 0.0, 0.0]]),
+            targets=np.array([0.5]),
+        )
+        state = initial_state(problem, small_params(16), "general")
+        state, _ = step(state, None)
+        obs = problem.sample_slot(0, np.random.default_rng(0)).observe(state.decision)
+        step(state, obs)
+        broken = {
+            "ineq_values": np.array([np.nan]),
+            "objective_value": np.inf,
+            "objective_grad": np.array([0.0, -np.inf, 0.0]),
+            "ineq_grads": np.array([[0.0, np.nan, 0.0]]),
+            "eq_matrix": np.array([[np.inf, 0.0, 0.0]]),
+        }
+        for field, value in broken.items():
+            with pytest.raises(ProblemError, match="slot 0"):
+                step(state, dataclasses.replace(obs, **{field: value}))
 
     def test_equality_tracking_on_box(self):
         # One pinned coordinate: time-averaged <h, mu> should close in on b

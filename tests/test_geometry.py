@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdomd.errors import GeometryError, ProxConvergenceError
 from pdomd.geometry import (
     Box,
+    DecisionSet,
     EuclideanGeometry,
     NegativeEntropyGeometry,
     Simplex,
@@ -163,9 +166,10 @@ class TestMirrorStep:
             y = rng.dirichlet(np.full(d, 2.0))
             p = rng.uniform(-2.0, 2.0, size=d)
             alpha = float(rng.uniform(2.0, 20.0))
-            closed = mirror_step(ENTROPY, s, y, p, alpha)
-            numeric = mirror_step(ENTROPY, s, y, p, alpha, force_numeric=True, gap_tol=1e-13)
-            worst = max(worst, float(np.max(np.abs(closed - numeric))))
+            for geometry in (ENTROPY, EUCLID):
+                closed = mirror_step(geometry, s, y, p, alpha)
+                numeric = mirror_step(geometry, s, y, p, alpha, force_numeric=True, gap_tol=1e-13)
+                worst = max(worst, float(np.max(np.abs(closed - numeric))))
         assert worst < 1e-8
 
     def test_fallback_matches_box_closed_form(self):
@@ -195,6 +199,8 @@ class TestMirrorStep:
             mirror_step(EUCLID, Simplex(2), np.array([0.7, 0.7]), np.zeros(2), 1.0)
         with pytest.raises(GeometryError):
             mirror_step(EUCLID, Simplex(2), np.array([0.5, 0.5]), np.zeros(2), 0.0)
+        with pytest.raises(GeometryError):
+            mirror_step(EUCLID, Simplex(2), np.array([0.5, 0.5]), np.array([np.nan, 0.0]), 1.0)
         with pytest.raises(ProxConvergenceError):
             mirror_step(
                 ENTROPY,
@@ -205,6 +211,47 @@ class TestMirrorStep:
                 force_numeric=True,
                 max_iter=1,
             )
+
+        class Ball(DecisionSet):  # neither a box nor a simplex
+            dim = 2
+            project = support_minimizer = initial_point = sample = None
+
+            def contains(self, point, tol=0.0):
+                return True
+
+        with pytest.raises(GeometryError):
+            mirror_step(EUCLID, Ball(), np.array([0.5, 0.5]), np.ones(2), 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_certified_prox_property(self, data):
+        # The certified solve against an independent closed form on every
+        # (set, geometry) pair; entropy on a box needs a positive lower bound.
+        d = data.draw(st.integers(1, 12), label="d")
+        geometry = data.draw(st.sampled_from([EUCLID, ENTROPY]), label="geometry")
+        unit = st.floats(0.0, 1.0)
+        if data.draw(st.booleans(), label="box"):
+            low = -3.0 if geometry is EUCLID else 0.05
+            lower = np.array(data.draw(st.lists(st.floats(low, 2.0), min_size=d, max_size=d)))
+            upper = lower + np.array(data.draw(st.lists(st.floats(0.5, 3.0), min_size=d, max_size=d)))
+            decision_set = Box(lower, upper)
+            frac = np.array(data.draw(st.lists(unit, min_size=d, max_size=d)))
+            base = lower + frac * (upper - lower)
+        else:
+            decision_set = Simplex(d)
+            weights = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d)))
+            base = weights / weights.sum()
+        scale = data.draw(st.floats(0.0, 50.0), label="scale")
+        coeffs = scale * np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+        alpha = data.draw(st.floats(0.5, 2000.0), label="alpha")
+
+        if isinstance(decision_set, Box) and geometry is ENTROPY:
+            closed = decision_set.project(base * np.exp(-coeffs / alpha))
+        else:
+            closed = mirror_step(geometry, decision_set, base, coeffs, alpha)
+        numeric = mirror_step(geometry, decision_set, base, coeffs, alpha, force_numeric=True)
+        assert np.max(np.abs(closed - numeric)) < 1e-9
+        assert decision_set.contains(numeric)
 
 
 class TestMixing:
