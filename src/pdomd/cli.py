@@ -12,6 +12,10 @@ Subcommands:
   audit      re-derive a run record's per-slot bound residuals and metrics
              from files alone
 
+`run` and `sweep` draw each seed's slot functions once and score every
+policy (the algorithm, the hindsight fixed point, Reac) on that one draw;
+replaying the draws from a record is `audit`'s path.
+
 Exit codes: 0 success, 2 configuration error, 3 runtime error.  All outputs
 embed the resolved configuration hash so a record can be audited later
 against the exact configuration that produced it.
@@ -26,24 +30,33 @@ import hashlib
 import json
 import math
 import sys
+from collections import deque
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import VARIANTS, AlgorithmParams, parameter_schedule, run
+from .core import VARIANTS, AlgorithmParams, RecordCollector, iterate_run, parameter_schedule
 from .errors import ConfigError, PdomdError
 from .oracle import hindsight_optimum
 from .problems import (
+    REAC_WINDOW,
     DatacenterConfig,
     PriceTrace,
     ProblemInstance,
     build_datacenter_problem,
     build_synthetic_problem,
     reac_policy_step,
-    slot_rng,
 )
-from .telemetry import MetricsSummary, compute_metrics, dpp_audit, export, import_record
+from .telemetry import (
+    MetricsSummary,
+    RunRecord,
+    compute_metrics,
+    dpp_audit,
+    export,
+    import_record,
+    summarize_metrics,
+)
 
 Array = np.ndarray
 
@@ -556,47 +569,56 @@ def _policy_series(
     return ineq_series, eq_series
 
 
-def _replay_baselines(
+def _scored_pass(
     problem: ProblemInstance,
-    seed: int,
+    config: ExperimentConfig,
     horizon: int,
-    fixed_point: Array,
+    seed: int,
+    hindsight: Tuple[Array, float],
     dc: Optional[DatacenterConfig],
-) -> dict:
-    """Evaluate the hindsight fixed point (and Reac when datacenter) on the
-    same sampled stream the solver consumed for this seed."""
-    n_ineq, n_eq = problem.n_ineq, problem.n_eq
-    out = {
-        "hindsight_cost": np.empty(horizon),
-        "hindsight_ineq": np.empty((horizon, n_ineq)),
-        "hindsight_eq": np.empty((horizon, n_eq)),
-    }
+) -> Tuple[RunRecord, MetricsSummary, dict]:
+    """Walk one seed's stream once, scoring every policy on the same draws.
+
+    Returns the algorithm's record, its metrics summary, and (cost,
+    inequality values, equality rows) per policy: the algorithm, the
+    hindsight fixed point, and Reac on the datacenter scenario."""
+    params, variant = config.params_for(horizon), config.resolved_variant
+    collector = RecordCollector(problem, horizon)
+    shapes = ((horizon,), (horizon, problem.n_ineq), (horizon, problem.n_eq))
+    columns = {"hindsight": tuple(map(np.empty, shapes))}
     if dc is not None:
-        out["reac_cost"] = np.empty(horizon)
-        out["reac_ineq"] = np.empty((horizon, n_ineq))
-        out["reac_eq"] = np.empty((horizon, n_eq))
-    arrivals: List[float] = []
-    for t in range(horizon):
-        fns = problem.sample_slot(t, slot_rng(seed, t))
-        out["hindsight_cost"][t] = fns.objective.value(fixed_point)
-        out["hindsight_ineq"][t] = [g.value(fixed_point) for g in fns.inequalities]
-        out["hindsight_eq"][t] = fns.eq_matrix @ fixed_point
+        columns["reac"] = tuple(map(np.empty, shapes))
+    arrivals = deque(maxlen=REAC_WINDOW)
+    comparator_total = 0.0
+    for state, outcome, fns, obs in iterate_run(problem, horizon, params, seed, variant):
+        t = obs.slot
+        collector.add(state, outcome, obs)
+        points = {"hindsight": hindsight[0]}
         if dc is not None:
             level = float(fns.inequalities[0].level)
-            history = arrivals if arrivals else [level]
-            decision = reac_policy_step(history, dc)
-            out["reac_cost"][t] = fns.objective.value(decision)
-            out["reac_ineq"][t] = [g.value(decision) for g in fns.inequalities]
-            out["reac_eq"][t] = fns.eq_matrix @ decision
+            points["reac"] = reac_policy_step(arrivals or [level], dc)
             arrivals.append(level)
-    return out
+        for name, point in points.items():
+            cost, ineq, eq = columns[name]
+            cost[t] = fns.objective.value(point)
+            ineq[t] = [g.value(point) for g in fns.inequalities]
+            eq[t] = fns.eq_matrix @ point
+        comparator_total += columns["hindsight"][0][t]
+    record = collector.record(params, seed, variant, config_hash=config.config_hash())
+    columns["algorithm"] = (
+        record.objective_realized, record.ineq_realized, record.eq_realized
+    )
+    summary = summarize_metrics(record, hindsight, problem, float(comparator_total))
+    return record, summary, columns
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run the configured scenario across seeds and write all outputs.
 
-    Returns a summary dict with the output paths, the hindsight reference,
-    per-seed metrics, and the seed-averaged time series that were written.
+    Each seed's stream is drawn once: the algorithm, the hindsight fixed
+    point and Reac are all scored on the slots the run consumed. Returns a
+    summary dict with the output paths, the hindsight reference, per-seed
+    metrics, and the seed-averaged time series that were written.
     """
     problem, dc = _build_problem(config)
     horizon = config.horizon
@@ -606,7 +628,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     records_dir = out_dir / "records"
     records_dir.mkdir(parents=True, exist_ok=True)
 
-    fixed_point, fixed_value = hindsight_optimum(problem, 0, horizon)
+    hindsight = hindsight_optimum(problem, 0, horizon)
     header = _series_header(config, params)
 
     n_seeds = len(config.seeds)
@@ -617,39 +639,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
     metrics_rows: List[Tuple[int, MetricsSummary]] = []
 
     for seed in config.seeds:
-        record = run(
-            problem,
-            horizon,
-            params=params,
-            seed=seed,
-            variant=config.resolved_variant,
-            config_hash=chash,
-        )
+        record, summary, columns = _scored_pass(problem, config, horizon, seed, hindsight, dc)
         export(record, "csv", records_dir / f"run_seed{seed}.csv")
-        summary = compute_metrics(record, (fixed_point, fixed_value), problem)
         metrics_rows.append((seed, summary))
-
-        cost["algorithm"] += np.cumsum(record.objective_realized)
-        i_series, e_series = _policy_series(
-            record.ineq_realized, record.eq_realized, record.targets
-        )
-        ineq["algorithm"] += i_series
-        eq["algorithm"] += e_series
-
-        replay = _replay_baselines(problem, seed, horizon, fixed_point, dc)
-        cost["hindsight"] += np.cumsum(replay["hindsight_cost"])
-        i_series, e_series = _policy_series(
-            replay["hindsight_ineq"], replay["hindsight_eq"], record.targets
-        )
-        ineq["hindsight"] += i_series
-        eq["hindsight"] += e_series
-        if dc is not None:
-            cost["reac"] += np.cumsum(replay["reac_cost"])
-            i_series, e_series = _policy_series(
-                replay["reac_ineq"], replay["reac_eq"], record.targets
-            )
-            ineq["reac"] += i_series
-            eq["reac"] += e_series
+        for name in policies:
+            policy_cost, policy_ineq, policy_eq = columns[name]
+            cost[name] += np.cumsum(policy_cost)
+            i_series, e_series = _policy_series(policy_ineq, policy_eq, record.targets)
+            ineq[name] += i_series
+            eq[name] += e_series
 
     for table in (cost, ineq, eq):
         for name in table:
@@ -682,7 +680,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "out_dir": out_dir,
         "paths": paths,
         "config_hash": chash,
-        "hindsight": (fixed_point, fixed_value),
+        "hindsight": hindsight,
         "metrics": metrics_rows,
         "series": {"cost": cost, "ineq": ineq, "eq": eq},
     }
@@ -749,8 +747,7 @@ def sweep_rates(config: ExperimentConfig) -> dict:
     if len(config.sweep_horizons) < 2:
         raise ConfigError("sweep needs at least two horizons to fit a slope")
 
-    s = config.synthetic
-    problem = build_synthetic_problem(s.dimension, s.n_ineq, s.n_eq, s.instance_seed)
+    problem, _ = _build_problem(config)
     horizons = np.asarray(config.sweep_horizons, dtype=float)
     n_h = len(config.sweep_horizons)
     n_seeds = len(config.seeds)
@@ -762,18 +759,9 @@ def sweep_rates(config: ExperimentConfig) -> dict:
     dual_ratio = np.empty((n_seeds, n_h))
 
     for i, horizon in enumerate(config.sweep_horizons):
-        params = parameter_schedule(horizon, config.resolved_variant)
         hindsight = hindsight_optimum(problem, 0, horizon)
         for j, seed in enumerate(config.seeds):
-            record = run(
-                problem,
-                horizon,
-                params=params,
-                seed=seed,
-                variant=config.resolved_variant,
-                config_hash=chash,
-            )
-            summary = compute_metrics(record, hindsight, problem)
+            _, summary, _ = _scored_pass(problem, config, horizon, seed, hindsight, None)
             regret[j, i] = summary.expected_regret
             ineq_viol[j, i] = summary.ineq_violation
             eq_viol[j, i] = summary.eq_violation
@@ -868,6 +856,8 @@ def _cmd_gen_trace(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.samples < 1:  # zero samples would pass the audit vacuously
+        raise ConfigError("--samples must be at least 1")
     config = parse_config(args.config)
     problem, _ = _build_problem(config)
     record = import_record(args.record)
@@ -936,7 +926,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except PdomdError as exc:
+    except (PdomdError, OSError) as exc:  # OSError: an output path cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

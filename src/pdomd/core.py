@@ -275,6 +275,58 @@ def iterate_run(
         yield state, outcome, fns, obs
 
 
+class RecordCollector:
+    """Record columns filled slot by slot from iterate_run's yields.
+
+    `run` and the experiment harness both build their records here, so a
+    record means the same thing whichever of them wrote it."""
+
+    def __init__(self, problem: ProblemInstance, horizon: int):
+        self.problem = problem
+        self.columns = {
+            "decisions": np.zeros((horizon, problem.dimension)),
+            "objective_realized": np.zeros(horizon),
+            "ineq_realized": np.zeros((horizon, problem.n_ineq)),
+            "eq_realized": np.zeros((horizon, problem.n_eq)),
+            "ineq_dual_norm": np.zeros(horizon),
+            "eq_dual_norm": np.zeros(horizon),
+            "drift": np.zeros(horizon),
+        }
+        self.started = time.perf_counter()
+
+    def add(self, state: SolverState, outcome: StepOutcome, obs: ObservationBatch) -> None:
+        t, columns = obs.slot, self.columns
+        columns["decisions"][t] = state.decision
+        columns["objective_realized"][t] = obs.objective_value
+        columns["ineq_realized"][t] = obs.ineq_values
+        columns["eq_realized"][t] = obs.eq_matrix @ state.decision
+        columns["ineq_dual_norm"][t] = outcome.ineq_dual_norm
+        columns["eq_dual_norm"][t] = outcome.eq_dual_norm
+        columns["drift"][t] = outcome.drift
+
+    def record(
+        self,
+        params: AlgorithmParams,
+        seed: int,
+        variant: str,
+        geometry: Optional[BregmanGeometry] = None,
+        config_hash: str = "",
+    ) -> RunRecord:
+        """The record of the slots added so far, timed from construction."""
+        state = initial_state(self.problem, params, variant, geometry)
+        return RunRecord(
+            problem=self.problem.name,
+            variant=variant,
+            geometry=state.geometry.name,
+            seed=seed,
+            params=params,
+            targets=state.targets,
+            config_hash=config_hash,
+            wall_time_s=time.perf_counter() - self.started,
+            **self.columns,
+        )
+
+
 def run(
     problem: ProblemInstance,
     horizon: int,
@@ -287,46 +339,8 @@ def run(
     """Run the full loop and collect the trajectory record."""
     if params is None:
         params = parameter_schedule(max(horizon, 2), variant)
-    dim = problem.dimension
-    decisions = np.zeros((horizon, dim))
-    objective = np.zeros(horizon)
-    ineq = np.zeros((horizon, problem.n_ineq))
-    eq = np.zeros((horizon, problem.n_eq))
-    q_norm = np.zeros(horizon)
-    h_norm = np.zeros(horizon)
-    drift = np.zeros(horizon)
-
-    started = time.perf_counter()
-    geometry_name = None
-    for t, (state, outcome, fns, obs) in enumerate(
-        iterate_run(problem, horizon, params, seed, variant, geometry)
-    ):
-        geometry_name = state.geometry.name
-        decisions[t] = state.decision
-        objective[t] = obs.objective_value
-        ineq[t] = obs.ineq_values
-        eq[t] = obs.eq_matrix @ state.decision if problem.n_eq else np.zeros(0)
-        q_norm[t] = outcome.ineq_dual_norm
-        h_norm[t] = outcome.eq_dual_norm
-        drift[t] = outcome.drift
-    if geometry_name is None:  # empty horizon: still name the geometry
-        state = initial_state(problem, params, variant, geometry)
-        geometry_name = state.geometry.name
-
-    return RunRecord(
-        problem=problem.name,
-        variant=variant,
-        geometry=geometry_name,
-        seed=seed,
-        params=params,
-        targets=np.asarray(problem.targets, dtype=float),
-        decisions=decisions,
-        objective_realized=objective,
-        ineq_realized=ineq,
-        eq_realized=eq,
-        ineq_dual_norm=q_norm,
-        eq_dual_norm=h_norm,
-        drift=drift,
-        config_hash=config_hash,
-        wall_time_s=time.perf_counter() - started,
-    )
+    collector = RecordCollector(problem, horizon)
+    slots = iterate_run(problem, horizon, params, seed, variant, geometry)
+    for state, outcome, _, obs in slots:
+        collector.add(state, outcome, obs)
+    return collector.record(params, seed, variant, geometry, config_hash)

@@ -343,7 +343,11 @@ def euclidean_box_step(base: Array, coeffs: Array, prox_weight: float, box: Box)
     coeffs = _as_vector(coeffs, "coeffs")
     if prox_weight <= 0.0:
         raise GeometryError("prox_weight must be positive")
-    return box.project(base - coeffs / prox_weight)
+    target = base - coeffs / prox_weight
+    # One reduction: the sum is finite exactly when every entry is, short of overflow.
+    if not np.isfinite(np.add.reduce(target)):
+        raise GeometryError("coefficients must be finite")
+    return box.project(target)
 
 
 def mix_toward_uniform(point: Array, mixing_weight: float) -> Array:

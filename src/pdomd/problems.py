@@ -25,6 +25,8 @@ from .geometry import Box, DecisionSet, Simplex
 
 Array = np.ndarray
 
+REAC_WINDOW = 10  # arrivals in Reac's trailing average
+
 
 # ---------------------------------------------------------------------------
 # sampling primitives
@@ -173,7 +175,6 @@ class SlotFunctions:
             ineq_values=ineq_values,
             ineq_grads=ineq_grads,
             eq_matrix=self.eq_matrix,
-            functions=self,
         )
 
 
@@ -182,8 +183,7 @@ class ObservationBatch:
     """What the engine sees at the start of a slot.
 
     Plain values and subgradients of the previous slot's functions, all
-    evaluated at the decision that was played. The SlotFunctions handle is
-    carried along so audits and telemetry can re-evaluate at other points.
+    evaluated at the decision that was played.
     """
 
     slot: int
@@ -192,7 +192,6 @@ class ObservationBatch:
     ineq_values: Array  # (L,)
     ineq_grads: Array  # (L, d)
     eq_matrix: Array  # (M, d)
-    functions: SlotFunctions
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +680,7 @@ def reac_policy_step(arrival_history: Sequence[float], config: DatacenterConfig)
     """Reactive baseline: forecast arrivals by a trailing average, split the
     load by pacing ratio (last ratio shared by the final two clusters), and
     invert the service curve per server."""
-    history = list(arrival_history)[-10:]
+    history = list(arrival_history)[-REAC_WINDOW:]
     if not history:
         raise ProblemError("arrival history must be nonempty")
     forecast = float(np.mean(history))

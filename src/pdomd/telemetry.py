@@ -127,10 +127,35 @@ def compute_metrics(
     recorded decisions must agree with the recorded columns, otherwise the
     record does not belong to this problem/seed and we refuse to continue.
     """
-    mu_star, hindsight_value = hindsight
-    mu_star = np.asarray(mu_star, dtype=float)
+    mu_star = np.asarray(hindsight[0], dtype=float)
     if mu_star.shape != (record.dimension,):
         raise ProblemError("hindsight point dimension mismatch")
+    comparator_total = 0.0
+    for t in range(record.horizon):
+        fns = problem.sample_slot(t, slot_rng(record.seed, t))
+        played = fns.objective.value(record.decisions[t])
+        recorded = record.objective_realized[t]
+        if abs(played - recorded) > _REPLAY_TOL * (1.0 + abs(recorded)):
+            raise ReplayMismatchError(
+                f"slot {t}: replayed objective {played!r} != recorded {recorded!r}"
+            )
+        comparator_total += fns.objective.value(mu_star)
+    return summarize_metrics(record, hindsight, problem, comparator_total)
+
+
+def summarize_metrics(
+    record: RunRecord,
+    hindsight: tuple,
+    problem: ProblemInstance,
+    comparator_total: float,
+) -> MetricsSummary:
+    """The summary of a record whose slot functions are not replayed.
+
+    comparator_total is sum_t f^t(mu*) over the record's realized slots; the
+    caller vouches that it and the record come from the same draws, as they
+    do when both are taken in one pass over the stream."""
+    mu_star, hindsight_value = hindsight
+    mu_star = np.asarray(mu_star, dtype=float)
     horizon = record.horizon
     if horizon == 0:
         return MetricsSummary(
@@ -146,17 +171,6 @@ def compute_metrics(
             dual_ratio=0.0,
             hindsight_value=float(hindsight_value),
         )
-
-    comparator_total = 0.0
-    for t in range(horizon):
-        fns = problem.sample_slot(t, slot_rng(record.seed, t))
-        played = fns.objective.value(record.decisions[t])
-        recorded = record.objective_realized[t]
-        if abs(played - recorded) > _REPLAY_TOL * (1.0 + abs(recorded)):
-            raise ReplayMismatchError(
-                f"slot {t}: replayed objective {played!r} != recorded {recorded!r}"
-            )
-        comparator_total += fns.objective.value(mu_star)
     realized_regret = float(np.sum(record.objective_realized)) - comparator_total
 
     expected_regret = None
@@ -177,23 +191,15 @@ def compute_metrics(
         h_avg = means.eq_matrix @ (record.decisions.mean(axis=0))
         eq_violation = float(np.linalg.norm(h_avg - record.targets))
 
-    g_realized_avg = (
-        record.ineq_realized.mean(axis=0) if record.n_ineq else np.zeros(0)
-    )
+    g_realized_avg = record.ineq_realized.mean(axis=0)
     ineq_violation_realized = float(np.linalg.norm(np.maximum(g_realized_avg, 0.0)))
-    clip_first = (
-        np.maximum(record.ineq_realized, 0.0).mean(axis=0)
-        if record.n_ineq
-        else np.zeros(0)
-    )
+    clip_first = np.maximum(record.ineq_realized, 0.0).mean(axis=0)
     ineq_violation_clip_first = float(np.linalg.norm(clip_first))
-    h_realized_avg = (
-        record.eq_realized.mean(axis=0) if record.n_eq else np.zeros(0)
-    )
+    h_realized_avg = record.eq_realized.mean(axis=0)
     eq_violation_realized = float(np.linalg.norm(h_realized_avg - record.targets))
 
     dual_norms = np.hypot(record.ineq_dual_norm, record.eq_dual_norm)
-    max_dual = float(np.max(dual_norms)) if horizon else 0.0
+    max_dual = float(np.max(dual_norms))
     return MetricsSummary(
         horizon=horizon,
         realized_regret=realized_regret,
@@ -471,15 +477,22 @@ def _record_from_header_and_columns(header: dict, columns: dict) -> RunRecord:
 
 
 def import_record(path) -> RunRecord:
-    """Read a record back from a csv or json export."""
-    with open(path) as fh:
-        first = fh.read(1)
-    if first == "{":
+    """Read a record back from a csv or json export.
+
+    A missing, unreadable or malformed file raises ProblemError naming it."""
+    try:
         with open(path) as fh:
-            payload = json.load(fh)
-        columns = payload.pop("columns")
-        return _record_from_header_and_columns(payload, columns)
-    return _import_record_csv(path)
+            first = fh.read(1)
+        if first == "{":
+            with open(path) as fh:
+                payload = json.load(fh)
+            columns = payload.pop("columns")
+            return _record_from_header_and_columns(payload, columns)
+        return _import_record_csv(path)
+    except OSError as exc:
+        raise ProblemError(f"cannot read record {path}: {exc.strerror}") from None
+    except (LookupError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ProblemError(f"{path}: malformed record ({type(exc).__name__}: {exc})") from None
 
 
 def _import_record_csv(path) -> RunRecord:
@@ -490,7 +503,9 @@ def _import_record_csv(path) -> RunRecord:
             raise ProblemError(f"{path}: not a run record export")
         header = json.loads(header_line[len(prefix):])
         reader = csv.reader(fh)
-        names = next(reader)
+        names = next(reader, None)
+        if names is None:
+            raise ProblemError(f"{path}: no column row")
         rows = []
         for row in reader:
             if not row:
@@ -508,32 +523,18 @@ def _import_record_csv(path) -> RunRecord:
     d = sum(1 for n in names if n.startswith("mu_"))
     n_ineq = sum(1 for n in names if n.startswith("g_"))
     n_eq = sum(1 for n in names if n.startswith("h_") and n != "h_norm")
-    horizon = len(rows)
-    decisions = np.zeros((horizon, d))
-    objective = np.zeros(horizon)
-    ineq = np.zeros((horizon, n_ineq))
-    eq = np.zeros((horizon, n_eq))
-    q_norm = np.zeros(horizon)
-    h_norm = np.zeros(horizon)
-    drift = np.zeros(horizon)
-    for t, values in enumerate(rows):
-        k = 0
-        decisions[t] = values[k : k + d]
-        k += d
-        objective[t] = values[k]
-        k += 1
-        ineq[t] = values[k : k + n_ineq]
-        k += n_ineq
-        eq[t] = values[k : k + n_eq]
-        k += n_eq
-        q_norm[t], h_norm[t], drift[t] = values[k : k + 3]
+    data = np.array(rows, dtype=float).reshape(len(rows), len(names) - 1)
+    widths = (d, 1, n_ineq, n_eq, 1, 1, 1)
+    decisions, objective, ineq, eq, q_norm, h_norm, drift = np.split(
+        data, np.cumsum(widths)[:-1], axis=1
+    )
     columns = {
         "decisions": decisions,
-        "objective_realized": objective,
+        "objective_realized": objective[:, 0],
         "ineq_realized": ineq,
         "eq_realized": eq,
-        "ineq_dual_norm": q_norm,
-        "eq_dual_norm": h_norm,
-        "drift": drift,
+        "ineq_dual_norm": q_norm[:, 0],
+        "eq_dual_norm": h_norm[:, 0],
+        "drift": drift[:, 0],
     }
     return _record_from_header_and_columns(header, columns)

@@ -1,8 +1,11 @@
+import collections
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from pdomd import cli
 from pdomd.cli import (
     ExperimentConfig,
     config_from_mapping,
@@ -16,6 +19,7 @@ from pdomd.cli import (
     write_price_trace,
 )
 from pdomd.errors import ConfigError
+from pdomd.telemetry import compute_metrics, import_record
 
 
 def write_config(path, **entries):
@@ -256,6 +260,29 @@ class TestRunExperiment:
         assert reloaded.config_hash() == result["config_hash"]
         assert reloaded.canonical() == config.canonical()
 
+    def test_each_slot_drawn_once(self, tmp_path, monkeypatch):
+        draws = count_draws(monkeypatch)
+        run_experiment(small_config(tmp_path))
+        assert draws == {t: 2 for t in range(60)}  # two seeds, one draw each
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"synthetic": {"d": 5, "n_ineq": 1, "n_eq": 1}},
+            {"scenario": "datacenter", "T": 40, "seeds": [0, 1]},
+        ],
+        ids=["synthetic", "datacenter"],
+    )
+    def test_in_pass_metrics_match_the_replay(self, tmp_path, entries):
+        # The harness summarises on the draws it ran; the audit path replays
+        # the exported record. Both must give the same numbers exactly.
+        config = small_config(tmp_path, **entries)
+        result = run_experiment(config)
+        problem, _ = cli._build_problem(config)
+        for seed, summary in result["metrics"]:
+            record = import_record(result["out_dir"] / "records" / f"run_seed{seed}.csv")
+            assert compute_metrics(record, result["hindsight"], problem) == summary
+
     def test_resolved_config_detects_tampering(self, tmp_path):
         config = small_config(tmp_path)
         result = run_experiment(config)
@@ -302,6 +329,20 @@ class TestSweep:
         assert (tmp_path / "sweep" / "sweep_report.json").exists()
         assert (tmp_path / "sweep" / "sweep_means.csv").exists()
 
+    def test_each_slot_drawn_once(self, tmp_path, monkeypatch):
+        draws = count_draws(monkeypatch)
+        config = dataclasses_replace_synthetic(
+            ExperimentConfig(
+                seeds=(0, 1),
+                sweep_horizons=(16, 32),
+                out_dir=str(tmp_path / "sweep"),
+            ),
+            dimension=4,
+        )
+        sweep_rates(config)
+        # two seeds per horizon; slots below 16 belong to both horizons
+        assert draws == {t: 4 if t < 16 else 2 for t in range(32)}
+
     def test_report_written_matches_return(self, tmp_path):
         config = dataclasses_replace_synthetic(
             ExperimentConfig(
@@ -316,6 +357,24 @@ class TestSweep:
         report = sweep_rates(config)
         on_disk = json.loads((tmp_path / "sweep" / "sweep_report.json").read_text())
         assert on_disk == json.loads(json.dumps(report))
+
+
+def count_draws(monkeypatch):
+    """Count the slot draws of every synthetic problem cli builds, by slot."""
+    draws = collections.Counter()
+    build = cli.build_synthetic_problem
+
+    def counting_build(*args):
+        problem = build(*args)
+
+        def sample_slot(t, rng):
+            draws[t] += 1
+            return problem.sample_slot(t, rng)
+
+        return dataclasses.replace(problem, sample_slot=sample_slot)
+
+    monkeypatch.setattr(cli, "build_synthetic_problem", counting_build)
+    return draws
 
 
 def dataclasses_replace_synthetic(config, **synth):
@@ -426,13 +485,46 @@ class TestMainExitCodes:
         fields = lines[3].split(",")
         fields[2] = "abc"
         garbled = lines[:3] + [",".join(fields)] + lines[4:]
-        for rows, line in ((truncated, 6), (garbled, 4)):
-            record_path.write_text("\n".join(rows) + "\n")
-            code = main(
-                ["audit", "--config", str(config_path), "--record", str(record_path)]
-            )
+        broken_header = ["# pdomd-run v1 {broken"] + lines[1:]
+        no_column_row = lines[:1]
+        json_without_columns = [lines[0].removeprefix("# pdomd-run v1 ")]
+        cases = [
+            (truncated, "run_seed0.csv:6:"),
+            (garbled, "run_seed0.csv:4:"),
+            (broken_header, "run_seed0.csv"),
+            (no_column_row, "run_seed0.csv"),
+            (json_without_columns, "run_seed0.csv"),
+            (None, "missing.csv"),
+        ]
+        for rows, named in cases:
+            path = record_path
+            if rows is None:
+                path = record_path.with_name("missing.csv")
+            else:
+                record_path.write_text("\n".join(rows) + "\n")
+            code = main(["audit", "--config", str(config_path), "--record", str(path)])
             assert code == 3
-            assert f"run_seed0.csv:{line}:" in capsys.readouterr().err
+            assert named in capsys.readouterr().err
+
+    def test_audit_needs_samples(self, tmp_path, capsys):
+        for samples in ("0", "-1"):
+            argv = ["audit", "--config", "c.json", "--record", "r.csv", "--samples", samples]
+            assert main(argv) == 2
+            assert "--samples" in capsys.readouterr().err
+
+    def test_unwritable_output_is_exit_3(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        config_path = write_config(
+            tmp_path / "c.json", T=20, seeds=[0], synthetic={"d": 4, "n_ineq": 1, "n_eq": 1}
+        )
+        for argv in (
+            ["run", "--config", str(config_path), "--out", str(blocker / "out")],
+            ["gen-trace", "--out", str(blocker / "trace.csv"), "--slots", "5"],
+        ):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
 
     def test_seed_override_applies(self, tmp_path):
         config_path = write_config(

@@ -199,8 +199,10 @@ class TestMirrorStep:
             mirror_step(EUCLID, Simplex(2), np.array([0.7, 0.7]), np.zeros(2), 1.0)
         with pytest.raises(GeometryError):
             mirror_step(EUCLID, Simplex(2), np.array([0.5, 0.5]), np.zeros(2), 0.0)
-        with pytest.raises(GeometryError):
-            mirror_step(EUCLID, Simplex(2), np.array([0.5, 0.5]), np.array([np.nan, 0.0]), 1.0)
+        box = Box(np.zeros(2), np.ones(2))
+        for decision_set, bad in ((Simplex(2), np.nan), (box, np.nan), (box, np.inf)):
+            with pytest.raises(GeometryError):
+                mirror_step(EUCLID, decision_set, np.array([0.5, 0.5]), np.array([bad, 0.0]), 1.0)
         with pytest.raises(ProxConvergenceError):
             mirror_step(
                 ENTROPY,
