@@ -3,10 +3,13 @@
 A RunRecord is the complete per-slot trajectory of one run plus the header
 needed to replay it (problem name, seed, parameters). Everything downstream
 works from records: metric summaries, the drift-plus-penalty audit, and the
-CSV/JSON exporters. CSV columns are fixed as
+CSV/JSON exporters. `replay_record` is the one replay of a record: it draws
+each slot once and checks the objective, the multiplier norms and the
+sampled drift-plus-penalty residuals in the same walk; `compute_metrics` and
+`dpp_audit` are views of it. CSV columns are fixed as
 t, mu_0..mu_{d-1}, f_realized, g_0..g_{L-1}, h_0..h_{M-1}, q_norm, h_norm, drift
 and numbers are written in repr precision so import reproduces the record
-bit-exactly for finite values.
+bit-exactly. Import rejects a NaN or infinite cell.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import csv
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -122,24 +125,10 @@ def compute_metrics(
 ) -> MetricsSummary:
     """Summarize a record against the fixed hindsight point.
 
-    Realized regret replays each slot's functions at the comparator, using
-    the same per-slot generators as the run; the replayed values at the
-    recorded decisions must agree with the recorded columns, otherwise the
-    record does not belong to this problem/seed and we refuse to continue.
-    """
-    mu_star = np.asarray(hindsight[0], dtype=float)
-    if mu_star.shape != (record.dimension,):
-        raise ProblemError("hindsight point dimension mismatch")
-    comparator_total = 0.0
-    for t in range(record.horizon):
-        fns = problem.sample_slot(t, slot_rng(record.seed, t))
-        played = fns.objective.value(record.decisions[t])
-        recorded = record.objective_realized[t]
-        if abs(played - recorded) > _REPLAY_TOL * (1.0 + abs(recorded)):
-            raise ReplayMismatchError(
-                f"slot {t}: replayed objective {played!r} != recorded {recorded!r}"
-            )
-        comparator_total += fns.objective.value(mu_star)
+    Realized regret needs sum_t f^t(mu*) over the record's slots, which
+    `replay_record` takes on its one walk over the stream; that walk refuses
+    a record that does not belong to this problem/seed."""
+    comparator_total, _ = replay_record(record, problem, hindsight[0], n_samples=0)
     return summarize_metrics(record, hindsight, problem, comparator_total)
 
 
@@ -260,44 +249,93 @@ def _penalty_constant(
     )
 
 
-def _replay_dual_vectors(record: RunRecord, problem: ProblemInstance):
-    """Recompute the full multiplier trajectory from the record.
+def _check_replay(slot: int, what: str, replayed: float, recorded: float) -> None:
+    """Refuse a replayed value that disagrees with the record; NaN disagrees."""
+    if not abs(replayed - recorded) <= _REPLAY_TOL * (1.0 + abs(recorded)):
+        raise ReplayMismatchError(
+            f"slot {slot}: replayed {what} {float(replayed)!r} != recorded {float(recorded)!r}"
+        )
 
-    Returns arrays of the pre-update multipliers: row t holds Q(t), H(t) as
-    used by slot t's proximal step. Recomputed post-update norms must match
-    the recorded norm columns."""
+
+def replay_record(
+    record: RunRecord,
+    problem: ProblemInstance,
+    mu_star: Optional[Array],
+    n_samples: int,
+    audit_seed: int = 0,
+) -> Tuple[float, float]:
+    """Replay a record once: (sum_t f^t(mu_star), worst bound residual).
+
+    Slot t is drawn once, through slot_rng(seed, t). The walk checks the
+    objective at decisions[t] and adds f^t(mu_star) unless mu_star is None;
+    evaluates the drift-plus-penalty residual of each sample of slot t+1,
+    whose step used slot t's functions and the running Q(t+1), H(t+1); then
+    advances Q and H with slot t and checks their norms against row t+1. A
+    disagreement, NaN included, raises ReplayMismatchError. Sampled slots lie
+    in 1..T-1, with comparators drawn from default_rng(audit_seed) in sample
+    order. The worst residual is 0.0 for T < 2 and -inf without samples;
+    positive or NaN means violated. The drift column is trusted as recorded,
+    so a corrupted value shows up as a violation, not a replay mismatch."""
     horizon = record.horizon
-    n_ineq, n_eq = record.n_ineq, record.n_eq
-    q_path = np.zeros((horizon, n_ineq))
-    h_path = np.zeros((horizon, n_eq))
-    q = np.zeros(n_ineq)
-    h = np.zeros(n_eq)
+    if mu_star is not None:
+        mu_star = np.asarray(mu_star, dtype=float)
+        if mu_star.shape != (record.dimension,):
+            raise ProblemError("hindsight point dimension mismatch")
+    comparators = {}  # sampled slot -> its comparator points
+    if horizon >= 2 and n_samples > 0:
+        geometry = geometry_by_name(record.geometry)
+        penalty = _penalty_constant(problem, geometry, problem.decision_set)
+        rng = np.random.default_rng(audit_seed)
+        for s in rng.integers(1, horizon, size=n_samples):
+            comparators.setdefault(int(s), []).append(problem.decision_set.sample(rng))
+    params = record.params
+    residuals = []
+    comparator_total = 0.0
+    q = np.zeros(record.n_ineq)
+    h = np.zeros(record.n_eq)
     for t in range(horizon):
-        q_path[t] = q
-        h_path[t] = h
-        if t == 0:
-            continue  # slot 0 has no previous observations
-        fns = problem.sample_slot(t - 1, slot_rng(record.seed, t - 1))
-        mu_prev = record.decisions[t - 1]
-        mu_new = record.decisions[t]
-        step = mu_new - mu_prev
+        fns = problem.sample_slot(t, slot_rng(record.seed, t))
+        mu = record.decisions[t]
+        _check_replay(t, "objective", fns.objective.value(mu), record.objective_realized[t])
+        if mu_star is not None:
+            comparator_total += fns.objective.value(mu_star)
+        if t + 1 == horizon:
+            break
+        mu_next = record.decisions[t + 1]
+        for comparator in comparators.get(t + 1, ()):
+            if record.variant == "simplex":
+                base = mix_toward_uniform(mu, params.mixing_weight)
+            else:
+                base = mu
+            grad_f = np.asarray(fns.objective.grad(mu), dtype=float)
+            lhs = (
+                params.objective_weight * float(grad_f @ (mu_next - mu))
+                + record.drift[t + 1]
+                + params.prox_weight * geometry.divergence(mu_next, base)
+            )
+            rhs = params.objective_weight * (
+                fns.objective.value(comparator) - fns.objective.value(mu)
+            )
+            for i, fn in enumerate(fns.inequalities):
+                rhs += q[i] * fn.value(comparator)
+            if record.n_eq:
+                rhs += float(h @ (fns.eq_matrix @ comparator - record.targets))
+            rhs += params.prox_weight * (
+                geometry.divergence(comparator, base)
+                - geometry.divergence(comparator, mu_next)
+            )
+            rhs += penalty
+            residuals.append(lhs - rhs)
+        step = mu_next - mu
         for i, fn in enumerate(fns.inequalities):
-            q[i] = max(q[i] + fn.value(mu_prev) + float(fn.grad(mu_prev) @ step), 0.0)
-        if n_eq:
-            h = h + fns.eq_matrix @ mu_new - record.targets
-        q_norm = float(np.linalg.norm(q))
-        h_norm = float(np.linalg.norm(h))
-        if abs(q_norm - record.ineq_dual_norm[t]) > _REPLAY_TOL * (1.0 + q_norm):
-            raise ReplayMismatchError(
-                f"slot {t}: replayed |Q| {q_norm!r} != recorded "
-                f"{record.ineq_dual_norm[t]!r}"
-            )
-        if abs(h_norm - record.eq_dual_norm[t]) > _REPLAY_TOL * (1.0 + h_norm):
-            raise ReplayMismatchError(
-                f"slot {t}: replayed |H| {h_norm!r} != recorded "
-                f"{record.eq_dual_norm[t]!r}"
-            )
-    return q_path, h_path
+            q[i] = max(q[i] + fn.value(mu) + float(fn.grad(mu) @ step), 0.0)
+        if record.n_eq:
+            h = h + fns.eq_matrix @ mu_next - record.targets
+        _check_replay(t + 1, "|Q|", float(np.linalg.norm(q)), record.ineq_dual_norm[t + 1])
+        _check_replay(t + 1, "|H|", float(np.linalg.norm(h)), record.eq_dual_norm[t + 1])
+    if horizon < 2:
+        return comparator_total, 0.0
+    return comparator_total, float(np.max(residuals, initial=-np.inf))  # NaN propagates
 
 
 def dpp_audit(
@@ -311,54 +349,9 @@ def dpp_audit(
     For sampled slots t >= 1 and sampled comparator points, the recorded
     drift plus the objective-advance and prox-cost terms must not exceed the
     comparator side plus the penalty constant. Returns the worst residual
-    (positive means violated). Multipliers are replayed from the record; the
-    drift column is used exactly as recorded."""
-    if record.horizon < 2:
-        return 0.0
-    geometry = geometry_by_name(record.geometry)
-    decision_set = problem.decision_set
-    params = record.params
-    penalty = _penalty_constant(problem, geometry, decision_set)
-    q_path, h_path = _replay_dual_vectors(record, problem)
-
-    rng = np.random.default_rng(audit_seed)
-    slots = rng.integers(1, record.horizon, size=n_samples)
-    functions = {}
-    worst = -np.inf
-    for t in slots:
-        t = int(t)
-        if t - 1 not in functions:
-            functions[t - 1] = problem.sample_slot(t - 1, slot_rng(record.seed, t - 1))
-        fns = functions[t - 1]
-        mu_prev = record.decisions[t - 1]
-        mu_new = record.decisions[t]
-        comparator = decision_set.sample(rng)
-        if record.variant == "simplex":
-            base = mix_toward_uniform(mu_prev, params.mixing_weight)
-        else:
-            base = mu_prev
-        grad_f = np.asarray(fns.objective.grad(mu_prev), dtype=float)
-        lhs = (
-            params.objective_weight * float(grad_f @ (mu_new - mu_prev))
-            + record.drift[t]
-            + params.prox_weight * geometry.divergence(mu_new, base)
-        )
-        rhs = params.objective_weight * (
-            fns.objective.value(comparator) - fns.objective.value(mu_prev)
-        )
-        for i, fn in enumerate(fns.inequalities):
-            rhs += q_path[t, i] * fn.value(comparator)
-        if record.n_eq:
-            rhs += float(
-                h_path[t] @ (fns.eq_matrix @ comparator - record.targets)
-            )
-        rhs += params.prox_weight * (
-            geometry.divergence(comparator, base)
-            - geometry.divergence(comparator, mu_new)
-        )
-        rhs += penalty
-        worst = max(worst, lhs - rhs)
-    return float(worst)
+    (positive or NaN means violated), from the same single walk as
+    `compute_metrics`: see `replay_record`."""
+    return replay_record(record, problem, None, n_samples, audit_seed)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +433,15 @@ def _export_record_json(record: RunRecord, path) -> None:
         "eq_dual_norm": record.eq_dual_norm.tolist(),
         "drift": record.drift.tolist(),
     }
+    # an empty record's 2-D columns read back as [] without their widths
+    payload["dimension"] = record.dimension
+    payload["n_ineq"] = record.n_ineq
     with open(path, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")
 
 
-def _record_from_header_and_columns(header: dict, columns: dict) -> RunRecord:
+def _record_from_header_and_columns(path, header: dict, columns: dict) -> RunRecord:
     from .core import AlgorithmParams
 
     params = AlgorithmParams(**header["params"])
@@ -453,8 +449,13 @@ def _record_from_header_and_columns(header: dict, columns: dict) -> RunRecord:
 
     def arr(name, width=None):
         data = np.asarray(columns[name], dtype=float)
-        if width is not None and data.size == 0:
+        if width is not None and data.shape == (0,):  # [] from an empty record
             data = data.reshape(0, width)
+        bad = np.argwhere(~np.isfinite(data))
+        if len(bad):
+            slot, *column = bad[0]
+            cell = f"{name}[{column[0]}]" if column else name
+            raise ProblemError(f"{path}: non-finite {cell} at slot {slot}")
         return data
 
     return RunRecord(
@@ -464,9 +465,9 @@ def _record_from_header_and_columns(header: dict, columns: dict) -> RunRecord:
         seed=int(header["seed"]),
         params=params,
         targets=np.asarray(header["targets"], dtype=float),
-        decisions=arr("decisions"),
+        decisions=arr("decisions", width=header.get("dimension")),
         objective_realized=arr("objective_realized"),
-        ineq_realized=arr("ineq_realized"),
+        ineq_realized=arr("ineq_realized", width=header.get("n_ineq")),
         eq_realized=arr("eq_realized", width=n_eq),
         ineq_dual_norm=arr("ineq_dual_norm"),
         eq_dual_norm=arr("eq_dual_norm"),
@@ -487,7 +488,7 @@ def import_record(path) -> RunRecord:
             with open(path) as fh:
                 payload = json.load(fh)
             columns = payload.pop("columns")
-            return _record_from_header_and_columns(payload, columns)
+            return _record_from_header_and_columns(path, payload, columns)
         return _import_record_csv(path)
     except OSError as exc:
         raise ProblemError(f"cannot read record {path}: {exc.strerror}") from None
@@ -537,4 +538,4 @@ def _import_record_csv(path) -> RunRecord:
         "eq_dual_norm": h_norm[:, 0],
         "drift": drift[:, 0],
     }
-    return _record_from_header_and_columns(header, columns)
+    return _record_from_header_and_columns(path, header, columns)

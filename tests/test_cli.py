@@ -482,15 +482,20 @@ class TestMainExitCodes:
         lines = record_path.read_text().splitlines()
         # lines[0] is the json header, lines[1] the column names
         truncated = lines[:5] + [lines[5].rsplit(",", 2)[0]] + lines[6:]
-        fields = lines[3].split(",")
-        fields[2] = "abc"
-        garbled = lines[:3] + [",".join(fields)] + lines[4:]
+
+        def with_cell(value):  # mu_1 of slot 1
+            fields = lines[3].split(",")
+            fields[2] = value
+            return lines[:3] + [",".join(fields)] + lines[4:]
+
         broken_header = ["# pdomd-run v1 {broken"] + lines[1:]
         no_column_row = lines[:1]
         json_without_columns = [lines[0].removeprefix("# pdomd-run v1 ")]
         cases = [
             (truncated, "run_seed0.csv:6:"),
-            (garbled, "run_seed0.csv:4:"),
+            (with_cell("abc"), "run_seed0.csv:4:"),
+            (with_cell("nan"), "run_seed0.csv: non-finite decisions[1] at slot 1"),
+            (with_cell("inf"), "run_seed0.csv: non-finite decisions[1] at slot 1"),
             (broken_header, "run_seed0.csv"),
             (no_column_row, "run_seed0.csv"),
             (json_without_columns, "run_seed0.csv"),
@@ -505,6 +510,16 @@ class TestMainExitCodes:
             code = main(["audit", "--config", str(config_path), "--record", str(path)])
             assert code == 3
             assert named in capsys.readouterr().err
+
+    def test_audit_draws_each_slot_once(self, tmp_path, monkeypatch):
+        config_path = write_config(
+            tmp_path / "c.json", T=60, seeds=[0], out_dir=str(tmp_path / "out")
+        )
+        assert main(["run", "--config", str(config_path)]) == 0
+        draws = count_draws(monkeypatch)
+        record_path = tmp_path / "out" / "records" / "run_seed0.csv"
+        assert main(["audit", "--config", str(config_path), "--record", str(record_path)]) == 0
+        assert draws == {t: 1 for t in range(60)}
 
     def test_audit_needs_samples(self, tmp_path, capsys):
         for samples in ("0", "-1"):

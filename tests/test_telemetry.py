@@ -1,12 +1,17 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdomd import (
+    AlgorithmParams,
     Box,
     MetricsSummary,
     ReplayMismatchError,
+    RunRecord,
     Simplex,
     build_synthetic_problem,
     compute_metrics,
@@ -101,6 +106,9 @@ class TestDppAudit:
         record.drift[60] += 10.0 * penalty
         worst = dpp_audit(record, problem, n_samples=400, audit_seed=0)
         assert worst > 0.0
+        record.drift[60] = np.nan
+        worst = dpp_audit(record, problem, n_samples=400, audit_seed=0)
+        assert np.isnan(worst)  # a NaN residual is not dropped from the maximum
 
     def test_foreign_seed_is_a_replay_mismatch(self):
         problem, record = synthetic_run(horizon=60)
@@ -111,6 +119,12 @@ class TestDppAudit:
     def test_tampered_dual_norms_rejected(self):
         problem, record = synthetic_run(horizon=60)
         record.ineq_dual_norm[30] += 0.5
+        with pytest.raises(ReplayMismatchError):
+            dpp_audit(record, problem, n_samples=10)
+        # a NaN decision must not let a later tampered norm through
+        problem, record = synthetic_run(horizon=300)
+        record.decisions[70, 0] = np.nan
+        record.ineq_dual_norm[150] += 0.5
         with pytest.raises(ReplayMismatchError):
             dpp_audit(record, problem, n_samples=10)
 
@@ -168,11 +182,22 @@ class TestExport:
     def test_empty_record_csv(self, tmp_path):
         problem = build_synthetic_problem(4, 1, 1, seed=0)
         record = run(problem, 0)
-        path = tmp_path / "empty.csv"
-        export(record, "csv", path)
-        loaded = import_record(path)
-        assert loaded.horizon == 0
-        assert loaded.decisions.shape == (0, 4)
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"empty.{fmt}"
+            export(record, fmt, path)
+            loaded = import_record(path)
+            assert loaded.horizon == 0
+            assert loaded.decisions.shape == (0, 4)
+            assert loaded.ineq_realized.shape == (0, 1)
+
+    def test_json_without_widths_loads(self, tmp_path):
+        _, record = synthetic_run(horizon=5)
+        path = tmp_path / "run.json"
+        export(record, "json", path)
+        payload = json.loads(path.read_text())
+        del payload["dimension"], payload["n_ineq"]
+        path.write_text(json.dumps(payload))
+        assert np.array_equal(import_record(path).decisions, record.decisions)
 
     def test_summary_export(self, tmp_path):
         problem, record = synthetic_run(horizon=20)
@@ -195,3 +220,69 @@ class TestExport:
         export(record, "csv", tmp_path / "box.csv")
         loaded = import_record(tmp_path / "box.csv")
         assert np.array_equal(loaded.eq_realized, record.eq_realized)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_COLUMNS = (
+    "decisions",
+    "objective_realized",
+    "ineq_realized",
+    "eq_realized",
+    "ineq_dual_norm",
+    "eq_dual_norm",
+    "drift",
+    "targets",
+)
+
+
+@st.composite
+def records(draw):
+    horizon = draw(st.integers(0, 20))
+    d, n_ineq, n_eq = (draw(st.integers(lo, hi)) for lo, hi in ((1, 6), (0, 3), (0, 3)))
+
+    def column(*shape, elements=_FINITE):
+        size = int(np.prod(shape))
+        cells = draw(st.lists(elements, min_size=size, max_size=size))
+        return np.array(cells, dtype=float).reshape(shape)
+
+    nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+    return RunRecord(
+        problem=draw(st.text(max_size=8)),
+        variant=draw(st.sampled_from(["simplex", "general"])),
+        geometry=draw(st.sampled_from(["euclidean", "negative_entropy"])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        params=AlgorithmParams(
+            objective_weight=draw(st.floats(min_value=1e-6, max_value=1e6)),
+            prox_weight=draw(st.floats(min_value=1e-6, max_value=1e6)),
+            mixing_weight=draw(st.floats(min_value=0.0, max_value=0.99)),
+            horizon=max(horizon, 1),
+            drift_window=1,
+        ),
+        targets=column(n_eq),
+        decisions=column(horizon, d),
+        objective_realized=column(horizon),
+        ineq_realized=column(horizon, n_ineq),
+        eq_realized=column(horizon, n_eq),
+        ineq_dual_norm=column(horizon, elements=nonnegative),
+        eq_dual_norm=column(horizon, elements=nonnegative),
+        drift=column(horizon),
+        config_hash=draw(st.text("0123456789abcdef", max_size=64)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(record=records())
+def test_record_round_trip_property(tmp_path_factory, record):
+    directory = tmp_path_factory.mktemp("round_trip")
+    for fmt in ("csv", "json"):
+        path = directory / f"record.{fmt}"
+        export(record, fmt, path)
+        loaded = import_record(path)
+        for name in _COLUMNS:
+            got, want = getattr(loaded, name), getattr(record, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (fmt, name)
+        assert (loaded.params, loaded.seed, loaded.config_hash) == (
+            record.params,
+            record.seed,
+            record.config_hash,
+        ), fmt
