@@ -24,7 +24,7 @@ print(f"problem {problem.name}, window start {window[0]} length {window[1]}")
 point, value = hindsight_optimum(problem, *window)
 print(f"hindsight optimum  {value:.6f}")
 print(f"  at point         {np.round(point, 4)}")
-g_at_opt = [float(g.value(point)) for g in problem.means.inequalities]
+g_at_opt = problem.means.inequalities.values(point)
 print(f"  mean g at point  {np.round(g_at_opt, 4)}  (<= 0 is feasible)")
 
 duals, bound = estimate_multipliers(problem, *window)

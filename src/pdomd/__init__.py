@@ -28,13 +28,13 @@ from .geometry import (
 )
 from .problems import (
     DatacenterConfig,
-    LinearFunction,
+    LinearRows,
     MeanModel,
     ObservationBatch,
     PriceTrace,
     ProblemConstants,
     ProblemInstance,
-    ServiceDeficitFunction,
+    ServiceRows,
     SlotFunctions,
     build_datacenter_problem,
     build_synthetic_problem,
@@ -73,8 +73,6 @@ from .core import (
     parameter_schedule,
     run,
     step,
-    update_equality_multiplier,
-    update_inequality_multiplier,
 )
 from .cli import (
     ExperimentConfig,

@@ -595,13 +595,13 @@ def _scored_pass(
         collector.add(state, outcome, obs)
         points = {"hindsight": hindsight[0]}
         if dc is not None:
-            level = float(fns.inequalities[0].level)
+            level = float(fns.inequalities.levels[0])
             points["reac"] = reac_policy_step(arrivals or [level], dc)
             arrivals.append(level)
         for name, point in points.items():
             cost, ineq, eq = columns[name]
-            cost[t] = fns.objective.value(point)
-            ineq[t] = [g.value(point) for g in fns.inequalities]
+            cost[t] = fns.objective @ point
+            ineq[t] = fns.inequalities.values(point)
             eq[t] = fns.eq_matrix @ point
         comparator_total += columns["hindsight"][0][t]
     record = collector.record(params, seed, variant, config_hash=config.config_hash())

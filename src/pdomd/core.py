@@ -52,10 +52,12 @@ class AlgorithmParams:
     drift_window: int
 
     def __post_init__(self):
-        if self.objective_weight <= 0.0 or self.prox_weight <= 0.0:
-            raise ConfigError("objective and prox weights must be positive")
-        if not 0.0 <= self.mixing_weight < 1.0:
-            raise ConfigError("mixing weight must lie in [0, 1)")
+        for name in ("objective_weight", "prox_weight"):
+            weight = getattr(self, name)
+            if not (math.isfinite(weight) and weight > 0.0):
+                raise ConfigError(f"{name} must be finite and positive, got {weight!r}")
+        if not 0.0 <= self.mixing_weight < 1.0:  # NaN fails too
+            raise ConfigError(f"mixing_weight must lie in [0, 1), got {self.mixing_weight!r}")
         if self.drift_window < 1 or self.drift_window > max(self.horizon, 1):
             raise ConfigError("drift window must lie in [1, horizon]")
 
@@ -150,22 +152,6 @@ def assemble_dual_weighted_gradient(state: SolverState, obs: ObservationBatch) -
     if state.duals.eq.size:
         coeffs = coeffs + state.duals.eq @ obs.eq_matrix
     return coeffs
-
-
-def update_inequality_multiplier(
-    current: float, g_value: float, g_grad: Array, mu_new: Array, mu_prev: Array
-) -> float:
-    """max{Q + g + <grad g, mu_new - mu_prev>, 0}."""
-    if current < 0.0:
-        raise ProblemError("inequality multiplier must be nonnegative")
-    return max(current + g_value + float(g_grad @ (mu_new - mu_prev)), 0.0)
-
-
-def update_equality_multiplier(
-    current: float, h_vector: Array, mu_new: Array, target: float
-) -> float:
-    """H + <h, mu_new> - b, unclipped."""
-    return current + float(h_vector @ mu_new) - target
 
 
 def step(

@@ -15,7 +15,7 @@ bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.optimize
@@ -23,7 +23,7 @@ import scipy.optimize
 from ._descent import minimize_on_set
 from .errors import InfeasibleProblemError, MultiplierDivergenceError, OracleError
 from .geometry import Box, DecisionSet, Simplex
-from .problems import FunctionOracle, LinearFunction, ProblemInstance
+from .problems import LinearRows, ProblemInstance, ServiceRows
 
 Array = np.ndarray
 
@@ -63,17 +63,15 @@ class _WindowProgram:
     """The static convex program for one window: minimize the averaged mean
     objective subject to the mean inequality and equality constraints."""
 
-    objective: FunctionOracle
-    inequalities: tuple
+    objective: Array  # (d,) averaged coefficients
+    inequalities: LinearRows | ServiceRows
     eq_matrix: Array
     targets: Array
     decision_set: DecisionSet
 
     @property
     def all_linear(self) -> bool:
-        if not isinstance(self.objective, LinearFunction):
-            return False
-        return all(isinstance(g, LinearFunction) for g in self.inequalities)
+        return isinstance(self.inequalities, LinearRows)
 
 
 def _window_program(problem: ProblemInstance, start: int, length: int) -> _WindowProgram:
@@ -93,7 +91,7 @@ def _window_program(problem: ProblemInstance, start: int, length: int) -> _Windo
         )
     return _WindowProgram(
         objective=problem.means.window_objective(start, length),
-        inequalities=tuple(problem.means.inequalities),
+        inequalities=problem.means.inequalities,
         eq_matrix=np.asarray(problem.means.eq_matrix, dtype=float),
         targets=np.asarray(problem.targets, dtype=float),
         decision_set=problem.decision_set,
@@ -101,7 +99,7 @@ def _window_program(problem: ProblemInstance, start: int, length: int) -> _Windo
 
 
 def _feasibility_residuals(program: _WindowProgram, point: Array) -> Tuple[float, float]:
-    ineq = np.array([g.value(point) for g in program.inequalities])
+    ineq = program.inequalities.values(point)
     ineq_res = float(np.linalg.norm(np.maximum(ineq, 0.0))) if ineq.size else 0.0
     if program.eq_matrix.shape[0]:
         eq_res = float(np.linalg.norm(program.eq_matrix @ point - program.targets))
@@ -113,26 +111,22 @@ def _feasibility_residuals(program: _WindowProgram, point: Array) -> Tuple[float
 def _solve_linear(program: _WindowProgram) -> Array:
     dset = program.decision_set
     d = dset.dim
-    c = program.objective.coeffs
+    c = program.objective
     a_ub = b_ub = None
-    if program.inequalities:
-        a_ub = np.vstack([g.coeffs for g in program.inequalities])
-        b_ub = np.array([g.offset for g in program.inequalities])
-    eq_rows: List[Array] = []
-    eq_rhs: List[float] = []
+    if len(program.inequalities):
+        a_ub = program.inequalities.coeffs
+        b_ub = program.inequalities.offsets
+    a_eq, b_eq = program.eq_matrix, program.targets
     if isinstance(dset, Simplex):
-        eq_rows.append(np.ones(d))
-        eq_rhs.append(1.0)
+        a_eq = np.vstack([np.ones(d), a_eq])
+        b_eq = np.concatenate([[1.0], b_eq])
         bounds = [(0.0, 1.0)] * d
     elif isinstance(dset, Box):
         bounds = list(zip(dset.lower, dset.upper))
     else:
         raise OracleError(f"unsupported decision set {type(dset).__name__}")
-    for row, target in zip(program.eq_matrix, program.targets):
-        eq_rows.append(row)
-        eq_rhs.append(float(target))
-    a_eq = np.vstack(eq_rows) if eq_rows else None
-    b_eq = np.array(eq_rhs) if eq_rhs else None
+    if not b_eq.size:
+        a_eq = b_eq = None
     res = scipy.optimize.linprog(
         c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
     )
@@ -172,12 +166,12 @@ def _solve_smooth(program: _WindowProgram) -> Array:
 
     for _ in range(100):
         lam_frozen, eta_frozen, rho_frozen = lam.copy(), eta.copy(), rho
+        lam_squared = float(lam_frozen @ lam_frozen)
 
         def al_value(x: Array) -> float:
-            total = program.objective.value(x)
-            for mult, g in zip(lam_frozen, ineqs):
-                shifted = mult + rho_frozen * g.value(x)
-                total += (max(shifted, 0.0) ** 2 - mult**2) / (2.0 * rho_frozen)
+            clipped = np.maximum(lam_frozen + rho_frozen * ineqs.values(x), 0.0)
+            total = float(program.objective @ x)
+            total += (float(clipped @ clipped) - lam_squared) / (2.0 * rho_frozen)
             if n_eq:
                 residual = eq @ x - targets
                 total += float(eta_frozen @ residual)
@@ -185,11 +179,8 @@ def _solve_smooth(program: _WindowProgram) -> Array:
             return float(total)
 
         def al_grad(x: Array) -> Array:
-            total = np.asarray(program.objective.grad(x), dtype=float).copy()
-            for mult, g in zip(lam_frozen, ineqs):
-                shifted = mult + rho_frozen * g.value(x)
-                if shifted > 0.0:
-                    total += shifted * np.asarray(g.grad(x), dtype=float)
+            clipped = np.maximum(lam_frozen + rho_frozen * ineqs.values(x), 0.0)
+            total = program.objective + clipped @ ineqs.grads(x)
             if n_eq:
                 total += eq.T @ (eta_frozen + rho_frozen * (eq @ x - targets))
             return total
@@ -200,7 +191,7 @@ def _solve_smooth(program: _WindowProgram) -> Array:
         point = inner.point
         last_gap = inner.gap
 
-        ineq_values = np.array([g.value(point) for g in ineqs])
+        ineq_values = ineqs.values(point)
         eq_residual = eq @ point - targets if n_eq else np.zeros(0)
         lam = np.maximum(lam + rho * ineq_values, 0.0)
         eta = eta + rho * eq_residual
@@ -211,7 +202,7 @@ def _solve_smooth(program: _WindowProgram) -> Array:
                 np.linalg.norm(eq_residual),
             )
         )
-        last_comp = float(np.sum(np.abs(lam * ineq_values))) if len(ineqs) else 0.0
+        last_comp = float(np.sum(np.abs(lam * ineq_values)))
         if feasibility <= target_res and last_gap <= target_res and last_comp <= target_res:
             return point
         if feasibility > 0.25 * best_feasibility:
@@ -255,7 +246,7 @@ def hindsight_optimum(
             f"solution fails verification: inequality residual {ineq_res:.3e}, "
             f"equality residual {eq_res:.3e}"
         )
-    return point, float(program.objective.value(point))
+    return point, float(program.objective @ point)
 
 
 def _lagrangian_minimum(
@@ -273,36 +264,21 @@ def _lagrangian_minimum(
     dset = program.decision_set
     eta_term = eq_mult @ program.eq_matrix if eq_mult.size else 0.0
     offset_shift = float(eq_mult @ program.targets) if eq_mult.size else 0.0
+    rows = program.inequalities
     if program.all_linear:
-        combined = program.objective.coeffs.copy()
-        constant = -program.objective.offset
-        for lam, g in zip(ineq_mult, program.inequalities):
-            combined += lam * g.coeffs
-            constant -= lam * g.offset
-        combined = combined + eta_term
-        constant -= offset_shift
+        combined = program.objective + ineq_mult @ rows.coeffs + eta_term
+        constant = -float(ineq_mult @ rows.offsets) - offset_shift
         point = dset.support_minimizer(combined)
         return point, float(combined @ point + constant)
 
-    members = program.inequalities
-
     def value(x: Array) -> float:
-        total = program.objective.value(x)
-        for lam, g in zip(ineq_mult, members):
-            if lam != 0.0:
-                total += lam * g.value(x)
+        total = float(program.objective @ x) + float(ineq_mult @ rows.values(x))
         if eq_mult.size:
             total += float(eta_term @ x) - offset_shift
-        return float(total)
+        return total
 
     def grad(x: Array) -> Array:
-        total = np.asarray(program.objective.grad(x), dtype=float).copy()
-        for lam, g in zip(ineq_mult, members):
-            if lam != 0.0:
-                total += lam * g.grad(x)
-        if eq_mult.size:
-            total += eta_term
-        return total
+        return program.objective + ineq_mult @ rows.grads(x) + eta_term
 
     start = warm_start if warm_start is not None else dset.initial_point()
     result = minimize_on_set(value, grad, dset, start, gap_tol=_INNER_GAP_TOL)
@@ -382,7 +358,7 @@ def estimate_multipliers(
             point = DualPoint(best[0], best[1])
             return point, point.norm()
 
-        super_ineq = np.array([g.value(minimizer) for g in program.inequalities])
+        super_ineq = program.inequalities.values(minimizer)
         super_eq = (
             program.eq_matrix @ minimizer - program.targets
             if n_eq

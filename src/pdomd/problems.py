@@ -6,6 +6,12 @@ Constraint samplers are i.i.d. across slots; the objective may drift with t.
 Where exact means are known they are stored alongside, which is what makes
 hindsight benchmarks and expected-regret metrics possible.
 
+A slot's functions are arrays. The objective is a coefficient vector, since
+every objective here is linear. The inequalities are one row family,
+`LinearRows` or `ServiceRows` (weighted log-service deficits), whose
+`values` and `grads` evaluate all rows at once. The equalities are the rows
+of a matrix.
+
 Two scenarios ship with the package: a seeded synthetic linear problem on the
 simplex whose equality rows are linearly independent and whose interior
 anchor point makes the windowed static programs well posed, and a data-center
@@ -15,8 +21,9 @@ zone, Poisson arrivals, Pareto service noise, budget-pacing equalities).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Protocol, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -78,102 +85,69 @@ def service_curve_inverse(target, gain=8.0, rate=4.0, power_cap=30.0):
 
 
 # ---------------------------------------------------------------------------
-# per-slot function objects
-
-
-class FunctionOracle(Protocol):
-    def value(self, point: Array) -> float: ...
-    def grad(self, point: Array) -> Array: ...
+# per-slot functions
 
 
 @dataclass(frozen=True)
-class LinearFunction:
-    """f(x) = <coeffs, x> - offset."""
+class LinearRows:
+    """Rows g_i(x) = <coeffs_i, x> - offsets_i."""
 
-    coeffs: Array
-    offset: float = 0.0
+    coeffs: Array  # (L, d)
+    offsets: Array  # (L,)
 
-    def value(self, point: Array) -> float:
-        return float(self.coeffs @ point) - self.offset
+    def __len__(self) -> int:
+        return self.offsets.shape[0]
 
-    def grad(self, point: Array) -> Array:
+    def values(self, point: Array) -> Array:
+        return self.coeffs @ point - self.offsets
+
+    def grads(self, point: Array) -> Array:
         return self.coeffs
 
 
 @dataclass(frozen=True)
-class ServiceDeficitFunction:
-    """g(x) = level - sum_k weights_k * gain * log(1 + rate * x_k).
+class ServiceRows:
+    """Rows g_i(x) = levels_i - sum_k weights_ik * gain * log(1 + rate * x_k).
 
-    Convex and decreasing in each coordinate; the level is the arrival count
+    Convex and decreasing in each coordinate; a level is an arrival count
     and the weighted log terms are the (noisy) served jobs.
     """
 
-    level: float
-    weights: Array
+    levels: Array  # (L,)
+    weights: Array  # (L, d)
     gain: float = 8.0
     rate: float = 4.0
 
-    def value(self, point: Array) -> float:
-        served = self.weights @ (self.gain * np.log1p(self.rate * point))
-        return float(self.level - served)
+    def __len__(self) -> int:
+        return self.levels.shape[0]
 
-    def grad(self, point: Array) -> Array:
+    def values(self, point: Array) -> Array:
+        return self.levels - self.weights @ (self.gain * np.log1p(self.rate * point))
+
+    def grads(self, point: Array) -> Array:
         return -self.weights * (self.gain * self.rate) / (1.0 + self.rate * point)
 
 
 @dataclass(frozen=True)
-class AveragedFunction:
-    """Pointwise average of several function oracles."""
-
-    members: tuple
-
-    def value(self, point: Array) -> float:
-        return sum(m.value(point) for m in self.members) / len(self.members)
-
-    def grad(self, point: Array) -> Array:
-        total = self.members[0].grad(point).astype(float).copy()
-        for m in self.members[1:]:
-            total += m.grad(point)
-        return total / len(self.members)
-
-
-def average_functions(members: Sequence[FunctionOracle]) -> FunctionOracle:
-    """Average a window of oracles, collapsing all-linear windows exactly."""
-    members = tuple(members)
-    if not members:
-        raise ProblemError("cannot average an empty window")
-    if all(isinstance(m, LinearFunction) for m in members):
-        coeffs = np.mean([m.coeffs for m in members], axis=0)
-        offset = float(np.mean([m.offset for m in members]))
-        return LinearFunction(coeffs, offset)
-    return AveragedFunction(members)
-
-
-@dataclass(frozen=True)
 class SlotFunctions:
-    """The realized functions of one slot, evaluable anywhere on the set."""
+    """The realized functions of one slot, evaluable anywhere on the set.
+
+    Every objective is linear, so it is its coefficient vector."""
 
     slot: int
-    objective: FunctionOracle
-    inequalities: tuple
+    objective: Array  # (d,)
+    inequalities: LinearRows | ServiceRows
     eq_matrix: Array  # (M, d) rows h_j
 
     def observe(self, point: Array) -> "ObservationBatch":
         """Package values and subgradients at `point` for the engine."""
         point = np.asarray(point, dtype=float)
-        n_ineq = len(self.inequalities)
-        dim = point.shape[0]
-        ineq_values = np.empty(n_ineq)
-        ineq_grads = np.empty((n_ineq, dim))
-        for i, fn in enumerate(self.inequalities):
-            ineq_values[i] = fn.value(point)
-            ineq_grads[i] = fn.grad(point)
         return ObservationBatch(
             slot=self.slot,
-            objective_value=self.objective.value(point),
-            objective_grad=np.asarray(self.objective.grad(point), dtype=float),
-            ineq_values=ineq_values,
-            ineq_grads=ineq_grads,
+            objective_value=float(self.objective @ point),
+            objective_grad=self.objective,
+            ineq_values=self.inequalities.values(point),
+            ineq_grads=self.inequalities.grads(point),
             eq_matrix=self.eq_matrix,
         )
 
@@ -205,16 +179,14 @@ class MeanModel:
     Constraint means are time-invariant (the streams are i.i.d.); the mean
     objective may vary with the slot, hence the callable."""
 
-    objective_at: Callable[[int], FunctionOracle]
-    inequalities: tuple
+    objective_at: Callable[[int], Array]  # slot -> (d,) coefficients
+    inequalities: LinearRows | ServiceRows
     eq_matrix: Array  # (M, d)
 
-    def window_objective(self, start: int, length: int) -> FunctionOracle:
+    def window_objective(self, start: int, length: int) -> Array:
         if length < 1:
             raise ProblemError("window length must be at least 1")
-        return average_functions(
-            [self.objective_at(s) for s in range(start, start + length)]
-        )
+        return np.mean([self.objective_at(s) for s in range(start, start + length)], axis=0)
 
 
 @dataclass(frozen=True)
@@ -332,6 +304,25 @@ def make_linear_problem(
         raise ProblemError("inequality row/margin shape mismatch")
     if h_rows.shape != (n_eq, d) or b.shape != (n_eq,):
         raise ProblemError("equality row/target shape mismatch")
+    for arg, values in (
+        ("objective_mean", c_base),
+        ("ineq_rows", a_rows),
+        ("ineq_margins", margins),
+        ("eq_rows", h_rows),
+        ("targets", b),
+        ("drift_amplitude", drift_amplitude),
+    ):
+        if not np.all(np.isfinite(values)):
+            raise ProblemError(f"{arg} must be finite")
+    for arg, level in (
+        ("objective_noise", objective_noise),
+        ("ineq_noise", ineq_noise),
+        ("eq_noise", eq_noise),
+    ):
+        if not (math.isfinite(level) and level >= 0.0):
+            raise ProblemError(f"{arg} must be finite and nonnegative, got {level!r}")
+    if not drift_period >= 1:
+        raise ProblemError(f"drift_period must be at least 1, got {drift_period!r}")
 
     phases = 2.0 * np.pi * np.arange(d) / max(d, 1)
 
@@ -340,30 +331,24 @@ def make_linear_problem(
             return np.zeros(d)
         return drift_amplitude * np.sin(2.0 * np.pi * t / drift_period + phases)
 
-    def mean_objective(t: int) -> LinearFunction:
-        return LinearFunction(c_base + drift(t))
-
-    mean_ineqs = tuple(
-        LinearFunction(a_rows[i].copy(), margins[i]) for i in range(n_ineq)
-    )
+    def mean_objective(t: int) -> Array:
+        return c_base + drift(t)
 
     def sample_slot(t: int, rng: np.random.Generator) -> SlotFunctions:
-        c_t = c_base + drift(t)
+        c_t = mean_objective(t)
         if objective_noise > 0.0:
             c_t = c_t + rng.uniform(-objective_noise, objective_noise, size=d)
-        ineqs = []
-        for i in range(n_ineq):
-            row = a_rows[i]
-            if ineq_noise > 0.0:
-                row = row + rng.uniform(-ineq_noise, ineq_noise, size=d)
-            ineqs.append(LinearFunction(row, margins[i]))
+        a_t = a_rows
+        if ineq_noise > 0.0:
+            # one (L, d) block draws the same numbers as L rows in turn
+            a_t = a_rows + rng.uniform(-ineq_noise, ineq_noise, size=(n_ineq, d))
         h_t = h_rows
         if n_eq and eq_noise > 0.0:
             h_t = h_rows + rng.uniform(-eq_noise, eq_noise, size=(n_eq, d))
         return SlotFunctions(
             slot=t,
-            objective=LinearFunction(c_t),
-            inequalities=tuple(ineqs),
+            objective=c_t,
+            inequalities=LinearRows(a_t, margins),
             eq_matrix=np.array(h_t, dtype=float),
         )
 
@@ -406,7 +391,7 @@ def make_linear_problem(
 
     means = MeanModel(
         objective_at=mean_objective,
-        inequalities=mean_ineqs,
+        inequalities=LinearRows(a_rows.copy(), margins.copy()),
         eq_matrix=h_rows.copy(),
     )
     return ProblemInstance(
@@ -634,16 +619,12 @@ def build_datacenter_problem(
     gain, rate = config.service_gain, config.service_rate
     shape = config.pareto_shape
 
-    def objective_at(t: int) -> LinearFunction:
+    def objective_at(t: int) -> Array:
         if t >= zone_prices.shape[0]:
             raise ProblemError(
                 f"slot {t} beyond trace length {zone_prices.shape[0]}"
             )
-        return LinearFunction(zone_prices[t, server_zone].astype(float))
-
-    mean_ineq = ServiceDeficitFunction(
-        level=config.arrival_mean, weights=np.ones(d), gain=gain, rate=rate
-    )
+        return zone_prices[t, server_zone].astype(float)
 
     def sample_slot(t: int, rng: np.random.Generator) -> SlotFunctions:
         arrivals = poisson_sample(config.arrival_mean, rng)
@@ -652,15 +633,17 @@ def build_datacenter_problem(
         return SlotFunctions(
             slot=t,
             objective=objective_at(t),
-            inequalities=(
-                ServiceDeficitFunction(arrivals, noise, gain=gain, rate=rate),
+            inequalities=ServiceRows(
+                np.array([float(arrivals)]), noise[None, :], gain=gain, rate=rate
             ),
             eq_matrix=budgets * structure,
         )
 
     means = MeanModel(
         objective_at=objective_at,
-        inequalities=(mean_ineq,),
+        inequalities=ServiceRows(
+            np.array([config.arrival_mean]), np.ones((1, d)), gain=gain, rate=rate
+        ),
         eq_matrix=mean_rows,
     )
     return ProblemInstance(

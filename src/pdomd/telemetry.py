@@ -22,7 +22,7 @@ from typing import Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import GeometryError, ProblemError, ReplayMismatchError
+from .errors import ConfigError, GeometryError, ProblemError, ReplayMismatchError
 from .geometry import (
     Box,
     BregmanGeometry,
@@ -171,9 +171,8 @@ def summarize_metrics(
         g_avg = np.zeros(record.n_ineq)
         for t in range(horizon):
             mean_obj = means.objective_at(t)
-            gap += mean_obj.value(record.decisions[t]) - mean_obj.value(mu_star)
-            for i, fn in enumerate(means.inequalities):
-                g_avg[i] += fn.value(record.decisions[t])
+            gap += float(mean_obj @ record.decisions[t]) - float(mean_obj @ mu_star)
+            g_avg += means.inequalities.values(record.decisions[t])
         expected_regret = float(gap)
         g_avg /= horizon
         ineq_violation = float(np.linalg.norm(np.maximum(g_avg, 0.0)))
@@ -296,9 +295,9 @@ def replay_record(
     for t in range(horizon):
         fns = problem.sample_slot(t, slot_rng(record.seed, t))
         mu = record.decisions[t]
-        _check_replay(t, "objective", fns.objective.value(mu), record.objective_realized[t])
+        _check_replay(t, "objective", float(fns.objective @ mu), record.objective_realized[t])
         if mu_star is not None:
-            comparator_total += fns.objective.value(mu_star)
+            comparator_total += float(fns.objective @ mu_star)
         if t + 1 == horizon:
             break
         mu_next = record.decisions[t + 1]
@@ -307,17 +306,15 @@ def replay_record(
                 base = mix_toward_uniform(mu, params.mixing_weight)
             else:
                 base = mu
-            grad_f = np.asarray(fns.objective.grad(mu), dtype=float)
             lhs = (
-                params.objective_weight * float(grad_f @ (mu_next - mu))
+                params.objective_weight * float(fns.objective @ (mu_next - mu))
                 + record.drift[t + 1]
                 + params.prox_weight * geometry.divergence(mu_next, base)
             )
             rhs = params.objective_weight * (
-                fns.objective.value(comparator) - fns.objective.value(mu)
+                float(fns.objective @ comparator) - float(fns.objective @ mu)
             )
-            for i, fn in enumerate(fns.inequalities):
-                rhs += q[i] * fn.value(comparator)
+            rhs += float(q @ fns.inequalities.values(comparator))
             if record.n_eq:
                 rhs += float(h @ (fns.eq_matrix @ comparator - record.targets))
             rhs += params.prox_weight * (
@@ -327,8 +324,8 @@ def replay_record(
             rhs += penalty
             residuals.append(lhs - rhs)
         step = mu_next - mu
-        for i, fn in enumerate(fns.inequalities):
-            q[i] = max(q[i] + fn.value(mu) + float(fn.grad(mu) @ step), 0.0)
+        rows = fns.inequalities
+        q = np.maximum(q + (rows.values(mu) + rows.grads(mu) @ step), 0.0)  # as core.step
         if record.n_eq:
             h = h + fns.eq_matrix @ mu_next - record.targets
         _check_replay(t + 1, "|Q|", float(np.linalg.norm(q)), record.ineq_dual_norm[t + 1])
@@ -444,7 +441,10 @@ def _export_record_json(record: RunRecord, path) -> None:
 def _record_from_header_and_columns(path, header: dict, columns: dict) -> RunRecord:
     from .core import AlgorithmParams
 
-    params = AlgorithmParams(**header["params"])
+    try:
+        params = AlgorithmParams(**header["params"])
+    except ConfigError as exc:
+        raise ProblemError(f"{path}: bad params header: {exc}") from None
     n_eq = len(header["targets"])
 
     def arr(name, width=None):

@@ -288,8 +288,8 @@ def test_oracle_certificates():
     for problem in instances:
         point, value = hindsight_optimum(problem, 0, window)
         means = problem.means
-        for g in means.inequalities:
-            worst_feas = max(worst_feas, max(0.0, float(g.value(point))))
+        for g_value in means.inequalities.values(point):
+            worst_feas = max(worst_feas, max(0.0, float(g_value)))
         if problem.n_eq:
             eq_res = float(np.max(np.abs(means.eq_matrix @ point - problem.targets)))
             worst_feas = max(worst_feas, eq_res)

@@ -1,14 +1,18 @@
 import collections
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdomd import cli
 from pdomd.cli import (
     ExperimentConfig,
     config_from_mapping,
+    config_to_mapping,
     generate_price_trace,
     ingest_price_trace,
     main,
@@ -112,6 +116,124 @@ class TestConfigParsing:
         assert a.config_hash() == b.config_hash()
         c = config_from_mapping({"T": 65, "out_dir": "left"})
         assert a.config_hash() != c.config_hash()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def config_mappings(draw):
+    """A mapping config_from_mapping accepts, with small T and seeds."""
+    scenario = draw(st.sampled_from(["synthetic", "datacenter"]))
+    variants = [None, "general"] + (["simplex"] if scenario == "synthetic" else [])
+    variant = draw(st.sampled_from(variants))
+    d = draw(st.integers(2, 12))
+    mapping = {
+        "scenario": scenario,
+        "T": draw(st.integers(2, 64)),
+        "seeds": draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=3, unique=True)),
+        "out_dir": draw(st.text(min_size=1, max_size=8)),
+        "sweep_T": sorted(draw(st.sets(st.integers(2, 10**5), max_size=4))),
+        "synthetic": {
+            "d": d,
+            "n_ineq": draw(st.integers(0, 4)),
+            "n_eq": draw(st.integers(0, d - 1)),
+            "instance_seed": draw(st.integers(0, 2**31)),
+        },
+        "datacenter": {
+            "trace": draw(st.none() | st.text(max_size=8)),
+            "trace_seed": draw(st.integers(0, 2**31)),
+            "pareto_shape": draw(st.floats(1.0, 1e6, exclude_min=True)),
+        },
+    }
+    if variant is not None:
+        mapping["variant"] = variant
+    for key in ("V", "alpha"):
+        if draw(st.booleans()):
+            mapping[key] = draw(_FINITE)
+    if (variant or ("general" if scenario == "datacenter" else "simplex")) == "simplex":
+        if draw(st.booleans()):
+            mapping["theta"] = draw(_FINITE)
+    return mapping
+
+
+@settings(max_examples=100, deadline=None)
+@given(mapping=config_mappings())
+def test_config_round_trip_property(mapping):
+    config = config_from_mapping(mapping)
+    written = json.loads(json.dumps(config_to_mapping(config)))  # as config_resolved.json
+    back = config_from_mapping(written)
+    # the written mapping names the resolved variant; nothing else changes
+    assert back == dataclasses.replace(config, variant=config.resolved_variant)
+    assert back.config_hash() == config.config_hash()
+
+
+# Per key: the JSON types a well-formed value may have. Any other type is
+# ill-typed; "none" is a null, which only optional keys accept.
+_KEY_TYPES = {
+    ("scenario",): {"str"},
+    ("T",): {"int"},
+    ("seeds",): {"list"},
+    ("variant",): {"str", "none"},
+    ("V",): {"int", "float", "none"},
+    ("alpha",): {"int", "float", "none"},
+    ("theta",): {"int", "float", "none"},
+    ("synthetic",): {"dict"},
+    ("synthetic", "d"): {"int"},
+    ("synthetic", "n_ineq"): {"int"},
+    ("synthetic", "n_eq"): {"int"},
+    ("synthetic", "instance_seed"): {"int"},
+    ("datacenter",): {"dict"},
+    ("datacenter", "trace"): {"str", "none"},
+    ("datacenter", "trace_seed"): {"int"},
+    ("datacenter", "pareto_shape"): {"int", "float"},
+    ("out_dir",): {"str"},
+    ("sweep_T",): {"list"},
+}
+_VALUES = {
+    "str": st.text(max_size=5),
+    "int": st.integers(),
+    "float": st.floats(allow_nan=False).filter(lambda x: not x.is_integer()),
+    "list": st.lists(st.integers(), max_size=2),
+    "dict": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    "bool": st.booleans(),
+    "none": st.none(),
+}
+_NUMBER_KEYS = [
+    ("T",), ("V",), ("alpha",), ("theta",), ("synthetic", "d"), ("datacenter", "pareto_shape")
+]
+
+
+@st.composite
+def broken_config_mappings(draw):
+    """A well-formed mapping with one non-finite, unknown or ill-typed key."""
+    mapping = draw(config_mappings())
+    kind = draw(st.sampled_from(["non-finite", "unknown", "ill-typed"]))
+    if kind == "non-finite":
+        path = draw(st.sampled_from(_NUMBER_KEYS))
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "unknown":
+        section = draw(st.sampled_from([(), ("synthetic",), ("datacenter",)]))
+        known = {key[-1] for key in _KEY_TYPES if key[:-1] == section} | {"config_hash"}
+        path = section + (draw(st.text(max_size=8).filter(lambda k: k not in known)),)
+        value = draw(st.integers())
+    else:
+        path = draw(st.sampled_from(sorted(_KEY_TYPES)))
+        value = draw(st.one_of(*(_VALUES[t] for t in sorted(set(_VALUES) - _KEY_TYPES[path]))))
+    owner = mapping
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    return mapping
+
+
+@settings(max_examples=150, deadline=None)
+@given(mapping=broken_config_mappings())
+def test_broken_config_is_exit_2_property(tmp_path_factory, mapping):
+    path = tmp_path_factory.mktemp("config") / "c.json"
+    path.write_text(json.dumps(mapping))
+    out = str(path.with_name("out"))  # never written: parsing must fail first
+    assert main(["run", "--config", str(path), "--out", out]) == 2
 
 
 class TestSeedRange:
@@ -489,6 +611,12 @@ class TestMainExitCodes:
             return lines[:3] + [",".join(fields)] + lines[4:]
 
         broken_header = ["# pdomd-run v1 {broken"] + lines[1:]
+
+        def with_prox_weight(value):
+            header = json.loads(lines[0].removeprefix("# pdomd-run v1 "))
+            header["params"]["prox_weight"] = value
+            return ["# pdomd-run v1 " + json.dumps(header)] + lines[1:]
+
         no_column_row = lines[:1]
         json_without_columns = [lines[0].removeprefix("# pdomd-run v1 ")]
         cases = [
@@ -497,6 +625,8 @@ class TestMainExitCodes:
             (with_cell("nan"), "run_seed0.csv: non-finite decisions[1] at slot 1"),
             (with_cell("inf"), "run_seed0.csv: non-finite decisions[1] at slot 1"),
             (broken_header, "run_seed0.csv"),
+            (with_prox_weight(float("nan")), "run_seed0.csv: bad params header: prox_weight"),
+            (with_prox_weight(-1.0), "run_seed0.csv: bad params header: prox_weight"),
             (no_column_row, "run_seed0.csv"),
             (json_without_columns, "run_seed0.csv"),
             (None, "missing.csv"),

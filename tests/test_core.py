@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdomd import (
     Box,
@@ -17,10 +19,9 @@ from pdomd import (
     parameter_schedule,
     run,
     step,
-    update_equality_multiplier,
-    update_inequality_multiplier,
 )
 from pdomd.core import AlgorithmParams, DualState, SolverState
+from pdomd.problems import ObservationBatch
 
 
 def small_params(horizon, theta=0.0):
@@ -58,30 +59,17 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             parameter_schedule(100, "fancy")
 
-
-class TestMultiplierUpdates:
-    def test_inequality_examples(self):
-        mu_new = np.array([1.0, 0.0])
-        mu_prev = np.array([0.5, 0.5])
-        # grad chosen so <grad, mu_new - mu_prev> = -0.5
-        grad = np.array([-1.0, 0.0])
-        assert update_inequality_multiplier(2.0, 1.0, grad, mu_new, mu_prev) == 2.5
-        # inner product +0.5 with value -3 clips at zero
-        grad_up = np.array([1.0, 0.0])
-        assert update_inequality_multiplier(1.0, -3.0, grad_up, mu_new, mu_prev) == 0.0
-        zero = np.zeros(2)
-        assert update_inequality_multiplier(0.0, -1.0, zero, mu_new, mu_prev) == 0.0
-
-    def test_inequality_rejects_negative_state(self):
-        with pytest.raises(ProblemError):
-            update_inequality_multiplier(-0.1, 0.0, np.zeros(1), np.zeros(1), np.zeros(1))
-
-    def test_equality_examples(self):
-        mu = np.array([0.5, 0.5])
-        h = np.array([1.0, 1.0])  # <h, mu> = 1
-        assert update_equality_multiplier(0.0, h, mu, 1.0) == 0.0
-        assert update_equality_multiplier(1.0, 2.0 * h, mu, 0.5) == 2.5
-        assert update_equality_multiplier(-1.0, 0.0 * h, mu, 1.0) == -2.0
+    def test_bad_weights_rejected_by_name(self):
+        base = dataclasses.asdict(parameter_schedule(100, "simplex"))
+        for field, value in (
+            ("objective_weight", float("nan")),
+            ("objective_weight", float("inf")),
+            ("prox_weight", float("nan")),
+            ("prox_weight", -1.0),
+            ("mixing_weight", float("nan")),
+        ):
+            with pytest.raises(ConfigError, match=field):
+                AlgorithmParams(**{**base, field: value})
 
 
 class TestAssembly:
@@ -283,3 +271,101 @@ class TestRunInvariants:
         )
         with pytest.raises(ConfigError):
             initial_state(box_problem, small_params(16), variant="simplex")
+
+
+_ENTRY = st.floats(-10.0, 10.0)
+
+
+def _batch(objective_grad, ineq_values, ineq_grads, eq_matrix):
+    return ObservationBatch(
+        slot=0,
+        objective_value=0.0,
+        objective_grad=np.array(objective_grad, dtype=float),
+        ineq_values=np.array(ineq_values, dtype=float),
+        ineq_grads=np.array(ineq_grads, dtype=float),
+        eq_matrix=np.array(eq_matrix, dtype=float),
+    )
+
+
+@st.composite
+def step_cases(draw):
+    """A small problem, a starting (Q, H) and a few slots of observations."""
+    d, n_ineq, n_eq, horizon = (
+        draw(st.integers(lo, hi)) for lo, hi in ((1, 4), (0, 3), (0, 2), (1, 4))
+    )
+
+    def array(*shape, elements=_ENTRY):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size))).reshape(shape)
+
+    return {
+        "setting": draw(st.sampled_from(["box", "simplex-euclidean", "simplex-entropy"])),
+        "d": d,
+        "weights": (draw(st.floats(0.1, 10.0)), draw(st.floats(0.5, 100.0))),
+        "q0": array(n_ineq, elements=st.floats(0.0, 10.0)),
+        "h0": array(n_eq),
+        "targets": array(n_eq),
+        "slots": [
+            _batch(array(d), array(n_ineq), array(n_ineq, d), array(n_eq, d))
+            for _ in range(horizon)
+        ],
+    }
+
+
+def _example(q0, h0, target, objective_grad, g_value, g_grad, h_row, expect):
+    """One slot on the unit box from (0.5, 0.5) with V = alpha = 1."""
+    return {
+        "setting": "box",
+        "d": 2,
+        "weights": (1.0, 1.0),
+        "q0": np.array([q0]),
+        "h0": np.array([h0]),
+        "targets": np.array([target]),
+        "slots": [_batch(objective_grad, [g_value], [g_grad], [h_row])],
+        "expect": expect,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=step_cases())
+# The step moves (0.5, 0.5) to (1, 0), so <grad g, mu_new - mu_prev> = -0.5
+# for grad g = (-1, 0): Q = 2 + 1 - 0.5, and h = (1, 1) gives H = 0 + 1 - 1.
+@example(case=_example(2.0, 0.0, 1.0, [-1.0, 1.0], 1.0, [-1.0, 0.0], [1.0, 1.0], ([2.5], [0.0])))
+# The same move with g = -3 and grad g = (1, 0) clips Q = 1 - 3 + 0.5 at
+# zero; H = 1 + <(2, 2), (1, 0)> - 0.5.
+@example(case=_example(1.0, 1.0, 0.5, [-4.0, -1.0], -3.0, [1.0, 0.0], [2.0, 2.0], ([0.0], [2.5])))
+# No move: Q = max(0 - 1, 0) and H = -1 + 0 - 1.
+@example(case=_example(0.0, -1.0, 1.0, [0.0, 0.0], -1.0, [0.0, 0.0], [0.0, 0.0], ([0.0], [-2.0])))
+def test_step_multiplier_algebra(case):
+    """Q stays nonnegative, the drift is half the change of ||(Q, H)||^2,
+    and H_t = H_0 + sum_s (h^s mu_{s+1} - b)."""
+    d, setting = case["d"], case["setting"]
+    decision_set = Box(np.zeros(d), np.ones(d)) if setting == "box" else Simplex(d)
+    variant = "simplex" if setting == "simplex-entropy" else "general"
+    targets = case["targets"]
+    problem = make_linear_problem(
+        decision_set,
+        np.zeros(d),
+        ineq_rows=np.zeros((len(case["q0"]), d)),
+        eq_rows=np.zeros((len(targets), d)),
+        targets=targets,
+    )
+    v, alpha = case["weights"]
+    params = AlgorithmParams(v, alpha, 0.1 if variant == "simplex" else 0.0, 10, 1)
+    state = initial_state(problem, params, variant)
+    state = dataclasses.replace(state, duals=DualState(case["q0"], case["h0"]))
+    h_sum = case["h0"]
+    for obs in case["slots"]:
+        mu_prev, q_prev, h_prev = state.decision, state.duals.ineq, state.duals.eq
+        state, outcome = step(state, obs)
+        mu_new, q_new, h_new = state.decision, state.duals.ineq, state.duals.eq
+        assert np.all(q_new >= 0.0)
+        expected_q = np.maximum(q_prev + obs.ineq_values + obs.ineq_grads @ (mu_new - mu_prev), 0.0)
+        assert np.allclose(q_new, expected_q, rtol=1e-12, atol=1e-12)
+        h_sum = h_sum + (obs.eq_matrix @ mu_new - targets)
+        assert np.allclose(h_new, h_sum, rtol=1e-12, atol=1e-12)
+        squares = np.sum(q_new**2) + np.sum(h_new**2) - np.sum(q_prev**2) - np.sum(h_prev**2)
+        scale = 1.0 + np.sum(q_new**2) + np.sum(h_new**2) + np.sum(q_prev**2) + np.sum(h_prev**2)
+        assert abs(outcome.drift - 0.5 * squares) <= 1e-12 * scale
+    if "expect" in case:
+        assert (state.duals.ineq.tolist(), state.duals.eq.tolist()) == case["expect"]

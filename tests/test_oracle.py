@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from pdomd import (
     make_linear_problem,
     weak_ebc_probe,
 )
-from pdomd.problems import MeanModel, ProblemInstance
+from pdomd.problems import MeanModel, ProblemInstance, ServiceRows
 
 
 def zoom_grid_minimum(problem, start, length, final_step=1e-4):
@@ -54,9 +55,8 @@ def zoom_grid_minimum(problem, start, length, final_step=1e-4):
 
     def feasible(full):
         ok = np.all(full >= -1e-12, axis=1)
-        for g in means.inequalities:
-            vals = np.array([g.value(x) for x in full])
-            ok &= vals <= 1e-12
+        vals = np.array([means.inequalities.values(x) for x in full])
+        ok &= np.all(vals <= 1e-12, axis=1)
         return ok
 
     step = 0.125
@@ -68,7 +68,7 @@ def zoom_grid_minimum(problem, start, length, final_step=1e-4):
         full = candidates(points)
         keep = feasible(full)
         if keep.any():
-            values = np.array([objective.value(x) for x in full[keep]])
+            values = np.array([objective @ x for x in full[keep]])
             k = int(np.argmin(values))
             if values[k] < best_value:
                 best_value = float(values[k])
@@ -85,32 +85,40 @@ def zoom_grid_minimum(problem, start, length, final_step=1e-4):
         points = np.array(list(itertools.product(*axes)))
 
 
-class QuadraticBowl:
-    """f(x) = 0.5 ||x||^2, used to manufacture a smoothly curved dual."""
-
-    coeffs = None  # not linear on purpose
-
-    def value(self, point):
-        point = np.asarray(point, dtype=float)
-        return 0.5 * float(point @ point)
-
-    def grad(self, point):
-        return np.asarray(point, dtype=float)
+# One server on [0, 10] with cost 40 x and one service row 8 - 8 log(1 + 4x):
+# the only curved program here, and every answer has a closed form.
+COST, LEVEL, GAIN, RATE = 40.0, 8.0, 8.0, 4.0
+X_STAR = math.expm1(LEVEL / GAIN) / RATE
+LAM_STAR = COST * math.exp(LEVEL / GAIN) / (GAIN * RATE)
 
 
-def quadratic_problem():
-    bowl = QuadraticBowl()
-    eq = np.array([[1.0, 0.0]])
-    means = MeanModel(objective_at=lambda t: bowl, inequalities=(), eq_matrix=eq)
+def service_problem():
+    means = MeanModel(
+        objective_at=lambda t: np.array([COST]),
+        inequalities=ServiceRows(np.array([LEVEL]), np.ones((1, 1)), gain=GAIN, rate=RATE),
+        eq_matrix=np.zeros((0, 1)),
+    )
     return ProblemInstance(
-        name="quadratic-toy",
-        decision_set=Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
-        n_ineq=0,
-        n_eq=1,
-        targets=np.array([0.3]),
+        name="service-toy",
+        decision_set=Box(np.zeros(1), np.full(1, 10.0)),
+        n_ineq=1,
+        n_eq=0,
+        targets=np.zeros(0),
         sample_slot=lambda t, rng: None,
         means=means,
     )
+
+
+def service_dual(lam):
+    """q(lam) = min over [0, 10] of COST x + lam (LEVEL - GAIN log(1 + RATE x))."""
+    x = min(max((lam * GAIN * RATE / COST - 1.0) / RATE, 0.0), 10.0)
+    return COST * x + lam * (LEVEL - GAIN * math.log1p(RATE * x))
+
+
+def service_ratio(radius):
+    """The smaller decay ratio (q* - q) / radius of the two points at +-radius."""
+    q_star = service_dual(LAM_STAR)
+    return min((q_star - service_dual(LAM_STAR + s * radius)) / radius for s in (-1.0, 1.0))
 
 
 def drifting_instance(seed, d=6):
@@ -164,7 +172,7 @@ class TestHindsight:
         problem = build_synthetic_problem(6, 2, 2, seed=3)
         point, _ = hindsight_optimum(problem, 0, 250)
         means = problem.means
-        ineq = np.array([g.value(point) for g in means.inequalities])
+        ineq = means.inequalities.values(point)
         assert np.linalg.norm(np.maximum(ineq, 0.0)) <= 1e-6
         assert np.linalg.norm(means.eq_matrix @ point - problem.targets) <= 1e-6
         assert problem.decision_set.contains(point, tol=1e-8)
@@ -181,11 +189,11 @@ class TestHindsight:
         _, grid_value = zoom_grid_minimum(problem, 0, 64, final_step=2e-5)
         assert abs(value - grid_value) <= 1e-4
 
-    def test_smooth_path_quadratic(self):
-        problem = quadratic_problem()
+    def test_smooth_path_service(self):
+        problem = service_problem()
         point, value = hindsight_optimum(problem, 0, 1)
-        assert np.allclose(point, [0.3, 0.0], atol=1e-6)
-        assert value == pytest.approx(0.045, abs=1e-8)
+        assert np.allclose(point, [X_STAR], atol=1e-6)
+        assert value == pytest.approx(COST * X_STAR, abs=1e-8)
 
     def test_infeasible_target(self):
         problem = make_linear_problem(
@@ -313,32 +321,33 @@ class TestMultiplierEstimate:
             assert center > 0.0
             assert np.all(np.abs(bounds - center) <= 0.10 * center)
 
-    def test_quadratic_dual_matches_primal(self):
-        problem = quadratic_problem()
+    def test_service_dual_matches_primal(self):
+        problem = service_problem()
         point, bound = estimate_multipliers(problem, 0, 1)
-        # the gap stop at 1e-6 with dual curvature 1/2 pins eta to sqrt(2e-6)
-        assert point.eq[0] == pytest.approx(-0.3, abs=1.5e-3)
+        # the gap stop at 1e-6 with dual curvature 8 / LAM_STAR pins lam to
+        # about sqrt(2e-6 * LAM_STAR / 8)
+        assert point.ineq[0] == pytest.approx(LAM_STAR, abs=1.5e-3)
         value = dual_function(problem, 0, 1, point)
-        assert value == pytest.approx(0.045, abs=1e-6)
+        assert value == pytest.approx(COST * X_STAR, abs=1e-6)
 
 
 class TestWeakEbcProbe:
-    def test_quadratic_ratio_grows_with_radius(self):
-        problem = quadratic_problem()
+    def test_service_ratio_grows_with_radius(self):
+        problem = service_problem()
         estimates = [
             weak_ebc_probe(problem, 0, 1, 12, [radius], seed=1)[0]
             for radius in (0.1, 0.2, 0.4)
         ]
-        # q* - q = dist^2 / 2 for this dual, so the ratio is dist / 2
+        # the dual is strictly concave, so the ratio grows with the radius
         for radius, c0 in zip((0.1, 0.2, 0.4), estimates):
-            assert c0 == pytest.approx(radius / 2.0, rel=0.08)
+            assert c0 == pytest.approx(service_ratio(radius), rel=0.08)
         assert estimates[0] < estimates[1] < estimates[2]
 
-    def test_quadratic_combined_grid(self):
-        problem = quadratic_problem()
+    def test_service_combined_grid(self):
+        problem = service_problem()
         c0, ell0 = weak_ebc_probe(problem, 0, 1, 12, [0.05, 0.1, 0.2], seed=2)
         assert ell0 == pytest.approx(0.05)
-        assert c0 == pytest.approx(0.025, rel=0.1)
+        assert c0 == pytest.approx(service_ratio(0.05), rel=0.1)
 
     def test_piecewise_linear_minimal_slope(self):
         problem = make_linear_problem(
@@ -353,7 +362,7 @@ class TestWeakEbcProbe:
         assert ell0 == pytest.approx(0.05)
 
     def test_bad_grid_rejected(self):
-        problem = quadratic_problem()
+        problem = service_problem()
         with pytest.raises(OracleError):
             weak_ebc_probe(problem, 0, 1, 5, [])
         with pytest.raises(OracleError):

@@ -88,8 +88,32 @@ class TestSyntheticProblem:
         prob = build_synthetic_problem(4, 0, 0, seed=0)
         assert prob.n_ineq == 0 and prob.n_eq == 0
         slot = prob.sample_slot(3, np.random.default_rng(0))
-        assert slot.inequalities == ()
+        assert len(slot.inequalities) == 0
         assert slot.eq_matrix.shape == (0, 4)
+
+    def test_non_finite_inputs_rejected_by_name(self):
+        good = {
+            "objective_mean": np.array([0.1, 0.2, 0.3]),
+            "ineq_rows": np.ones((1, 3)),
+            "ineq_margins": np.ones(1),
+            "eq_rows": np.ones((1, 3)),
+            "targets": np.full(1, 0.5),
+        }
+        nan_row = np.array([[1.0, np.nan, 0.0]])
+        for arg, value in (
+            ("objective_mean", np.array([0.1, np.nan, 0.3])),
+            ("ineq_rows", nan_row),
+            ("ineq_margins", np.array([np.inf])),
+            ("eq_rows", nan_row),
+            ("targets", np.array([-np.inf])),
+            ("objective_noise", np.nan),
+            ("ineq_noise", -0.1),
+            ("eq_noise", np.inf),
+            ("drift_amplitude", np.nan),
+            ("drift_period", 0),
+        ):
+            with pytest.raises(ProblemError, match=arg):
+                make_linear_problem(Simplex(3), **{**good, arg: value})
 
     def test_too_many_equalities(self):
         with pytest.raises(ProblemError):
@@ -107,15 +131,15 @@ class TestSyntheticProblem:
         rhs = np.concatenate([prob.targets, [1.0]])
         anchor, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
         assert np.all(anchor > 0.0)
-        for fn in prob.means.inequalities:
-            assert fn.value(anchor) < 0.0
+        for g_value in prob.means.inequalities.values(anchor):
+            assert g_value < 0.0
 
     def test_sampling_deterministic(self):
         prob = build_synthetic_problem(6, 2, 1, seed=9)
         s1 = prob.sample_slot(7, np.random.default_rng(123))
         s2 = prob.sample_slot(7, np.random.default_rng(123))
         mu = np.full(6, 1.0 / 6)
-        assert s1.objective.value(mu) == s2.objective.value(mu)
+        assert s1.objective @ mu == s2.objective @ mu
         assert np.array_equal(s1.eq_matrix, s2.eq_matrix)
 
     def test_monte_carlo_means_match(self):
@@ -129,16 +153,16 @@ class TestSyntheticProblem:
         h_sum = np.zeros((2, 5))
         for _ in range(n):
             slot = prob.sample_slot(t, rng)
-            obj_sum += slot.objective.value(mu)
-            g_sum += [fn.value(mu) for fn in slot.inequalities]
+            obj_sum += slot.objective @ mu
+            g_sum += slot.inequalities.values(mu)
             h_sum += slot.eq_matrix
-        mean_obj = prob.means.objective_at(t).value(mu)
+        mean_obj = prob.means.objective_at(t) @ mu
         # noise is U[-s, s] per coefficient: var = s^2/3 per entry
         obj_sigma = np.sqrt((0.2**2 / 3) * np.sum(mu**2) / n)
         assert abs(obj_sum / n - mean_obj) < 3 * obj_sigma + 1e-12
-        for i, fn in enumerate(prob.means.inequalities):
+        for i, g_mean in enumerate(prob.means.inequalities.values(mu)):
             g_sigma = np.sqrt((0.2**2 / 3) * np.sum(mu**2) / n)
-            assert abs(g_sum[i] / n - fn.value(mu)) < 3 * g_sigma + 1e-12
+            assert abs(g_sum[i] / n - g_mean) < 3 * g_sigma + 1e-12
         h_sigma = np.sqrt((0.1**2 / 3) / n)
         assert np.max(np.abs(h_sum / n - prob.means.eq_matrix)) < 3 * h_sigma
 
@@ -147,9 +171,9 @@ class TestSyntheticProblem:
         prob = build_synthetic_problem(5, 1, 1, seed=3)
         mu = np.full(5, 0.2)
         rng = np.random.default_rng(8)
-        early = [prob.sample_slot(t, rng).inequalities[0].value(mu) for t in range(4000)]
+        early = [prob.sample_slot(t, rng).inequalities.values(mu)[0] for t in range(4000)]
         late = [
-            prob.sample_slot(t, rng).inequalities[0].value(mu)
+            prob.sample_slot(t, rng).inequalities.values(mu)[0]
             for t in range(100_000, 104_000)
         ]
         pooled = np.std(early + late) / np.sqrt(len(early))
@@ -165,13 +189,13 @@ class TestSyntheticProblem:
             for t in range(500):
                 slot = prob.sample_slot(t, rng)
                 mu = simplex.sample(rng)
-                assert np.linalg.norm(slot.objective.grad(mu), vec_norm) <= c.objective_grad_bound + 1e-12
-                assert abs(slot.objective.value(mu)) <= c.objective_value_bound + 1e-12
+                assert np.linalg.norm(slot.objective, vec_norm) <= c.objective_grad_bound + 1e-12
+                assert abs(slot.objective @ mu) <= c.objective_value_bound + 1e-12
                 grad_quad = sum(
-                    np.linalg.norm(fn.grad(mu), vec_norm) ** 2
-                    for fn in slot.inequalities
+                    np.linalg.norm(grad, vec_norm) ** 2
+                    for grad in slot.inequalities.grads(mu)
                 )
-                value_quad = sum(fn.value(mu) ** 2 for fn in slot.inequalities)
+                value_quad = sum(value**2 for value in slot.inequalities.values(mu))
                 assert np.sqrt(grad_quad) <= c.ineq_grad_bound + 1e-12
                 assert np.sqrt(value_quad) <= c.ineq_value_bound + 1e-12
                 row_quad = sum(
@@ -189,7 +213,7 @@ class TestSyntheticProblem:
             targets=np.array([0.3]),
         )
         mu = np.array([0.3, 0.5, 0.2])
-        assert abs(prob.means.objective_at(0).value(mu) - 0.3) < 1e-15
+        assert abs(prob.means.objective_at(0) @ mu - 0.3) < 1e-15
         assert abs((prob.means.eq_matrix @ mu)[0] - prob.targets[0]) < 1e-15
 
     def test_window_objective_averages_drift(self):
@@ -201,11 +225,11 @@ class TestSyntheticProblem:
         )
         window = prob.means.window_objective(10, 5)
         stacked = np.mean(
-            [prob.means.objective_at(10 + s).grad(np.zeros(4)) for s in range(5)],
+            [prob.means.objective_at(10 + s) for s in range(5)],
             axis=0,
         )
-        assert window.grad(np.zeros(4)) == pytest.approx(stacked, abs=1e-15)
-        assert not np.allclose(stacked, prob.means.objective_at(10).grad(np.zeros(4)))
+        assert window == pytest.approx(stacked, abs=1e-15)
+        assert not np.allclose(stacked, prob.means.objective_at(10))
 
 
 class TestDatacenterProblem:
@@ -217,7 +241,7 @@ class TestDatacenterProblem:
         prob = build_datacenter_problem(DatacenterConfig(), constant_trace(10))
         slot = prob.sample_slot(0, np.random.default_rng(0))
         zero = np.zeros(50)
-        assert slot.inequalities[0].value(zero) > 0.0
+        assert slot.inequalities.values(zero)[0] > 0.0
         assert np.allclose(slot.eq_matrix @ zero, 0.0)
 
     def test_mean_inequality_formula(self):
@@ -225,7 +249,7 @@ class TestDatacenterProblem:
         for c in (0.5, 1.0, 2.0):
             mu = np.full(50, c)
             expected = 1000.0 - 400.0 * np.log(1.0 + 4.0 * c)
-            assert abs(prob.means.inequalities[0].value(mu) - expected) < 1e-9
+            assert abs(prob.means.inequalities.values(mu)[0] - expected) < 1e-9
 
     def test_pacing_mean_residuals(self):
         prob = build_datacenter_problem(DatacenterConfig(), constant_trace(10))
@@ -253,9 +277,9 @@ class TestDatacenterProblem:
         h_rows = np.zeros((4, 50))
         for i in range(n):
             slot = prob.sample_slot(0, rng)
-            g_vals[i] = slot.inequalities[0].value(mu)
+            g_vals[i] = slot.inequalities.values(mu)[0]
             h_rows += slot.eq_matrix
-        g_mean = prob.means.inequalities[0].value(mu)
+        g_mean = prob.means.inequalities.values(mu)[0]
         assert abs(g_vals.mean() - g_mean) < 3 * g_vals.std() / np.sqrt(n)
         assert np.max(np.abs(h_rows / n - prob.means.eq_matrix)) < 0.15
 
@@ -272,7 +296,7 @@ class TestDatacenterProblem:
         s1 = p1.sample_slot(1, np.random.default_rng(55))
         s2 = p2.sample_slot(1, np.random.default_rng(55))
         mu = np.full(50, 2.0)
-        assert s1.inequalities[0].value(mu) == s2.inequalities[0].value(mu)
+        assert s1.inequalities.values(mu)[0] == s2.inequalities.values(mu)[0]
         assert np.array_equal(s1.eq_matrix, s2.eq_matrix)
         c1 = p1.constants_for("l2")
         c2 = p2.constants_for("l2")

@@ -48,9 +48,8 @@ class TestMetrics:
     def test_streaming_matches_posthoc(self):
         problem, record = synthetic_run(horizon=120)
         replayed = sum(
-            problem.sample_slot(t, slot_rng(record.seed, t)).objective.value(
-                record.decisions[t]
-            )
+            problem.sample_slot(t, slot_rng(record.seed, t)).objective
+            @ record.decisions[t]
             for t in range(record.horizon)
         )
         streaming = float(np.sum(record.objective_realized))
