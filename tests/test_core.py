@@ -326,34 +326,64 @@ def _example(q0, h0, target, objective_grad, g_value, g_grad, h_row, expect):
     }
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=step_cases())
-# The step moves (0.5, 0.5) to (1, 0), so <grad g, mu_new - mu_prev> = -0.5
-# for grad g = (-1, 0): Q = 2 + 1 - 0.5, and h = (1, 1) gives H = 0 + 1 - 1.
-@example(case=_example(2.0, 0.0, 1.0, [-1.0, 1.0], 1.0, [-1.0, 0.0], [1.0, 1.0], ([2.5], [0.0])))
-# The same move with g = -3 and grad g = (1, 0) clips Q = 1 - 3 + 0.5 at
-# zero; H = 1 + <(2, 2), (1, 0)> - 0.5.
-@example(case=_example(1.0, 1.0, 0.5, [-4.0, -1.0], -3.0, [1.0, 0.0], [2.0, 2.0], ([0.0], [2.5])))
-# No move: Q = max(0 - 1, 0) and H = -1 + 0 - 1.
-@example(case=_example(0.0, -1.0, 1.0, [0.0, 0.0], -1.0, [0.0, 0.0], [0.0, 0.0], ([0.0], [-2.0])))
-def test_step_multiplier_algebra(case):
-    """Q stays nonnegative, the drift is half the change of ||(Q, H)||^2,
-    and H_t = H_0 + sum_s (h^s mu_{s+1} - b)."""
+MULTIPLIER_EXAMPLES = (
+    # The step moves (0.5, 0.5) to (1, 0), so <grad g, mu_new - mu_prev> = -0.5
+    # for grad g = (-1, 0): Q = 2 + 1 - 0.5, and h = (1, 1) gives H = 0 + 1 - 1.
+    _example(2.0, 0.0, 1.0, [-1.0, 1.0], 1.0, [-1.0, 0.0], [1.0, 1.0], ([2.5], [0.0])),
+    # The same move with g = -3 and grad g = (1, 0) clips Q = 1 - 3 + 0.5 at
+    # zero; H = 1 + <(2, 2), (1, 0)> - 0.5.
+    _example(1.0, 1.0, 0.5, [-4.0, -1.0], -3.0, [1.0, 0.0], [2.0, 2.0], ([0.0], [2.5])),
+    # No move: Q = max(0 - 1, 0) and H = -1 + 0 - 1.
+    _example(0.0, -1.0, 1.0, [0.0, 0.0], -1.0, [0.0, 0.0], [0.0, 0.0], ([0.0], [-2.0])),
+)
+
+
+def _start(case):
+    """The state a step case starts from: its (Q, H) on a problem whose own
+    rows are zero, so the observations alone drive the multipliers."""
     d, setting = case["d"], case["setting"]
     decision_set = Box(np.zeros(d), np.ones(d)) if setting == "box" else Simplex(d)
     variant = "simplex" if setting == "simplex-entropy" else "general"
-    targets = case["targets"]
     problem = make_linear_problem(
         decision_set,
         np.zeros(d),
         ineq_rows=np.zeros((len(case["q0"]), d)),
-        eq_rows=np.zeros((len(targets), d)),
-        targets=targets,
+        eq_rows=np.zeros((len(case["targets"]), d)),
+        targets=case["targets"],
     )
     v, alpha = case["weights"]
     params = AlgorithmParams(v, alpha, 0.1 if variant == "simplex" else 0.0, 10, 1)
     state = initial_state(problem, params, variant)
-    state = dataclasses.replace(state, duals=DualState(case["q0"], case["h0"]))
+    return dataclasses.replace(state, duals=DualState(case["q0"], case["h0"]))
+
+
+def _final_duals(case):
+    state = _start(case)
+    for obs in case["slots"]:
+        state, _ = step(state, obs)
+    return state.duals.ineq.tolist(), state.duals.eq.tolist()
+
+
+class TestMultiplierUpdates:
+    def test_inequality_examples(self):
+        for case in MULTIPLIER_EXAMPLES:
+            assert _final_duals(case)[0] == case["expect"][0]
+
+    def test_equality_examples(self):
+        for case in MULTIPLIER_EXAMPLES:
+            assert _final_duals(case)[1] == case["expect"][1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=step_cases())
+@example(case=MULTIPLIER_EXAMPLES[0])
+@example(case=MULTIPLIER_EXAMPLES[1])
+@example(case=MULTIPLIER_EXAMPLES[2])
+def test_step_multiplier_algebra(case):
+    """Q stays nonnegative, the drift is half the change of ||(Q, H)||^2,
+    and H_t = H_0 + sum_s (h^s mu_{s+1} - b)."""
+    targets = case["targets"]
+    state = _start(case)
     h_sum = case["h0"]
     for obs in case["slots"]:
         mu_prev, q_prev, h_prev = state.decision, state.duals.ineq, state.duals.eq
@@ -367,5 +397,3 @@ def test_step_multiplier_algebra(case):
         squares = np.sum(q_new**2) + np.sum(h_new**2) - np.sum(q_prev**2) - np.sum(h_prev**2)
         scale = 1.0 + np.sum(q_new**2) + np.sum(h_new**2) + np.sum(q_prev**2) + np.sum(h_prev**2)
         assert abs(outcome.drift - 0.5 * squares) <= 1e-12 * scale
-    if "expect" in case:
-        assert (state.duals.ineq.tolist(), state.duals.eq.tolist()) == case["expect"]
