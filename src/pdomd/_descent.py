@@ -1,237 +1,6 @@
-"""Internal first-order solver for prox subproblems on compact convex sets.
+"""Empty module, kept importable for benchmark tooling that still imports it.
 
-Everything here works through three callbacks only: objective value, gradient,
-and the decision set's projection / linear-minimization oracles.  The solver
-runs in two phases.  An accelerated phase with backtracking line search makes
-the global progress; it is fast far from the optimum but its sufficient
-decrease test compares objective values, which stops being meaningful once the
-true decrease falls below floating-point resolution.  A polish phase then
-takes over: plain projected gradient steps with a fixed curvature estimate,
-steered entirely by the Frank-Wolfe gap (computed from the gradient, so it
-stays accurate long after value differences drown in roundoff).  The gap is a
-certified upper bound on suboptimality, which makes it both the stopping rule
-and the step-size control signal.
+The first-order solver that lived here has no caller left: every prox step
+has a closed form or a certified bisection (see :mod:`pdomd.geometry`) and
+every Lagrangian minimum a closed form (see :mod:`pdomd.oracle`).
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Optional
-
-import numpy as np
-
-Array = np.ndarray
-
-_MIN_CURVATURE = 1e-12
-# Relative slack for the backtracking acceptance test.  Tight on purpose: a
-# loose slack lets the curvature estimate collapse and the iterate overshoot.
-_ACCEPT_SLACK = 4e-16
-_MAX_BACKTRACKS = 30
-
-
-@dataclass(frozen=True)
-class DescentResult:
-    point: Array
-    value: float
-    gap: float
-    iterations: int
-    converged: bool
-
-
-def frank_wolfe_gap(
-    gradient: Array,
-    point: Array,
-    support_minimizer: Callable[[Array], Array],
-) -> float:
-    """Duality gap max_u <g, point - u> over the set; >= f(point) - min f."""
-    vertex = support_minimizer(gradient)
-    return float(gradient @ (point - vertex))
-
-
-def _secant_curvature(
-    grad: Callable[[Array], Array],
-    point: Array,
-    grad_point: Array,
-    reproject: Callable[[Array], Array],
-    fallback: float,
-) -> float:
-    """Local Lipschitz estimate of the gradient along steepest descent."""
-    scale = float(np.linalg.norm(grad_point))
-    if scale == 0.0 or not np.isfinite(scale):
-        return fallback
-    probe = reproject(point - (1e-7 / scale) * grad_point)
-    shift = float(np.linalg.norm(probe - point))
-    if shift == 0.0:
-        return fallback
-    estimate = float(np.linalg.norm(grad(probe) - grad_point)) / shift
-    if not np.isfinite(estimate) or estimate <= 0.0:
-        return fallback
-    return estimate
-
-
-def _polish(
-    grad: Callable[[Array], Array],
-    reproject: Callable[[Array], Array],
-    support_minimizer: Callable[[Array], Array],
-    start: Array,
-    curvature: float,
-    gap_tol: float,
-    budget: int,
-    stall_limit: int,
-) -> tuple[Array, float, int]:
-    """Fixed-step projected gradient, adapted from the gap alone.
-
-    Too-short steps still contract the gap (slowly), so they register as
-    progress; a genuine bounce (gap more than doubling) means the step is too
-    long and the curvature estimate gets raised.  A long no-progress streak
-    with contraction-per-step below fp resolution means either the step is
-    far too short or the gap has hit its floating-point floor; raising the
-    estimate is safe in the first case and harmless in the second.
-    """
-    lip = max(curvature, _MIN_CURVATURE)
-    x = start
-    gx = grad(x)
-    gap = frank_wolfe_gap(gx, x, support_minimizer)
-    best_x, best_gap = x, gap
-    no_progress = 0
-    used = 0
-    while used < budget and best_gap > gap_tol:
-        used += 1
-        cand = reproject(x - gx / lip)
-        grad_cand = grad(cand)
-        gap_cand = frank_wolfe_gap(grad_cand, cand, support_minimizer)
-        if gap_cand < best_gap:
-            best_x, best_gap = cand, gap_cand
-            no_progress = 0
-        else:
-            no_progress += 1
-            if no_progress >= stall_limit:
-                break
-        if gap_cand > 2.0 * gap and gap > 0.0:
-            lip *= 4.0
-            x = best_x
-            gx = grad(x)
-            gap = best_gap
-            continue
-        if no_progress and no_progress % 50 == 0:
-            lip *= 2.0
-            x = best_x
-            gx = grad(x)
-            gap = best_gap
-            continue
-        x, gx, gap = cand, grad_cand, gap_cand
-    return best_x, best_gap, used
-
-
-def minimize_on_set(
-    value: Callable[[Array], float],
-    grad: Callable[[Array], Array],
-    decision_set,
-    start: Array,
-    *,
-    gap_tol: float = 1e-10,
-    max_iter: int = 100_000,
-    floor: Optional[float] = None,
-    curvature_hint: float = 1.0,
-    stall_limit: int = 400,
-) -> DescentResult:
-    """Minimize a smooth convex function over a compact convex set.
-
-    `decision_set` must provide project() and support_minimizer().  `floor`,
-    when given, clamps every iterate componentwise from below (needed when the
-    objective involves logarithms).  `curvature_hint` seeds the line search.
-    """
-    if floor is None:
-        def reproject(z: Array) -> Array:
-            return decision_set.project(z)
-    else:
-        def reproject(z: Array) -> Array:
-            return np.maximum(decision_set.project(z), floor)
-
-    support_minimizer = decision_set.support_minimizer
-
-    x = reproject(np.asarray(start, dtype=float))
-    z = x
-    momentum = 1.0
-    lip = max(curvature_hint, _MIN_CURVATURE)
-    fx = value(x)
-
-    best_x = x
-    best_gap = frank_wolfe_gap(grad(x), x, support_minimizer)
-    no_progress = 0
-    fast_budget = max_iter // 2
-    iterations = 0
-
-    while iterations < fast_budget and best_gap > gap_tol:
-        iterations += 1
-        gx = grad(x)
-        gap = frank_wolfe_gap(gx, x, support_minimizer)
-        if gap < best_gap * (1.0 - 1e-3):
-            best_x, best_gap = x, gap
-            no_progress = 0
-        else:
-            no_progress += 1
-        if best_gap <= gap_tol:
-            break
-        if no_progress >= min(stall_limit, 60):
-            break
-
-        gz = grad(z)
-        fz = value(z)
-        lip = max(lip * 0.5, _MIN_CURVATURE)
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            cand = reproject(z - gz / lip)
-            step = cand - z
-            f_cand = value(cand)
-            bound = fz + float(gz @ step) + 0.5 * lip * float(step @ step)
-            if f_cand <= bound + _ACCEPT_SLACK * (1.0 + abs(fz)):
-                accepted = True
-                break
-            lip *= 2.0
-        if not accepted:
-            # Objective differences are below fp resolution; the value-based
-            # test can no longer certify anything.
-            break
-
-        if f_cand > fx + 1e-12 * (1.0 + abs(fx)):
-            # Momentum overshoot: fall back to a plain step from x.
-            momentum = 1.0
-            for _ in range(_MAX_BACKTRACKS):
-                cand = reproject(x - gx / lip)
-                step = cand - x
-                f_cand = value(cand)
-                bound = fx + float(gx @ step) + 0.5 * lip * float(step @ step)
-                if f_cand <= bound + _ACCEPT_SLACK * (1.0 + abs(fx)):
-                    break
-                lip *= 2.0
-
-        if float((z - cand) @ (cand - x)) > 0.0:
-            momentum = 1.0
-        momentum_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
-        z = reproject(cand + ((momentum - 1.0) / momentum_next) * (cand - x))
-        momentum = momentum_next
-        x, fx = cand, f_cand
-
-    if best_gap > gap_tol and iterations < max_iter:
-        seed = _secant_curvature(grad, best_x, grad(best_x), reproject, curvature_hint)
-        best_x, best_gap, used = _polish(
-            grad,
-            reproject,
-            support_minimizer,
-            best_x,
-            2.0 * seed,
-            gap_tol,
-            max_iter - iterations,
-            stall_limit,
-        )
-        iterations += used
-
-    final_value = value(best_x)
-    return DescentResult(
-        point=best_x,
-        value=final_value,
-        gap=best_gap,
-        iterations=iterations,
-        converged=best_gap <= gap_tol,
-    )

@@ -16,6 +16,7 @@ which is the same as starting the updates one slot late.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Tuple
@@ -58,6 +59,10 @@ class AlgorithmParams:
                 raise ConfigError(f"{name} must be finite and positive, got {weight!r}")
         if not 0.0 <= self.mixing_weight < 1.0:  # NaN fails too
             raise ConfigError(f"mixing_weight must lie in [0, 1), got {self.mixing_weight!r}")
+        for name in ("horizon", "drift_window"):
+            count = getattr(self, name)
+            if not (isinstance(count, numbers.Real) and float(count).is_integer()):  # NaN fails too
+                raise ConfigError(f"{name} must be an integer, got {count!r}")
         if self.drift_window < 1 or self.drift_window > max(self.horizon, 1):
             raise ConfigError("drift window must lie in [1, horizon]")
 

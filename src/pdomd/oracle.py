@@ -10,17 +10,23 @@ empirical probe of how sharply the dual falls off away from its maximizer
 (:func:`weak_ebc_probe`), which is the error-bound property that keeps
 multiplier estimates, and with them the dual iterates of the online solver,
 bounded.
+
+Every Lagrangian minimum has a closed form: linear rows take the decision
+set's support point, and service rows on a box (the only curved family)
+take a clipped stationary point per coordinate.  Linear window programs go
+to the HiGHS LP solver; service window programs are solved through their
+dual, a concave function of a handful of multipliers, by a safeguarded
+Newton method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 import scipy.optimize
 
-from ._descent import minimize_on_set
 from .errors import InfeasibleProblemError, MultiplierDivergenceError, OracleError
 from .geometry import Box, DecisionSet, Simplex
 from .problems import LinearRows, ProblemInstance, ServiceRows
@@ -28,10 +34,11 @@ from .problems import LinearRows, ProblemInstance, ServiceRows
 Array = np.ndarray
 
 _FEASIBILITY_TOL = 1e-6
-_STATIONARITY_TOL = 1e-6
-_INNER_GAP_TOL = 1e-9
 _DUAL_GAP_TOL = 1e-6
 _DIVERGENCE_NORM = 1e6
+_NEWTON_TOL = 1e-10  # constraint residual at which the dual Newton method stops
+_NEWTON_MAX_ITER = 200
+_Q_SLACK = 1e-15  # relative rounding allowance in its Armijo test
 
 
 @dataclass(frozen=True)
@@ -137,89 +144,89 @@ def _solve_linear(program: _WindowProgram) -> Array:
     return np.asarray(res.x, dtype=float)
 
 
-def _solve_smooth(program: _WindowProgram) -> Array:
-    """Augmented Lagrangian loop for windows with nonlinear inequalities.
+def _service_dual(program: _WindowProgram, mult: Array) -> Tuple[Array, float, Array]:
+    """Lagrangian minimizer, dual value and dual gradient (the constraint
+    residuals there) of a service-row program at the stacked multipliers
+    (lam, eta).
 
-    Each pass minimizes the augmented Lagrangian over the decision set with
-    the certified first-order solver, then takes the standard multiplier
-    update.  At the inner optimum the augmented gradient coincides with the
-    plain Lagrangian gradient at the updated multipliers, so the inner
-    Frank-Wolfe gap certifies KKT stationarity for free; only feasibility
-    and complementary slackness need outer iterations.  A residual that
-    refuses to vanish while the penalty weight climbs is reported as
-    infeasibility.
+    The minimizer is separable over a box.  With s = lam @ W and
+    a = c + eta @ A, coordinate k minimizes a_k x - s_k g log(1 + r x) on
+    [lo_k, hi_k]: the stationary point (s_k g r / a_k - 1) / r clipped to
+    the box when a_k > 0, and hi_k otherwise (the term is then
+    nonincreasing, as W >= 0 and lam >= 0).
     """
-    dset = program.decision_set
-    ineqs = program.inequalities
-    eq = program.eq_matrix
-    targets = program.targets
-    n_eq = eq.shape[0]
+    dset, rows, eq = program.decision_set, program.inequalities, program.eq_matrix
+    if not isinstance(dset, Box):
+        raise OracleError(f"service rows need a box decision set, got {type(dset).__name__}")
+    n_ineq = len(rows)
+    scale = mult[:n_ineq] @ rows.weights
+    slope = program.objective + mult[n_ineq:] @ eq
+    ratio = np.divide(scale, slope, out=np.full(slope.shape, np.inf), where=slope > 0.0)
+    point = np.clip((ratio * (rows.gain * rows.rate) - 1.0) / rows.rate, dset.lower, dset.upper)
+    residual = np.concatenate([rows.values(point), eq @ point - program.targets])
+    return point, float(program.objective @ point) + float(mult @ residual), residual
 
-    point = np.asarray(dset.initial_point(), dtype=float)
-    lam = np.zeros(len(ineqs))
-    eta = np.zeros(n_eq)
-    rho = 1.0
-    target_res = 1e-8
-    best_feasibility = np.inf
-    last_gap = np.inf
-    last_comp = np.inf
 
-    for _ in range(100):
-        lam_frozen, eta_frozen, rho_frozen = lam.copy(), eta.copy(), rho
-        lam_squared = float(lam_frozen @ lam_frozen)
+def _solve_service(program: _WindowProgram) -> Tuple[Array, Array, float]:
+    """Maximize the concave dual of a service-row window program on a box.
 
-        def al_value(x: Array) -> float:
-            clipped = np.maximum(lam_frozen + rho_frozen * ineqs.values(x), 0.0)
-            total = float(program.objective @ x)
-            total += (float(clipped @ clipped) - lam_squared) / (2.0 * rho_frozen)
-            if n_eq:
-                residual = eq @ x - targets
-                total += float(eta_frozen @ residual)
-                total += 0.5 * rho_frozen * float(residual @ residual)
-            return float(total)
-
-        def al_grad(x: Array) -> Array:
-            clipped = np.maximum(lam_frozen + rho_frozen * ineqs.values(x), 0.0)
-            total = program.objective + clipped @ ineqs.grads(x)
-            if n_eq:
-                total += eq.T @ (eta_frozen + rho_frozen * (eq @ x - targets))
-            return total
-
-        inner = minimize_on_set(
-            al_value, al_grad, dset, point, gap_tol=1e-10, curvature_hint=rho
-        )
-        point = inner.point
-        last_gap = inner.gap
-
-        ineq_values = ineqs.values(point)
-        eq_residual = eq @ point - targets if n_eq else np.zeros(0)
-        lam = np.maximum(lam + rho * ineq_values, 0.0)
-        eta = eta + rho * eq_residual
-
-        feasibility = float(
-            np.hypot(
-                np.linalg.norm(np.maximum(ineq_values, 0.0)),
-                np.linalg.norm(eq_residual),
+    The dual q in the stacked multipliers (lam, eta) is piecewise smooth.
+    On the coordinates I where the Lagrangian minimizer is interior its
+    Hessian is -B B^T, column k of B being
+    (-W_k sqrt(g / s_k), A_k sqrt(g s_k) / a_k) for k in I.  Multipliers
+    lam_i = 0 on a slack row stay fixed; on the rest each iteration takes
+    the Newton step (least squares, since the equality rows may be
+    dependent), or the gradient when the gradient leaves the Hessian's range
+    (too few interior coordinates).  Both backtrack on an Armijo test of q
+    with lam projected onto lam >= 0 and a rounding allowance, because q is
+    flat to its last digits well before the gradient is.  A full gradient
+    step doubles the next one, so an unbounded dual (an infeasible program)
+    passes the divergence norm within a few dozen iterations.  Returns the
+    Lagrangian minimizer, the multipliers and q there; the caller certifies
+    them.
+    """
+    rows, eq, dset = program.inequalities, program.eq_matrix, program.decision_set
+    n_ineq = len(rows)
+    mult = np.zeros(n_ineq + eq.shape[0])
+    point, value, grad = _service_dual(program, mult)
+    grad_step = 1.0
+    for _ in range(_NEWTON_MAX_ITER):
+        free = np.ones(mult.size, dtype=bool)
+        free[:n_ineq] = (mult[:n_ineq] > 0.0) | (grad[:n_ineq] > 0.0)
+        if float(np.max(np.abs(grad[free]), initial=0.0)) <= _NEWTON_TOL:
+            break
+        scale = mult[:n_ineq] @ rows.weights
+        slope = program.objective + mult[n_ineq:] @ eq
+        inside = (point > dset.lower) & (point < dset.upper) & (slope > 0.0) & (scale > 0.0)
+        root = np.sqrt(rows.gain * scale[inside])
+        basis = np.vstack(
+            [-rows.weights[:, inside] * (rows.gain / root), eq[:, inside] * (root / slope[inside])]
+        )[free]
+        hess = basis @ basis.T
+        newton = np.linalg.lstsq(hess, grad[free], rcond=1e-10)[0]
+        is_newton = np.linalg.norm(hess @ newton - grad[free]) <= 1e-6 * np.linalg.norm(grad[free])
+        direction = np.zeros(mult.size)
+        direction[free] = newton if is_newton else grad[free]
+        t = 1.0 if is_newton else grad_step
+        slack = _Q_SLACK * (1.0 + abs(value))
+        for _ in range(60):
+            trial = mult + t * direction
+            trial[:n_ineq] = np.maximum(trial[:n_ineq], 0.0)
+            trial_point, trial_value, trial_grad = _service_dual(program, trial)
+            if trial_value >= value + 1e-4 * float(grad @ (trial - mult)) - slack:
+                break
+            t *= 0.5
+        else:
+            break  # no ascent left at floating-point resolution
+        if not is_newton:
+            grad_step = 2.0 * t if t == grad_step else t
+        mult, point, value, grad = trial, trial_point, trial_value, trial_grad
+        if float(np.linalg.norm(mult)) > _DIVERGENCE_NORM:
+            raise InfeasibleProblemError(
+                f"dual iterate norm exceeded {_DIVERGENCE_NORM:.0e}; "
+                "window program appears infeasible"
             )
-        )
-        last_comp = float(np.sum(np.abs(lam * ineq_values)))
-        if feasibility <= target_res and last_gap <= target_res and last_comp <= target_res:
-            return point
-        if feasibility > 0.25 * best_feasibility:
-            rho = min(rho * 4.0, 1e12)
-        best_feasibility = min(best_feasibility, feasibility)
-
-    if best_feasibility > _FEASIBILITY_TOL:
-        raise InfeasibleProblemError(
-            f"penalized residual {best_feasibility:.3e} does not vanish; "
-            "window program appears infeasible"
-        )
-    if max(last_gap, last_comp) > _STATIONARITY_TOL:
-        raise OracleError(
-            f"stationarity residual {max(last_gap, last_comp):.3e} exceeds "
-            f"{_STATIONARITY_TOL:.0e}"
-        )
-    return point
+    return point, mult, value
 
 
 def hindsight_optimum(
@@ -230,63 +237,51 @@ def hindsight_optimum(
     Solves min f(mu) over the decision set subject to the mean inequality
     and equality constraints, where f averages the mean objectives of slots
     ``start ... start+length-1``.  Returns the minimizer and its objective
-    value.  The solution is verified: clipped inequality and equality
-    residuals must both come in at or below 1e-6, otherwise this raises
-    instead of returning a bad reference point.
+    value.  Linear programs go to HiGHS; service-row programs on a box are
+    solved through their dual.  The solution is verified: clipped inequality
+    and equality residuals must both come in at or below 1e-6, and for the
+    dual path the primal-dual gap at or below 1e-6, otherwise this raises
+    instead of returning a bad reference point.  An unbounded dual is
+    reported as :class:`InfeasibleProblemError`.
     """
     program = _window_program(problem, start, length)
     if program.all_linear:
-        raw = _solve_linear(program)
+        point = program.decision_set.project(_solve_linear(program))
     else:
-        raw = _solve_smooth(program)
-    point = program.decision_set.project(raw)
+        point, _, dual_value = _solve_service(program)
     ineq_res, eq_res = _feasibility_residuals(program, point)
     if ineq_res > _FEASIBILITY_TOL or eq_res > _FEASIBILITY_TOL:
         raise OracleError(
             f"solution fails verification: inequality residual {ineq_res:.3e}, "
             f"equality residual {eq_res:.3e}"
         )
-    return point, float(program.objective @ point)
+    value = float(program.objective @ point)
+    if not program.all_linear and value - dual_value > _DUAL_GAP_TOL:
+        raise OracleError(
+            f"duality gap {value - dual_value:.3e} exceeds {_DUAL_GAP_TOL:.0e}"
+        )
+    return point, value
 
 
 def _lagrangian_minimum(
-    program: _WindowProgram,
-    ineq_mult: Array,
-    eq_mult: Array,
-    warm_start: Optional[Array] = None,
+    program: _WindowProgram, ineq_mult: Array, eq_mult: Array
 ) -> Tuple[Array, float]:
     """Minimize the weighted Lagrangian over the decision set alone.
 
-    Returns the minimizer and the dual value.  Linear problems get the exact
-    support-point evaluation; otherwise the numeric solver runs to a
-    certified gap of 1e-9.
+    Returns the minimizer and the dual value, both in closed form: linear
+    rows take the set's support point, service rows the coordinatewise
+    stationary point on a box.
     """
-    dset = program.decision_set
+    if not program.all_linear:
+        point, value, _ = _service_dual(program, np.concatenate([ineq_mult, eq_mult]))
+        return point, value
     eta_term = eq_mult @ program.eq_matrix if eq_mult.size else 0.0
     offset_shift = float(eq_mult @ program.targets) if eq_mult.size else 0.0
     rows = program.inequalities
-    if program.all_linear:
-        combined = program.objective + ineq_mult @ rows.coeffs + eta_term
-        constant = -float(ineq_mult @ rows.offsets) - offset_shift
-        point = dset.support_minimizer(combined)
-        return point, float(combined @ point + constant)
-
-    def value(x: Array) -> float:
-        total = float(program.objective @ x) + float(ineq_mult @ rows.values(x))
-        if eq_mult.size:
-            total += float(eta_term @ x) - offset_shift
-        return total
-
-    def grad(x: Array) -> Array:
-        return program.objective + ineq_mult @ rows.grads(x) + eta_term
-
-    start = warm_start if warm_start is not None else dset.initial_point()
-    result = minimize_on_set(value, grad, dset, start, gap_tol=_INNER_GAP_TOL)
-    if result.gap > 1e-8:
-        raise OracleError(
-            f"inner Lagrangian minimization stalled at gap {result.gap:.3e}"
-        )
-    return result.point, result.value
+    combined = program.objective + ineq_mult @ rows.coeffs + eta_term
+    constant = -float(ineq_mult @ rows.offsets) - offset_shift
+    point = program.decision_set.support_minimizer(combined)
+    return point, float(combined @ point + constant)
 
 
 def dual_function(
@@ -346,11 +341,9 @@ def estimate_multipliers(
     best = (lam.copy(), eta.copy())
     fallback_step = 1.0
     previous_value = -np.inf
-    warm: Optional[Array] = None
 
     for _ in range(max_iter):
-        minimizer, value = _lagrangian_minimum(program, lam, eta, warm_start=warm)
-        warm = minimizer
+        minimizer, value = _lagrangian_minimum(program, lam, eta)
         if value > best_value:
             best_value = value
             best = (lam.copy(), eta.copy())

@@ -21,6 +21,7 @@ zone, Poisson arrivals, Pareto service noise, budget-pacing equalities).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -578,8 +579,20 @@ def _estimate_datacenter_constants(
         d1 = float(np.max(_norms(server_prices, dual_norm)))
         d2 = tail(_norms(noise * (gain * rate), dual_norm))  # steepest at zero power
         h_quad = np.zeros(n)
-        for j in range(structure.shape[0]):
-            h_quad += _norms(budgets * structure[j], dual_norm) ** 2
+        if dual_norm == "linf":
+            # A pacing row is constant on each cluster and rounding is
+            # monotone, so the sup norm of budgets * row is the largest
+            # per-cluster maximum times |row| there, bit for bit, without
+            # the (n, d) products.
+            clusters = [cluster for cluster in config.clusters if cluster]
+            maxima = np.column_stack(
+                [functools.reduce(np.maximum, (budgets[:, k] for k in c)) for c in clusters]
+            )
+            for row in np.abs(structure[:, [cluster[0] for cluster in clusters]]):
+                h_quad += np.max(maxima * row, axis=1) ** 2
+        else:
+            for row in structure:
+                h_quad += _norms(budgets * row, dual_norm) ** 2
         f_bound = float(np.max(server_prices.sum(axis=1))) * config.power_cap
         constants[dual_norm] = ProblemConstants(
             objective_grad_bound=d1,

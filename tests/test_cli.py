@@ -612,9 +612,9 @@ class TestMainExitCodes:
 
         broken_header = ["# pdomd-run v1 {broken"] + lines[1:]
 
-        def with_prox_weight(value):
+        def with_param(field, value):
             header = json.loads(lines[0].removeprefix("# pdomd-run v1 "))
-            header["params"]["prox_weight"] = value
+            header["params"][field] = value
             return ["# pdomd-run v1 " + json.dumps(header)] + lines[1:]
 
         no_column_row = lines[:1]
@@ -625,8 +625,11 @@ class TestMainExitCodes:
             (with_cell("nan"), "run_seed0.csv: non-finite decisions[1] at slot 1"),
             (with_cell("inf"), "run_seed0.csv: non-finite decisions[1] at slot 1"),
             (broken_header, "run_seed0.csv"),
-            (with_prox_weight(float("nan")), "run_seed0.csv: bad params header: prox_weight"),
-            (with_prox_weight(-1.0), "run_seed0.csv: bad params header: prox_weight"),
+            (with_param("prox_weight", float("nan")), "run_seed0.csv: bad params header: prox_weight"),
+            (with_param("prox_weight", -1.0), "run_seed0.csv: bad params header: prox_weight"),
+            (with_param("horizon", float("nan")), "run_seed0.csv: bad params header: horizon"),
+            (with_param("drift_window", float("nan")), "run_seed0.csv: bad params header: drift_window"),
+            (with_param("drift_window", 2.5), "run_seed0.csv: bad params header: drift_window"),
             (no_column_row, "run_seed0.csv"),
             (json_without_columns, "run_seed0.csv"),
             (None, "missing.csv"),

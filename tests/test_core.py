@@ -67,6 +67,10 @@ class TestSchedule:
             ("prox_weight", float("nan")),
             ("prox_weight", -1.0),
             ("mixing_weight", float("nan")),
+            ("horizon", float("nan")),
+            ("horizon", 100.5),
+            ("drift_window", float("nan")),
+            ("drift_window", 2.5),
         ):
             with pytest.raises(ConfigError, match=field):
                 AlgorithmParams(**{**base, field: value})

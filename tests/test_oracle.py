@@ -3,21 +3,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pdomd import (
     Box,
+    DatacenterConfig,
     DualPoint,
     InfeasibleProblemError,
     MultiplierDivergenceError,
     OracleError,
     Simplex,
+    build_datacenter_problem,
     build_synthetic_problem,
     dual_function,
     estimate_multipliers,
+    generate_price_trace,
     hindsight_optimum,
     make_linear_problem,
     weak_ebc_probe,
 )
+from pdomd import oracle
 from pdomd.problems import MeanModel, ProblemInstance, ServiceRows
 
 
@@ -92,20 +99,29 @@ X_STAR = math.expm1(LEVEL / GAIN) / RATE
 LAM_STAR = COST * math.exp(LEVEL / GAIN) / (GAIN * RATE)
 
 
-def service_problem():
+def service_instance(objective, rows, eq_matrix, targets, decision_set):
+    """A one-slot problem whose mean program has the given service rows."""
     means = MeanModel(
-        objective_at=lambda t: np.array([COST]),
-        inequalities=ServiceRows(np.array([LEVEL]), np.ones((1, 1)), gain=GAIN, rate=RATE),
-        eq_matrix=np.zeros((0, 1)),
+        objective_at=lambda t: objective, inequalities=rows, eq_matrix=eq_matrix
     )
     return ProblemInstance(
         name="service-toy",
-        decision_set=Box(np.zeros(1), np.full(1, 10.0)),
-        n_ineq=1,
-        n_eq=0,
-        targets=np.zeros(0),
+        decision_set=decision_set,
+        n_ineq=len(rows),
+        n_eq=eq_matrix.shape[0],
+        targets=targets,
         sample_slot=lambda t, rng: None,
         means=means,
+    )
+
+
+def service_problem(level=LEVEL):
+    return service_instance(
+        np.array([COST]),
+        ServiceRows(np.array([level]), np.ones((1, 1)), gain=GAIN, rate=RATE),
+        np.zeros((0, 1)),
+        np.zeros(0),
+        Box(np.zeros(1), np.full(1, 10.0)),
     )
 
 
@@ -196,14 +212,42 @@ class TestHindsight:
         assert value == pytest.approx(COST * X_STAR, abs=1e-8)
 
     def test_infeasible_target(self):
-        problem = make_linear_problem(
+        linear = make_linear_problem(
             Simplex(3),
             np.array([1.0, 2.0, 3.0]),
             eq_rows=np.array([[1.0, 0.0, 0.0]]),
             targets=np.array([1.5]),
         )
-        with pytest.raises(InfeasibleProblemError):
+        # full power on [0, 10] serves GAIN log1p(RATE 10) < LEVEL
+        service = service_problem(level=GAIN * math.log1p(RATE * 10.0) + 0.5)
+        for problem in (linear, service):
+            with pytest.raises(InfeasibleProblemError):
+                hindsight_optimum(problem, 0, 1)
+
+    def test_service_needs_a_box(self):
+        problem = service_instance(
+            np.array([1.0, 2.0]),
+            ServiceRows(np.array([1.0]), np.ones((1, 2))),
+            np.zeros((0, 2)),
+            np.zeros(0),
+            Simplex(2),
+        )
+        with pytest.raises(OracleError):
             hindsight_optimum(problem, 0, 1)
+
+    def test_datacenter_certificate(self):
+        horizon = 2000
+        problem = build_datacenter_problem(
+            DatacenterConfig(), generate_price_trace(horizon, 0)
+        )
+        point, value = hindsight_optimum(problem, 0, horizon)
+        means = problem.means
+        assert np.linalg.norm(np.maximum(means.inequalities.values(point), 0.0)) <= 1e-6
+        assert np.linalg.norm(means.eq_matrix @ point - problem.targets) <= 1e-6
+        assert problem.decision_set.contains(point, tol=0.0)
+        _, mult, _ = oracle._solve_service(oracle._window_program(problem, 0, horizon))
+        lower = dual_function(problem, 0, horizon, DualPoint(mult[:1], mult[1:]))
+        assert abs(value - lower) <= oracle._DUAL_GAP_TOL
 
     def test_means_required(self):
         import dataclasses
@@ -267,6 +311,47 @@ class TestDualFunction:
                 s * x.ineq + (1 - s) * y.ineq, s * x.eq + (1 - s) * y.eq
             )
             assert q(mid) >= s * q(x) + (1 - s) * q(y) - 1e-8
+
+
+@st.composite
+def service_lagrangians(draw):
+    """A box service program with 1..6 coordinates, 1..2 service rows and
+    0..2 equality rows, plus multipliers lam >= 0 and a free eta."""
+    d = draw(st.integers(1, 6))
+    n_ineq = draw(st.integers(1, 2))
+    n_eq = draw(st.integers(0, 2))
+
+    def block(shape, low, high):
+        return draw(arrays(np.float64, shape, elements=st.floats(low, high)))
+
+    lower = block(d, 0.0, 5.0)
+    rows = ServiceRows(
+        block(n_ineq, -10.0, 10.0),
+        block((n_ineq, d), 0.0, 3.0),
+        gain=draw(st.floats(0.5, 10.0)),
+        rate=draw(st.floats(0.5, 10.0)),
+    )
+    problem = service_instance(
+        block(d, -50.0, 50.0),
+        rows,
+        block((n_eq, d), -5.0, 5.0),
+        block(n_eq, -5.0, 5.0),
+        Box(lower, lower + block(d, 0.0, 20.0)),
+    )
+    return problem, block(n_ineq, 0.0, 50.0), block(n_eq, -20.0, 20.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=service_lagrangians())
+def test_service_lagrangian_minimum_is_stationary(case):
+    problem, lam, eta = case
+    program = oracle._window_program(problem, 0, 1)
+    point, value = oracle._lagrangian_minimum(program, lam, eta)
+    rows = program.inequalities
+    grad = program.objective + lam @ rows.grads(point) + eta @ program.eq_matrix
+    gap = float(grad @ (point - problem.decision_set.support_minimizer(grad)))
+    assert problem.decision_set.contains(point, tol=0.0)
+    assert gap <= 1e-9 * (1.0 + abs(value))
 
 
 class TestMultiplierEstimate:
