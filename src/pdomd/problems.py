@@ -34,6 +34,7 @@ from .geometry import Box, DecisionSet, Simplex
 Array = np.ndarray
 
 REAC_WINDOW = 10  # arrivals in Reac's trailing average
+CONSTANTS_BLOCK = 5_000  # rows drawn and reduced at a time
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +214,15 @@ class ProblemConstants:
 
 @dataclass(frozen=True)
 class ProblemInstance:
+    """A decision set, its per-slot sampler, the exact means where known, and
+    the bounds of the diagnostic inequalities.
+
+    The bounds come from `estimate_constants`, a zero-argument callable that
+    returns them keyed by dual norm. Only the audit's penalty constant reads
+    them, so `constants_for` runs the estimator on its first call and keeps
+    the result; building or running a problem never pays for it.
+    """
+
     name: str
     decision_set: DecisionSet
     n_ineq: int
@@ -220,16 +230,19 @@ class ProblemInstance:
     targets: Array  # (M,)
     sample_slot: Callable[[int, np.random.Generator], SlotFunctions]
     means: Optional[MeanModel] = None
-    constants: Mapping[str, ProblemConstants] = field(default_factory=dict)
+    estimate_constants: Optional[Callable[[], Mapping[str, ProblemConstants]]] = None
     horizon_cap: Optional[int] = None
+    _constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return self.decision_set.dim
 
     def constants_for(self, dual_norm: str) -> ProblemConstants:
+        if not self._constants and self.estimate_constants is not None:
+            self._constants.update(self.estimate_constants())
         try:
-            return self.constants[dual_norm]
+            return self._constants[dual_norm]
         except KeyError:
             raise ProblemError(
                 f"no constants recorded for dual norm {dual_norm!r}"
@@ -356,39 +369,41 @@ def make_linear_problem(
     # Exact constant bounds: coefficients live in a known box around their
     # drifting means, so sup-norms come from a one-period scan plus the
     # worst-case noise contribution.
-    period = np.arange(max(drift_period, 1))
-    drift_grid = np.array([c_base + drift(int(t)) for t in period])
-    l1_reach = _l1_reach(decision_set)
-    constants = {}
-    for dual_norm in ("l2", "linf"):
-        noise_unit = float(_norms(np.ones(d), dual_norm))
-        d1 = float(np.max(_norms(drift_grid, dual_norm))) + objective_noise * noise_unit
-        if n_ineq:
-            grad_sups = _norms(a_rows, dual_norm) + ineq_noise * noise_unit
-            d2 = float(np.sqrt(np.sum(grad_sups**2)))
-            value_sups = np.array([
-                _linear_reach(a_rows[i], decision_set) + abs(margins[i])
-                + ineq_noise * l1_reach
-                for i in range(n_ineq)
-            ])
-            g_bound = float(np.sqrt(np.sum(value_sups**2)))
-        else:
-            d2, g_bound = 0.0, 0.0
-        if n_eq:
-            row_sups = _norms(h_rows, dual_norm) + eq_noise * noise_unit
-            h_bound = float(np.sqrt(np.sum(row_sups**2)))
-        else:
-            h_bound = 0.0
-        f_bound = max(
-            _linear_reach(drift_grid[t], decision_set) for t in range(len(period))
-        ) + objective_noise * l1_reach
-        constants[dual_norm] = ProblemConstants(
-            objective_grad_bound=d1,
-            ineq_grad_bound=d2,
-            ineq_value_bound=g_bound,
-            eq_row_bound=h_bound,
-            objective_value_bound=f_bound,
-        )
+    def estimate_constants() -> Mapping[str, ProblemConstants]:
+        period = np.arange(max(drift_period, 1))
+        drift_grid = np.array([c_base + drift(int(t)) for t in period])
+        l1_reach = _l1_reach(decision_set)
+        constants = {}
+        for dual_norm in ("l2", "linf"):
+            noise_unit = float(_norms(np.ones(d), dual_norm))
+            d1 = float(np.max(_norms(drift_grid, dual_norm))) + objective_noise * noise_unit
+            if n_ineq:
+                grad_sups = _norms(a_rows, dual_norm) + ineq_noise * noise_unit
+                d2 = float(np.sqrt(np.sum(grad_sups**2)))
+                value_sups = np.array([
+                    _linear_reach(a_rows[i], decision_set) + abs(margins[i])
+                    + ineq_noise * l1_reach
+                    for i in range(n_ineq)
+                ])
+                g_bound = float(np.sqrt(np.sum(value_sups**2)))
+            else:
+                d2, g_bound = 0.0, 0.0
+            if n_eq:
+                row_sups = _norms(h_rows, dual_norm) + eq_noise * noise_unit
+                h_bound = float(np.sqrt(np.sum(row_sups**2)))
+            else:
+                h_bound = 0.0
+            f_bound = max(
+                _linear_reach(drift_grid[t], decision_set) for t in range(len(period))
+            ) + objective_noise * l1_reach
+            constants[dual_norm] = ProblemConstants(
+                objective_grad_bound=d1,
+                ineq_grad_bound=d2,
+                ineq_value_bound=g_bound,
+                eq_row_bound=h_bound,
+                objective_value_bound=f_bound,
+            )
+        return constants
 
     means = MeanModel(
         objective_at=mean_objective,
@@ -403,7 +418,7 @@ def make_linear_problem(
         targets=b,
         sample_slot=sample_slot,
         means=means,
-        constants=constants,
+        estimate_constants=estimate_constants,
     )
 
 
@@ -525,12 +540,27 @@ class DatacenterConfig:
             raise ProblemError("clusters must partition the server index range")
         if abs(sum(self.pacing_ratios) - 1.0) > 1e-12:
             raise ProblemError("pacing ratios must sum to 1")
-        if self.pareto_shape <= 1.0:
-            raise ProblemError("pareto shape must exceed 1")
+        for name in ("power_cap", "arrival_mean", "service_gain", "service_rate", "budget_mean"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ProblemError(f"{name} must be finite and positive, got {value!r}")
+        if not (math.isfinite(self.pareto_shape) and self.pareto_shape > 1.0):
+            raise ProblemError(
+                f"pareto_shape must be finite and exceed 1, got {self.pareto_shape!r}"
+            )
 
     @property
     def n_servers(self) -> int:
         return sum(len(c) for c in self.clusters)
+
+    @functools.cached_property
+    def server_cluster(self) -> Array:
+        """Cluster index of each server (read-only)."""
+        index = np.empty(self.n_servers, dtype=np.intp)
+        for j, cluster in enumerate(self.clusters):
+            index[list(cluster)] = j
+        index.flags.writeable = False
+        return index
 
 
 def _pacing_structure(config: DatacenterConfig) -> Array:
@@ -553,55 +583,72 @@ def _estimate_datacenter_constants(
 
     Price-driven quantities are exact since the trace is known; Pareto and
     Poisson tails are estimated from a fixed-seed sample so the constants are
-    reproducible for a given config/trace.
+    reproducible for a given config/trace. `build_datacenter_problem` hands
+    this in as the estimator, so it runs on the first `constants_for`, which
+    only the audit makes.
+
+    The n x d noise sample (n = 100,000) and then the n x d budget sample
+    are drawn in blocks of CONSTANTS_BLOCK rows, and each block is reduced
+    at once to the per-row values the tails read (served jobs at the cap,
+    gradient steepness, pacing-row norms). The generator hands out the same
+    numbers in the same order as one n x d draw of each, and every
+    reduction is per row, so the bounds do not depend on the block size;
+    only one block is held at a time.
     """
     rng = np.random.default_rng(0x7A11B0)
     d = config.n_servers
     n = 100_000
-    gain, rate = config.service_gain, config.service_rate
+    gain, rate, shape = config.service_gain, config.service_rate, config.pareto_shape
     full_service = gain * np.log1p(rate * config.power_cap)
+    blocks = [slice(lo, min(lo + CONSTANTS_BLOCK, n)) for lo in range(0, n, CONSTANTS_BLOCK)]
+    norms = ("l2", "linf")
 
     arrivals = rng.poisson(config.arrival_mean, size=n).astype(float)
-    noise = pareto_sample(1.0, config.pareto_shape, rng, size=(n, d))
-    budgets = pareto_sample(config.budget_mean, config.pareto_shape, rng, size=(n, d))
 
-    served_cap = noise.sum(axis=1) * full_service
-    g_extreme = np.maximum(arrivals, np.abs(arrivals - served_cap))
+    served_cap = np.empty(n)
+    steepness = {dual_norm: np.empty(n) for dual_norm in norms}  # at zero power
+    for rows in blocks:
+        noise = pareto_sample(1.0, shape, rng, size=(rows.stop - rows.start, d))
+        served_cap[rows] = noise.sum(axis=1) * full_service
+        gradient = noise * (gain * rate)
+        for dual_norm in norms:
+            steepness[dual_norm][rows] = _norms(gradient, dual_norm)
+
+    # A pacing row is constant on each cluster and rounding is monotone, so
+    # the sup norm of budgets * row is the largest per-cluster maximum times
+    # |row| there, bit for bit, without the products.
     structure = _pacing_structure(config)
+    clusters = [cluster for cluster in config.clusters if cluster]
+    cluster_rows = np.abs(structure[:, [cluster[0] for cluster in clusters]])
+    h_quad = {dual_norm: np.zeros(n) for dual_norm in norms}
+    for rows in blocks:
+        budgets = pareto_sample(
+            config.budget_mean, shape, rng, size=(rows.stop - rows.start, d)
+        )
+        for row in structure:
+            h_quad["l2"][rows] += _norms(budgets * row, "l2") ** 2
+        maxima = np.column_stack(
+            [functools.reduce(np.maximum, (budgets[:, k] for k in c)) for c in clusters]
+        )
+        for row in cluster_rows:
+            h_quad["linf"][rows] += np.max(maxima * row, axis=1) ** 2
 
+    g_extreme = np.maximum(arrivals, np.abs(arrivals - served_cap))
     server_prices = zone_prices[:, server_zone]
 
     def tail(values: Array) -> float:
         return float(np.quantile(values, 0.9999)) * 1.5
 
-    constants = {}
-    for dual_norm in ("l2", "linf"):
-        d1 = float(np.max(_norms(server_prices, dual_norm)))
-        d2 = tail(_norms(noise * (gain * rate), dual_norm))  # steepest at zero power
-        h_quad = np.zeros(n)
-        if dual_norm == "linf":
-            # A pacing row is constant on each cluster and rounding is
-            # monotone, so the sup norm of budgets * row is the largest
-            # per-cluster maximum times |row| there, bit for bit, without
-            # the (n, d) products.
-            clusters = [cluster for cluster in config.clusters if cluster]
-            maxima = np.column_stack(
-                [functools.reduce(np.maximum, (budgets[:, k] for k in c)) for c in clusters]
-            )
-            for row in np.abs(structure[:, [cluster[0] for cluster in clusters]]):
-                h_quad += np.max(maxima * row, axis=1) ** 2
-        else:
-            for row in structure:
-                h_quad += _norms(budgets * row, dual_norm) ** 2
-        f_bound = float(np.max(server_prices.sum(axis=1))) * config.power_cap
-        constants[dual_norm] = ProblemConstants(
-            objective_grad_bound=d1,
-            ineq_grad_bound=d2,
+    return {
+        dual_norm: ProblemConstants(
+            objective_grad_bound=float(np.max(_norms(server_prices, dual_norm))),
+            ineq_grad_bound=tail(steepness[dual_norm]),
             ineq_value_bound=tail(g_extreme),
-            eq_row_bound=tail(np.sqrt(h_quad)),
-            objective_value_bound=f_bound,
+            eq_row_bound=tail(np.sqrt(h_quad[dual_norm])),
+            objective_value_bound=float(np.max(server_prices.sum(axis=1))) * config.power_cap,
         )
-    return constants
+        for dual_norm in norms
+    }
 
 
 def build_datacenter_problem(
@@ -614,6 +661,10 @@ def build_datacenter_problem(
     one zone per cluster). Inequality: arrivals minus noisy served jobs.
     Equalities: each cluster's expected budget spend pinned to its pacing
     share of the total, in homogeneous form with target zero.
+
+    The diagnostic constants are not estimated here: the instance carries
+    `_estimate_datacenter_constants` and runs it, in row blocks, on the
+    first `constants_for`, which only the audit calls.
     """
     if len(prices.zones) != len(config.clusters):
         raise ProblemError(
@@ -622,9 +673,7 @@ def build_datacenter_problem(
     if len(prices) == 0:
         raise ProblemError("price trace is empty")
     d = config.n_servers
-    server_zone = np.empty(d, dtype=int)
-    for z, cluster in enumerate(config.clusters):
-        server_zone[list(cluster)] = z
+    server_zone = config.server_cluster  # one zone per cluster
     zone_prices = prices.prices
 
     structure = _pacing_structure(config)
@@ -667,7 +716,9 @@ def build_datacenter_problem(
         targets=np.zeros(4),
         sample_slot=sample_slot,
         means=means,
-        constants=_estimate_datacenter_constants(config, zone_prices, server_zone),
+        estimate_constants=functools.partial(
+            _estimate_datacenter_constants, config, zone_prices, server_zone
+        ),
         horizon_cap=len(prices),
     )
 
@@ -675,19 +726,25 @@ def build_datacenter_problem(
 def reac_policy_step(arrival_history: Sequence[float], config: DatacenterConfig) -> Array:
     """Reactive baseline: forecast arrivals by a trailing average, split the
     load by pacing ratio (last ratio shared by the final two clusters), and
-    invert the service curve per server."""
-    history = list(arrival_history)[-REAC_WINDOW:]
-    if not history:
+    invert the service curve per server.
+
+    Only the last REAC_WINDOW arrivals are read, and they must be finite."""
+    history = np.array(list(arrival_history)[-REAC_WINDOW:], dtype=float)
+    if history.size == 0:
         raise ProblemError("arrival history must be nonempty")
+    if not np.isfinite(history).all():
+        raise ProblemError("arrival history must be finite")
     forecast = float(np.mean(history))
-    allocation = np.zeros(config.n_servers)
-    cluster_loads = [config.pacing_ratios[j] * forecast for j in range(3)]
-    cluster_loads += [config.pacing_ratios[3] * forecast / 2.0] * 2  # split evenly
-    for cluster, load in zip(config.clusters, cluster_loads):
-        allocation[list(cluster)] = service_curve_inverse(
-            load / len(cluster),
-            config.service_gain,
-            config.service_rate,
-            config.power_cap,
-        )
-    return allocation
+    ratios = config.pacing_ratios
+    cluster_loads = [ratios[j] * forecast for j in range(3)]
+    cluster_loads += [ratios[3] * forecast / 2.0] * 2  # split evenly
+    # Clusters past the fifth get no load, as in the per-cluster split.
+    cluster_loads += [0.0] * (len(config.clusters) - len(cluster_loads))
+    sizes = np.array([len(cluster) for cluster in config.clusters], dtype=float)
+    server_cluster = config.server_cluster
+    return service_curve_inverse(
+        np.array(cluster_loads)[server_cluster] / sizes[server_cluster],
+        config.service_gain,
+        config.service_rate,
+        config.power_cap,
+    )

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdomd import (
     DatacenterConfig,
     PriceTrace,
+    ProblemConstants,
     ProblemError,
     Simplex,
     build_datacenter_problem,
     build_synthetic_problem,
+    generate_price_trace,
     make_linear_problem,
     pareto_sample,
     poisson_sample,
@@ -15,6 +19,7 @@ from pdomd import (
     service_curve,
     service_curve_inverse,
 )
+from pdomd import problems
 
 # Frozen reference: (e^(5/8) - 1)/4
 INVERSE_AT_FIVE = 0.2170614893580556
@@ -302,11 +307,59 @@ class TestDatacenterProblem:
         c2 = p2.constants_for("l2")
         assert c1 == c2
 
+    def test_stock_constants_pinned(self):
+        # Bit for bit as the (n, d) draws of the one-shot estimate gave them.
+        expected = {
+            "l2": ("0x1.4f88a885230e9p+9", "0x1.49d0576c078d3p+12",
+                   "0x1.dd9e8e527c8d1p+12", "0x1.3cf5bd0982b50p+9",
+                   "0x1.117626e0fc73dp+17"),
+            "linf": ("0x1.d07840ab29086p+6", "0x1.48fe82d0a33dbp+12",
+                     "0x1.dd9e8e527c8d1p+12", "0x1.3c3e980a368c1p+9",
+                     "0x1.117626e0fc73dp+17"),
+        }
+        prob = build_datacenter_problem(DatacenterConfig(), generate_price_trace(2000, 0))
+        for dual_norm, hexes in expected.items():
+            c = prob.constants_for(dual_norm)
+            got = (c.objective_grad_bound, c.ineq_grad_bound, c.ineq_value_bound,
+                   c.eq_row_bound, c.objective_value_bound)
+            assert tuple(value.hex() for value in got) == hexes
+
+    def test_constants_estimated_once_on_demand(self, monkeypatch):
+        calls = []
+        stub = ProblemConstants(1.0, 2.0, 3.0, 4.0, 5.0)
+
+        def counted(*args):
+            calls.append(args)
+            return {"l2": stub, "linf": stub}
+
+        monkeypatch.setattr(problems, "_estimate_datacenter_constants", counted)
+        prob = build_datacenter_problem(DatacenterConfig(), constant_trace(10))
+        assert calls == []
+        assert prob.constants_for("l2") is stub
+        assert prob.constants_for("linf") is stub
+        assert len(calls) == 1
+        with pytest.raises(ProblemError):
+            prob.constants_for("l1")
+
     def test_price_trace_validation(self):
         with pytest.raises(ProblemError):
             PriceTrace(("A", "B"), np.ones((4, 3)))
         with pytest.raises(ProblemError):
             PriceTrace(("A", "B"), np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+def reac_per_cluster(history, config):
+    """Reac with one service-curve inverse per cluster, the reference for the
+    per-server array form."""
+    forecast = float(np.mean(list(history)[-10:]))
+    allocation = np.zeros(config.n_servers)
+    loads = [config.pacing_ratios[j] * forecast for j in range(3)]
+    loads += [config.pacing_ratios[3] * forecast / 2.0] * 2
+    for cluster, load in zip(config.clusters, loads):
+        allocation[list(cluster)] = service_curve_inverse(
+            load / len(cluster), config.service_gain, config.service_rate, config.power_cap
+        )
+    return allocation
 
 
 class TestReacPolicy:
@@ -340,6 +393,23 @@ class TestReacPolicy:
         with pytest.raises(ProblemError):
             reac_policy_step([], DatacenterConfig())
 
+    def test_non_finite_history_rejected(self):
+        config = DatacenterConfig()
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ProblemError, match="finite"):
+                reac_policy_step([1000.0, bad, 900.0], config)
+        # Only the trailing window is read.
+        ok = reac_policy_step([np.nan] + [1000.0] * 10, config)
+        assert np.array_equal(ok, reac_policy_step([1000.0], config))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=30))
+    def test_matches_per_cluster_reference(self, history):
+        config = DatacenterConfig()
+        assert np.array_equal(
+            reac_policy_step(history, config), reac_per_cluster(history, config)
+        )
+
 
 class TestConfigValidation:
     def test_ratio_sum_enforced(self):
@@ -350,3 +420,12 @@ class TestConfigValidation:
         bad = (tuple(range(0, 10)),) * 5
         with pytest.raises(ProblemError):
             DatacenterConfig(clusters=bad)
+
+    def test_parameters_rejected_by_name(self):
+        positive = ("power_cap", "arrival_mean", "service_gain", "service_rate", "budget_mean")
+        cases = [(name, value) for name in positive
+                 for value in (np.nan, np.inf, -np.inf, 0.0, -5.0)]
+        cases += [("pareto_shape", value) for value in (np.nan, np.inf, 1.0)]
+        for name, value in cases:
+            with pytest.raises(ProblemError, match=name):
+                DatacenterConfig(**{name: value})
