@@ -41,7 +41,7 @@ from .problems import (
     make_linear_problem,
     pareto_sample,
     poisson_sample,
-    reac_policy_step,
+    reac_schedule,
     service_curve,
     service_curve_inverse,
     slot_rng,

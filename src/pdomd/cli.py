@@ -31,7 +31,6 @@ import hashlib
 import json
 import math
 import sys
-from collections import deque
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,13 +40,13 @@ from .core import VARIANTS, AlgorithmParams, RecordCollector, iterate_run, param
 from .errors import ConfigError, PdomdError
 from .oracle import hindsight_optimum
 from .problems import (
-    REAC_WINDOW,
     DatacenterConfig,
     PriceTrace,
     ProblemInstance,
+    SlotFunctions,
     build_datacenter_problem,
     build_synthetic_problem,
-    reac_policy_step,
+    reac_schedule,
 )
 from .telemetry import (
     MetricsSummary,
@@ -56,6 +55,8 @@ from .telemetry import (
     import_record,
     replay_record,
     summarize_metrics,
+    summary_cell,
+    write_table,
 )
 
 Array = np.ndarray
@@ -521,39 +522,27 @@ def _series_header(config: ExperimentConfig, params: AlgorithmParams) -> str:
 
 
 def _write_series(path: Path, header: str, columns: Dict[str, Array]) -> None:
-    names = list(columns)
-    length = len(next(iter(columns.values())))
+    """The header line, then a table whose "t" column holds integers."""
+    blocks = [
+        np.asarray(values).astype(int).astype(object) if name == "t" else values
+        for name, values in columns.items()
+    ]
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(length):
-            row = []
-            for name in names:
-                value = columns[name][i]
-                row.append(str(int(value)) if name == "t" else repr(float(value)))
-            writer.writerow(row)
+        write_table(fh, list(columns), blocks)
 
 
 def _write_metrics_table(
     path: Path, header: str, rows: List[Tuple[int, MetricsSummary]]
 ) -> None:
     field_names = [f.name for f in dataclasses.fields(MetricsSummary)]
+    cells = np.array(
+        [[seed, *(getattr(summary, name) for name in field_names)] for seed, summary in rows],
+        dtype=object,
+    )
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["seed"] + field_names)
-        for seed, summary in rows:
-            row = [str(seed)]
-            for name in field_names:
-                value = getattr(summary, name)
-                if value is None:
-                    row.append("")
-                elif name == "horizon":
-                    row.append(str(value))
-                else:
-                    row.append(repr(float(value)))
-            writer.writerow(row)
+        write_table(fh, ["seed"] + field_names, [cells], summary_cell)
 
 
 def _policy_series(
@@ -569,6 +558,54 @@ def _policy_series(
     return ineq_series, eq_series
 
 
+class _SlotStack:
+    """The functions of every slot of a pass as arrays with a leading slot
+    axis: the objective rows, the inequality family's arrays and the
+    equality rows.
+
+    `rows` is the inequality family over the stacked arrays, with each
+    per-row vector (L,) standing as (T, L, 1). Given (T, d, 1) points, or
+    one (d, 1) point, the family's own `values` then takes one (L, d) @
+    (d, 1) product per slot and returns (T, L, 1)."""
+
+    def __init__(self, first: SlotFunctions, horizon: int):
+        self.objective = np.empty((horizon, *first.objective.shape))
+        self.eq_matrix = np.empty((horizon, *first.eq_matrix.shape))
+        self.row_arrays = {
+            name: np.empty((horizon, *value.shape))
+            for name, value in vars(first.inequalities).items()
+            if isinstance(value, np.ndarray)
+        }
+        self.rows = dataclasses.replace(first.inequalities, **{
+            name: column[:, :, None] if column.ndim == 2 else column
+            for name, column in self.row_arrays.items()
+        })
+
+    def add(self, fns: SlotFunctions) -> None:
+        t = fns.slot
+        self.objective[t] = fns.objective
+        self.eq_matrix[t] = fns.eq_matrix
+        for name, column in self.row_arrays.items():
+            column[t] = getattr(fns.inequalities, name)
+
+    def score(self, points: Array) -> Tuple[Array, Array, Array]:
+        """(cost, inequality values, equality rows) of one (d,) point in
+        every slot, or of (T, d) points, one per slot.
+
+        Each slot's product is the one a single slot takes: a (1, d) @
+        (d, 1) dot for the cost, (L, d) @ (d, 1) for the inequalities and
+        (M, d) @ (d, 1) for the equality rows. So the columns equal a
+        slot-by-slot scoring bit for bit, which a (T, d) @ (d,) product
+        would not."""
+        columns = points[..., None]  # (d, 1) or (T, d, 1)
+        cost = (self.objective[:, None, :] @ columns)[:, 0, 0]
+        return (
+            cost,
+            self.rows.values(columns)[:, :, 0],
+            (self.eq_matrix @ columns)[:, :, 0],
+        )
+
+
 def _scored_pass(
     problem: ProblemInstance,
     config: ExperimentConfig,
@@ -577,38 +614,31 @@ def _scored_pass(
     hindsight: Tuple[Array, float],
     dc: Optional[DatacenterConfig],
 ) -> Tuple[RunRecord, MetricsSummary, dict]:
-    """Walk one seed's stream once, scoring every policy on the same draws.
+    """Walk one seed's stream once, then score every policy on its draws.
 
-    Returns the algorithm's record, its metrics summary, and (cost,
-    inequality values, equality rows) per policy: the algorithm, the
+    The walk only records the run and stacks each slot's functions; the
+    hindsight point and Reac's schedule are scored on all slots at once
+    afterwards. Returns the algorithm's record, its metrics summary, and
+    (cost, inequality values, equality rows) per policy: the algorithm, the
     hindsight fixed point, and Reac on the datacenter scenario."""
     params, variant = config.params_for(horizon), config.resolved_variant
     collector = RecordCollector(problem, horizon)
-    shapes = ((horizon,), (horizon, problem.n_ineq), (horizon, problem.n_eq))
-    columns = {"hindsight": tuple(map(np.empty, shapes))}
-    if dc is not None:
-        columns["reac"] = tuple(map(np.empty, shapes))
-    arrivals = deque(maxlen=REAC_WINDOW)
-    comparator_total = 0.0
+    stack = None
     for state, outcome, fns, obs in iterate_run(problem, horizon, params, seed, variant):
-        t = obs.slot
         collector.add(state, outcome, obs)
-        points = {"hindsight": hindsight[0]}
-        if dc is not None:
-            level = float(fns.inequalities.levels[0])
-            points["reac"] = reac_policy_step(arrivals or [level], dc)
-            arrivals.append(level)
-        for name, point in points.items():
-            cost, ineq, eq = columns[name]
-            cost[t] = fns.objective @ point
-            ineq[t] = fns.inequalities.values(point)
-            eq[t] = fns.eq_matrix @ point
-        comparator_total += columns["hindsight"][0][t]
+        if stack is None:
+            stack = _SlotStack(fns, horizon)
+        stack.add(fns)
     record = collector.record(params, seed, variant, config_hash=config.config_hash())
-    columns["algorithm"] = (
-        record.objective_realized, record.ineq_realized, record.eq_realized
-    )
-    summary = summarize_metrics(record, hindsight, problem, float(comparator_total))
+    columns = {
+        "algorithm": (record.objective_realized, record.ineq_realized, record.eq_realized),
+        "hindsight": stack.score(np.asarray(hindsight[0], dtype=float)),
+    }
+    if dc is not None:
+        columns["reac"] = stack.score(reac_schedule(stack.row_arrays["levels"][:, 0], dc))
+    # cumsum adds in slot order, as the running total of a slot loop does
+    comparator_total = float(np.cumsum(columns["hindsight"][0])[-1])
+    summary = summarize_metrics(record, hindsight, problem, comparator_total)
     return record, summary, columns
 
 

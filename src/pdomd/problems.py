@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ProblemError
 from .geometry import Box, DecisionSet, Simplex
@@ -517,7 +518,10 @@ class PriceTrace:
 
 @dataclass(frozen=True)
 class DatacenterConfig:
-    """Cluster layout and distribution parameters of the power scenario."""
+    """Cluster layout and distribution parameters of the power scenario.
+
+    Five clusters partition the servers; four pacing ratios cover them, the
+    last shared by the final two clusters."""
 
     clusters: tuple = (
         tuple(range(0, 10)),
@@ -535,6 +539,12 @@ class DatacenterConfig:
     pareto_shape: float = 2.5
 
     def __post_init__(self):
+        if len(self.clusters) != 5:
+            raise ProblemError(f"clusters must hold 5 clusters, got {len(self.clusters)}")
+        if len(self.pacing_ratios) != 4:
+            raise ProblemError(
+                f"pacing_ratios must hold 4 ratios, got {len(self.pacing_ratios)}"
+            )
         servers = sorted(k for cluster in self.clusters for k in cluster)
         if servers != list(range(len(servers))):
             raise ProblemError("clusters must partition the server index range")
@@ -723,28 +733,37 @@ def build_datacenter_problem(
     )
 
 
-def reac_policy_step(arrival_history: Sequence[float], config: DatacenterConfig) -> Array:
-    """Reactive baseline: forecast arrivals by a trailing average, split the
-    load by pacing ratio (last ratio shared by the final two clusters), and
-    invert the service curve per server.
+def reac_schedule(arrivals: Sequence[float], config: DatacenterConfig) -> Array:
+    """Reactive baseline over a whole horizon: row t of the (T, d) result is
+    Reac's decision for slot t, given the slot arrivals `arrivals` (T,).
 
-    Only the last REAC_WINDOW arrivals are read, and they must be finite."""
-    history = np.array(list(arrival_history)[-REAC_WINDOW:], dtype=float)
-    if history.size == 0:
-        raise ProblemError("arrival history must be nonempty")
-    if not np.isfinite(history).all():
-        raise ProblemError("arrival history must be finite")
-    forecast = float(np.mean(history))
+    Row t forecasts the arrivals by the mean of the REAC_WINDOW before it,
+    arrivals[max(0, t - REAC_WINDOW):t]; row 0 has none and forecasts
+    arrivals[0]. The forecast is split by pacing ratio (the last ratio
+    shared evenly by the final two clusters) and the service curve is
+    inverted per server. Every arrival must be finite."""
+    arrivals = np.asarray(arrivals, dtype=float)
+    if arrivals.ndim != 1 or arrivals.size == 0:
+        raise ProblemError("arrivals must be a nonempty vector")
+    if not np.isfinite(arrivals).all():
+        raise ProblemError("arrivals must be finite")
+    forecast = np.empty(arrivals.size)
+    forecast[0] = arrivals[0]
+    for t in range(1, min(arrivals.size, REAC_WINDOW)):  # the windows still filling
+        forecast[t] = np.mean(arrivals[:t])
+    if arrivals.size > REAC_WINDOW:
+        windows = sliding_window_view(arrivals[:-1], REAC_WINDOW)
+        forecast[REAC_WINDOW:] = np.mean(windows, axis=1)
     ratios = config.pacing_ratios
-    cluster_loads = [ratios[j] * forecast for j in range(3)]
-    cluster_loads += [ratios[3] * forecast / 2.0] * 2  # split evenly
-    # Clusters past the fifth get no load, as in the per-cluster split.
-    cluster_loads += [0.0] * (len(config.clusters) - len(cluster_loads))
-    sizes = np.array([len(cluster) for cluster in config.clusters], dtype=float)
-    server_cluster = config.server_cluster
-    return service_curve_inverse(
-        np.array(cluster_loads)[server_cluster] / sizes[server_cluster],
-        config.service_gain,
-        config.service_rate,
-        config.power_cap,
+    cluster_loads = forecast[:, None] * np.array([*ratios, ratios[3]])
+    cluster_loads[:, 3:] /= 2.0  # the final two clusters split the last share evenly
+    # An empty cluster's load reaches no server; dividing it by 1 keeps the
+    # quotient finite.
+    sizes = np.array([max(len(cluster), 1) for cluster in config.clusters], dtype=float)
+    power = service_curve_inverse(
+        cluster_loads / sizes, config.service_gain, config.service_rate, config.power_cap
     )
+    # np.take keeps the rows C-contiguous; power[:, index] comes out
+    # F-ordered, and a product over a strided row can differ in the last bit
+    # from the same product over a slot's own contiguous point.
+    return np.take(power, config.server_cluster, axis=1)

@@ -17,8 +17,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, TYPE_CHECKING
+from typing import Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -39,6 +40,7 @@ if TYPE_CHECKING:
 Array = np.ndarray
 
 _REPLAY_TOL = 1e-9
+TABLE_ROWS = 500  # table rows held as Python values at a time
 
 
 @dataclass
@@ -198,7 +200,7 @@ def summarize_metrics(
         eq_violation_realized=eq_violation_realized,
         ineq_violation_clip_first=ineq_violation_clip_first,
         max_dual_norm=max_dual,
-        dual_ratio=max_dual / np.sqrt(horizon),
+        dual_ratio=max_dual / math.sqrt(horizon),
         hindsight_value=float(hindsight_value),
     )
 
@@ -378,6 +380,30 @@ def _column_names(record: RunRecord) -> list:
     return names
 
 
+def write_table(fh, names: Sequence[str], blocks: Sequence[Array], cell=repr) -> None:
+    """Write a CSV table: the column names, then the rows of `blocks` laid
+    side by side, each cell as cell(value).
+
+    Blocks are (n,) or (n, k) arrays. TABLE_ROWS rows at a time are stacked
+    and turned into Python values, so a column keeps integer cells only when
+    the stack is of object dtype: pass such columns as object arrays. The
+    bytes are those of csv.writer (excel dialect, "\\r\\n" line ends) with
+    str(int) and repr(float) cells, since neither holds a delimiter, a quote
+    or a line break that it would quote."""
+    csv.writer(fh).writerow(names)
+    for lo in range(0, len(blocks[0]), TABLE_ROWS):
+        rows = np.column_stack([block[lo:lo + TABLE_ROWS] for block in blocks]).tolist()
+        fh.writelines(",".join(map(cell, row)) + "\r\n" for row in rows)
+
+
+def summary_cell(value) -> str:
+    """A metrics table cell: empty for None, an integer's digits, or the
+    repr of a float (a numpy float included)."""
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, (int, np.integer)) else repr(float(value))
+
+
 def export(obj, fmt: str, path) -> None:
     """Write a RunRecord or MetricsSummary as csv or json."""
     if fmt not in ("csv", "json"):
@@ -395,9 +421,8 @@ def export(obj, fmt: str, path) -> None:
                 json.dump(payload, fh, indent=2)
                 fh.write("\n")
             else:
-                writer = csv.writer(fh)
-                writer.writerow(payload.keys())
-                writer.writerow("" if v is None else repr(v) for v in payload.values())
+                cells = np.array([list(payload.values())], dtype=object)
+                write_table(fh, list(payload), [cells], summary_cell)
         return
     raise ProblemError(f"cannot export object of type {type(obj).__name__}")
 
@@ -405,18 +430,16 @@ def export(obj, fmt: str, path) -> None:
 def _export_record_csv(record: RunRecord, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("# pdomd-run v1 " + json.dumps(_header_dict(record)) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(_column_names(record))
-        for t in range(record.horizon):
-            row = [str(t)]
-            row += [repr(float(x)) for x in record.decisions[t]]
-            row.append(repr(float(record.objective_realized[t])))
-            row += [repr(float(x)) for x in record.ineq_realized[t]]
-            row += [repr(float(x)) for x in record.eq_realized[t]]
-            row.append(repr(float(record.ineq_dual_norm[t])))
-            row.append(repr(float(record.eq_dual_norm[t])))
-            row.append(repr(float(record.drift[t])))
-            writer.writerow(row)
+        write_table(fh, _column_names(record), [
+            np.arange(record.horizon).astype(object),
+            record.decisions,
+            record.objective_realized,
+            record.ineq_realized,
+            record.eq_realized,
+            record.ineq_dual_norm,
+            record.eq_dual_norm,
+            record.drift,
+        ])
 
 
 def _export_record_json(record: RunRecord, path) -> None:

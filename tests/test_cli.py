@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdomd import cli
+from pdomd import cli, hindsight_optimum, iterate_run
+from pdomd.problems import reac_schedule
 from pdomd.cli import (
     ExperimentConfig,
     config_from_mapping,
@@ -404,6 +405,40 @@ class TestRunExperiment:
         for seed, summary in result["metrics"]:
             record = import_record(result["out_dir"] / "records" / f"run_seed{seed}.csv")
             assert compute_metrics(record, result["hindsight"], problem) == summary
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"synthetic": {"d": 6, "n_ineq": 2, "n_eq": 2}, "variant": "general"},
+            {"synthetic": {"d": 5, "n_ineq": 1, "n_eq": 0}},
+            {"scenario": "datacenter", "T": 40},
+        ],
+        ids=["synthetic", "synthetic-no-eq", "datacenter"],
+    )
+    def test_batched_scoring_matches_a_slot_loop(self, tmp_path, entries):
+        # Reference: each policy's point scored on each slot's own functions.
+        config = small_config(tmp_path, **entries)
+        problem, dc = cli._build_problem(config)
+        horizon = config.horizon
+        hindsight = hindsight_optimum(problem, 0, horizon)
+        _, summary, columns = cli._scored_pass(problem, config, horizon, 1, hindsight, dc)
+        slots = [fns for _, _, fns, _ in iterate_run(
+            problem, horizon, config.params_for(horizon), 1, config.resolved_variant
+        )]
+        points = {"hindsight": [hindsight[0]] * horizon}
+        if dc is not None:
+            points["reac"] = reac_schedule([fns.inequalities.levels[0] for fns in slots], dc)
+        assert set(columns) == {"algorithm", *points}
+        for name, policy_points in points.items():
+            cost, ineq, eq = columns[name]
+            for t, (fns, point) in enumerate(zip(slots, policy_points)):
+                assert cost[t] == fns.objective @ point, (name, t)
+                assert np.array_equal(ineq[t], fns.inequalities.values(point)), (name, t)
+                assert np.array_equal(eq[t], fns.eq_matrix @ point), (name, t)
+        running = 0.0
+        for t in range(horizon):
+            running += columns["hindsight"][0][t]
+        assert summary.realized_regret == float(np.sum(columns["algorithm"][0])) - running
 
     def test_resolved_config_detects_tampering(self, tmp_path):
         config = small_config(tmp_path)

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from pdomd import (
     make_linear_problem,
     pareto_sample,
     poisson_sample,
-    reac_policy_step,
+    reac_schedule,
     service_curve,
     service_curve_inverse,
 )
@@ -362,10 +364,16 @@ def reac_per_cluster(history, config):
     return allocation
 
 
+def reac_after(history, arrival, config):
+    """Reac's decision for the slot with `arrival`, after the arrivals in
+    `history`."""
+    return reac_schedule(list(history) + [arrival], config)[len(history)]
+
+
 class TestReacPolicy:
     def test_nominal_forecast(self):
         config = DatacenterConfig()
-        mu = reac_policy_step([1000.0], config)
+        mu = reac_schedule([1000.0], config)[0]
         # Cluster 1 share 5%: 50 jobs over 10 servers, 5 jobs per server.
         assert np.allclose(mu[:10], INVERSE_AT_FIVE, atol=1e-12)
         # Final two clusters split the 60% share evenly: 30 jobs per server.
@@ -373,42 +381,60 @@ class TestReacPolicy:
         assert np.allclose(mu[30:], expected_heavy, atol=1e-12)
 
     def test_zero_arrivals(self):
-        mu = reac_policy_step([0.0, 0.0], DatacenterConfig())
+        mu = reac_after([0.0, 0.0], 0.0, DatacenterConfig())
         assert np.all(mu == 0.0)
 
     def test_constant_history_constant_output(self):
         config = DatacenterConfig()
-        a = reac_policy_step([800.0] * 10, config)
-        b = reac_policy_step([800.0] * 4, config)
+        a = reac_after([800.0] * 10, 500.0, config)
+        b = reac_after([800.0] * 4, 500.0, config)
         assert np.array_equal(a, b)
 
     def test_history_window_is_ten(self):
         config = DatacenterConfig()
         long_history = [0.0] * 50 + [1000.0] * 10
-        a = reac_policy_step(long_history, config)
-        b = reac_policy_step([1000.0] * 10, config)
+        a = reac_after(long_history, 500.0, config)
+        b = reac_after([1000.0] * 10, 500.0, config)
         assert np.array_equal(a, b)
 
     def test_empty_history_rejected(self):
         with pytest.raises(ProblemError):
-            reac_policy_step([], DatacenterConfig())
+            reac_schedule([], DatacenterConfig())
 
     def test_non_finite_history_rejected(self):
         config = DatacenterConfig()
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ProblemError, match="finite"):
-                reac_policy_step([1000.0, bad, 900.0], config)
-        # Only the trailing window is read.
-        ok = reac_policy_step([np.nan] + [1000.0] * 10, config)
-        assert np.array_equal(ok, reac_policy_step([1000.0], config))
+                reac_schedule([1000.0, bad, 900.0], config)
+            # A non-finite arrival is refused wherever it sits.
+            with pytest.raises(ProblemError, match="finite"):
+                reac_schedule([bad] + [1000.0] * 10, config)
+
+    def test_shape_and_layout(self):
+        config = DatacenterConfig()
+        schedule = reac_schedule(np.linspace(900.0, 1100.0, 25), config)
+        assert schedule.shape == (25, config.n_servers)
+        assert schedule.flags.c_contiguous
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=30))
-    def test_matches_per_cluster_reference(self, history):
+    @given(st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=30), st.floats(0.0, 5000.0))
+    def test_matches_per_cluster_reference(self, history, arrival):
         config = DatacenterConfig()
         assert np.array_equal(
-            reac_policy_step(history, config), reac_per_cluster(history, config)
+            reac_after(history, arrival, config), reac_per_cluster(history, config)
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=40))
+    def test_rows_match_a_trailing_window(self, arrivals):
+        # Row t is the per-cluster Reac of a deque(maxlen=10) holding the
+        # arrivals before slot t, or slot 0's own arrival while it is empty.
+        config = DatacenterConfig()
+        schedule = reac_schedule(arrivals, config)
+        window = deque(maxlen=10)
+        for t, arrival in enumerate(arrivals):
+            assert np.array_equal(schedule[t], reac_per_cluster(window or [arrival], config)), t
+            window.append(arrival)
 
 
 class TestConfigValidation:
@@ -420,6 +446,17 @@ class TestConfigValidation:
         bad = (tuple(range(0, 10)),) * 5
         with pytest.raises(ProblemError):
             DatacenterConfig(clusters=bad)
+
+    @pytest.mark.parametrize("n_clusters", [4, 6])
+    def test_five_clusters_required(self, n_clusters):
+        clusters = tuple(tuple(range(10 * j, 10 * j + 10)) for j in range(n_clusters))
+        with pytest.raises(ProblemError, match="clusters"):
+            DatacenterConfig(clusters=clusters)
+
+    @pytest.mark.parametrize("ratios", [(0.2, 0.3, 0.5), (0.1, 0.1, 0.2, 0.3, 0.3)])
+    def test_four_pacing_ratios_required(self, ratios):
+        with pytest.raises(ProblemError, match="pacing_ratios"):
+            DatacenterConfig(pacing_ratios=ratios)
 
     def test_parameters_rejected_by_name(self):
         positive = ("power_cap", "arrival_mean", "service_gain", "service_rate", "budget_mean")

@@ -1,9 +1,11 @@
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdomd import (
@@ -22,7 +24,7 @@ from pdomd import (
     run,
     slot_rng,
 )
-from pdomd.telemetry import _penalty_constant, geometry_by_name
+from pdomd.telemetry import TABLE_ROWS, _penalty_constant, geometry_by_name, write_table
 
 
 def synthetic_run(horizon=200, variant="general", seed=9, d=6):
@@ -206,6 +208,10 @@ class TestExport:
         assert (tmp_path / "m.json").stat().st_size > 0
         lines = (tmp_path / "m.csv").read_text().splitlines()
         assert len(lines) == 2
+        cells = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert cells["horizon"] == "20"
+        for name, cell in cells.items():  # every cell reads back as a number
+            assert float(cell) == getattr(summary, name), name
 
     def test_box_problem_round_trip(self, tmp_path):
         problem = make_linear_problem(
@@ -285,3 +291,61 @@ def test_record_round_trip_property(tmp_path_factory, record):
             record.seed,
             record.config_hash,
         ), fmt
+
+
+def reference_table(names, index, blocks):
+    """A table as csv.writer writes it, one str(int) / repr(float) cell at a time."""
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    writer.writerow(names)
+    for t, label in enumerate(index):
+        row = [str(int(label))]
+        for block in blocks:
+            row += [repr(float(x)) for x in np.atleast_1d(block[t])]
+        writer.writerow(row)
+    return fh.getvalue()
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, 3.0, -42.0, 2.0**53, 1e16, 0.1, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.integers(0, 2 * TABLE_ROWS + 3)) if draw(st.booleans()) else draw(st.integers(0, 6))
+    cells = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(), st.integers(-10**6, 10**6).map(float))
+    blocks = []
+    for width in draw(st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=1, max_size=5)):
+        shape = (rows,) if width is None else (rows, width)  # None: a 1-D column
+        size = int(np.prod(shape))
+        fill = draw(st.lists(cells, min_size=min(size, 8), max_size=min(size, 8)))
+        values = np.resize(np.array(fill, dtype=float), size) if size else np.zeros(0)
+        blocks.append(values.reshape(shape))
+    return blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks=tables())
+@example(blocks=[np.array([[0.0, -0.0], [5e-324, -5e-324]]), np.zeros((2, 0)), np.array([1e308, -1e308])])
+@example(blocks=[np.array([3.0, -7.0, 2.0**60]), np.zeros((3, 0))])
+def test_table_writer_matches_csv_writer(blocks):
+    rows = blocks[0].shape[0]
+    width = sum(1 if b.ndim == 1 else b.shape[1] for b in blocks)
+    names = ["t"] + [f"c{k}" for k in range(width)]
+    index = np.arange(rows)
+    written = io.StringIO()
+    write_table(written, names, [index.astype(object), *blocks])
+    assert written.getvalue() == reference_table(names, index, blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(record=records())
+def test_record_export_matches_csv_writer(tmp_path_factory, record):
+    # The record layout, eq_realized of width 0 included, through the same reference.
+    path = tmp_path_factory.mktemp("export") / "record.csv"
+    export(record, "csv", path)
+    header, table = path.read_bytes().split(b"\n", 1)
+    blocks = [record.decisions, record.objective_realized, record.ineq_realized,
+              record.eq_realized, record.ineq_dual_norm, record.eq_dual_norm, record.drift]
+    names = next(csv.reader([table.decode().split("\r\n", 1)[0]]))
+    assert table.decode() == reference_table(names, range(record.horizon), blocks)
