@@ -29,9 +29,9 @@ print(f"  mean g at point  {np.round(g_at_opt, 4)}  (<= 0 is feasible)")
 
 duals, bound = estimate_multipliers(problem, *window)
 print()
-print(f"estimated multipliers: lam {np.round(duals.ineq, 4)} eta {np.round(duals.eq, 4)}")
+print(f"optimal multipliers: lam {np.round(duals.ineq, 4)} eta {np.round(duals.eq, 4)}")
 print(f"dual norm (boundedness certificate) {bound:.4f}")
-print(f"dual value at the estimate {dual_function(problem, *window, duals):.6f}")
+print(f"dual value at the multipliers {dual_function(problem, *window, duals):.6f}")
 
 # weak duality: every dual point sits at or below the primal optimum
 rng = np.random.default_rng(0)

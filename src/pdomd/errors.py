@@ -26,7 +26,7 @@ class OracleError(PdomdError):
 
 
 class MultiplierDivergenceError(OracleError):
-    """Dual ascent diverged; bounded multipliers likely do not exist."""
+    """The window program is infeasible, so no bounded multipliers exist."""
 
 
 class ReplayMismatchError(PdomdError):

@@ -4,19 +4,20 @@ Everything in this module works on the exact means a problem records, never
 on sampled realizations: the benchmark a run is judged against is the best
 fixed decision for the mean problem over a window of slots.  The module
 provides that benchmark (:func:`hindsight_optimum`), the Lagrangian dual
-function of the same window program (:func:`dual_function`), an estimate of
-the optimal multipliers and their norm (:func:`estimate_multipliers`), and an
-empirical probe of how sharply the dual falls off away from its maximizer
-(:func:`weak_ebc_probe`), which is the error-bound property that keeps
-multiplier estimates, and with them the dual iterates of the online solver,
-bounded.
+function of the same window program (:func:`dual_function`), the optimal
+multipliers and their norm (:func:`estimate_multipliers`), and an empirical
+probe of how sharply the dual falls off away from its maximizer
+(:func:`weak_ebc_probe`), which is the error-bound property that keeps the
+multipliers, and with them the dual iterates of the online solver, bounded.
 
 Every Lagrangian minimum has a closed form: linear rows take the decision
 set's support point, and service rows on a box (the only curved family)
 take a clipped stationary point per coordinate.  Linear window programs go
-to the HiGHS LP solver; service window programs are solved through their
-dual, a concave function of a handful of multipliers, by a safeguarded
-Newton method.
+to the HiGHS LP solver, whose row marginals are the multipliers; service
+window programs are solved through their dual, a concave function of a
+handful of multipliers, by a safeguarded Newton method.  Either way one
+solve yields the minimizer and the multipliers, certified together by the
+feasibility residuals and the primal-dual gap, each at or below 1e-6.
 """
 
 from __future__ import annotations
@@ -115,7 +116,10 @@ def _feasibility_residuals(program: _WindowProgram, point: Array) -> Tuple[float
     return ineq_res, eq_res
 
 
-def _solve_linear(program: _WindowProgram) -> Array:
+def _solve_linear(program: _WindowProgram) -> Tuple[Array, Array, Array]:
+    """Solve a linear window program with HiGHS.  Returns the minimizer and
+    the multipliers of the inequality and equality rows: the negated row
+    marginals, less the simplex's own sum-to-one row."""
     dset = program.decision_set
     d = dset.dim
     c = program.objective
@@ -141,7 +145,8 @@ def _solve_linear(program: _WindowProgram) -> Array:
         raise InfeasibleProblemError("window program is infeasible")
     if res.status != 0:
         raise OracleError(f"linear solve failed: {res.message}")
-    return np.asarray(res.x, dtype=float)
+    eq_mult = -res.eqlin.marginals[1:] if isinstance(dset, Simplex) else -res.eqlin.marginals
+    return np.asarray(res.x, dtype=float), -res.ineqlin.marginals, eq_mult
 
 
 def _service_dual(program: _WindowProgram, mult: Array) -> Tuple[Array, float, Array]:
@@ -161,7 +166,10 @@ def _service_dual(program: _WindowProgram, mult: Array) -> Tuple[Array, float, A
     n_ineq = len(rows)
     scale = mult[:n_ineq] @ rows.weights
     slope = program.objective + mult[n_ineq:] @ eq
-    ratio = np.divide(scale, slope, out=np.full(slope.shape, np.inf), where=slope > 0.0)
+    # a ratio past the float range is +inf, and its coordinate clips to the
+    # upper bound, as the limit does
+    with np.errstate(over="ignore"):
+        ratio = np.divide(scale, slope, out=np.full(slope.shape, np.inf), where=slope > 0.0)
     point = np.clip((ratio * (rows.gain * rows.rate) - 1.0) / rows.rate, dset.lower, dset.upper)
     residual = np.concatenate([rows.values(point), eq @ point - program.targets])
     return point, float(program.objective @ point) + float(mult @ residual), residual
@@ -229,6 +237,34 @@ def _solve_service(program: _WindowProgram) -> Tuple[Array, Array, float]:
     return point, mult, value
 
 
+def _solve_window(
+    problem: ProblemInstance, start: int, length: int
+) -> Tuple[_WindowProgram, Array, float, DualPoint]:
+    """The window program, its minimizer, value and optimal multipliers from
+    one solve, certified as :func:`hindsight_optimum` describes."""
+    program = _window_program(problem, start, length)
+    if program.all_linear:
+        point, ineq_mult, eq_mult = _solve_linear(program)
+        point = program.decision_set.project(point)
+    else:
+        point, mult, _ = _solve_service(program)
+        ineq_mult, eq_mult = np.split(mult, [len(program.inequalities)])
+    duals = DualPoint(ineq_mult, eq_mult)
+    ineq_res, eq_res = _feasibility_residuals(program, point)
+    if ineq_res > _FEASIBILITY_TOL or eq_res > _FEASIBILITY_TOL:
+        raise OracleError(
+            f"solution fails verification: inequality residual {ineq_res:.3e}, "
+            f"equality residual {eq_res:.3e}"
+        )
+    value = float(program.objective @ point)
+    _, dual_value = _lagrangian_minimum(program, duals.ineq, duals.eq)
+    if value - dual_value > _DUAL_GAP_TOL:
+        raise OracleError(
+            f"duality gap {value - dual_value:.3e} exceeds {_DUAL_GAP_TOL:.0e}"
+        )
+    return program, point, value, duals
+
+
 def hindsight_optimum(
     problem: ProblemInstance, start: int, length: int
 ) -> Tuple[Array, float]:
@@ -238,28 +274,14 @@ def hindsight_optimum(
     and equality constraints, where f averages the mean objectives of slots
     ``start ... start+length-1``.  Returns the minimizer and its objective
     value.  Linear programs go to HiGHS; service-row programs on a box are
-    solved through their dual.  The solution is verified: clipped inequality
-    and equality residuals must both come in at or below 1e-6, and for the
-    dual path the primal-dual gap at or below 1e-6, otherwise this raises
-    instead of returning a bad reference point.  An unbounded dual is
-    reported as :class:`InfeasibleProblemError`.
+    solved through their dual.  Either solve also yields the optimal
+    multipliers, and the pair is verified: clipped inequality and equality
+    residuals and the primal-dual gap ``value - q(lam, eta)`` must all come
+    in at or below 1e-6, otherwise this raises :class:`OracleError` instead
+    of returning a bad reference point.  An infeasible program (on the dual
+    path, an unbounded dual) is reported as :class:`InfeasibleProblemError`.
     """
-    program = _window_program(problem, start, length)
-    if program.all_linear:
-        point = program.decision_set.project(_solve_linear(program))
-    else:
-        point, _, dual_value = _solve_service(program)
-    ineq_res, eq_res = _feasibility_residuals(program, point)
-    if ineq_res > _FEASIBILITY_TOL or eq_res > _FEASIBILITY_TOL:
-        raise OracleError(
-            f"solution fails verification: inequality residual {ineq_res:.3e}, "
-            f"equality residual {eq_res:.3e}"
-        )
-    value = float(program.objective @ point)
-    if not program.all_linear and value - dual_value > _DUAL_GAP_TOL:
-        raise OracleError(
-            f"duality gap {value - dual_value:.3e} exceeds {_DUAL_GAP_TOL:.0e}"
-        )
+    _, point, value, _ = _solve_window(problem, start, length)
     return point, value
 
 
@@ -311,82 +333,24 @@ def dual_function(
 
 
 def estimate_multipliers(
-    problem: ProblemInstance,
-    start: int,
-    length: int,
-    max_iter: int = 50_000,
+    problem: ProblemInstance, start: int, length: int
 ) -> Tuple[DualPoint, float]:
-    """Estimate the dual optimum of the window program and its norm.
+    """The optimal multipliers of the window program and their norm.
 
-    Runs projected supergradient ascent on the concave dual.  When the primal
-    optimum is available its value doubles as an ascent target, giving a
-    duality-gap stopping rule at 1e-6 and a step size proportional to the
-    remaining gap.  When the primal program is infeasible no finite maximizer
-    exists; the ascent then chases an unbounded direction with geometrically
-    growing steps until the iterate norm passes 1e6, which is reported as
-    divergence.  Returns the best dual point found and its Euclidean norm,
-    the empirical stand-in for a uniform multiplier bound.
+    The multipliers come from the certified solve behind
+    :func:`hindsight_optimum` (HiGHS's row marginals, or the dual Newton
+    point of a service program), so the dual function there meets the
+    hindsight value within 1e-6.  Their Euclidean norm is the empirical
+    stand-in for a uniform multiplier bound.  An infeasible program has no
+    finite maximizer, reported as :class:`MultiplierDivergenceError`.
     """
-    program = _window_program(problem, start, length)
-    n_ineq = len(program.inequalities)
-    n_eq = program.eq_matrix.shape[0]
     try:
-        _, target = hindsight_optimum(problem, start, length)
-    except InfeasibleProblemError:
-        target = None
-
-    lam = np.zeros(n_ineq)
-    eta = np.zeros(n_eq)
-    best_value = -np.inf
-    best = (lam.copy(), eta.copy())
-    fallback_step = 1.0
-    previous_value = -np.inf
-
-    for _ in range(max_iter):
-        minimizer, value = _lagrangian_minimum(program, lam, eta)
-        if value > best_value:
-            best_value = value
-            best = (lam.copy(), eta.copy())
-        if target is not None and target - value <= _DUAL_GAP_TOL:
-            point = DualPoint(best[0], best[1])
-            return point, point.norm()
-
-        super_ineq = program.inequalities.values(minimizer)
-        super_eq = (
-            program.eq_matrix @ minimizer - program.targets
-            if n_eq
-            else np.zeros(0)
-        )
-        norm_sq = float(super_ineq @ super_ineq + super_eq @ super_eq)
-        if norm_sq <= 1e-30:
-            # zero supergradient: the dual is maximized exactly here
-            point = DualPoint(lam, eta)
-            return point, point.norm()
-
-        if target is not None:
-            step = max(target - value, 0.0) / norm_sq
-        else:
-            # no target available; grow the step while the dual keeps
-            # improving so an unbounded dual is detected quickly
-            if value > previous_value:
-                fallback_step = min(fallback_step * 2.0, 2.0**40)
-            else:
-                fallback_step = max(fallback_step * 0.5, 1e-3)
-            previous_value = value
-            step = fallback_step / np.sqrt(norm_sq)
-
-        lam = np.maximum(lam + step * super_ineq, 0.0)
-        eta = eta + step * super_eq
-        if float(np.hypot(np.linalg.norm(lam), np.linalg.norm(eta))) > _DIVERGENCE_NORM:
-            raise MultiplierDivergenceError(
-                "dual iterate norm exceeded 1e6; the multiplier set appears "
-                "unbounded (constraint qualification likely fails)"
-            )
-
-    raise OracleError(
-        f"dual ascent did not reach gap {_DUAL_GAP_TOL:.0e} within "
-        f"{max_iter} iterations"
-    )
+        _, _, _, duals = _solve_window(problem, start, length)
+    except InfeasibleProblemError as exc:
+        raise MultiplierDivergenceError(
+            f"window program is infeasible, so its multipliers are unbounded: {exc}"
+        ) from exc
+    return duals, duals.norm()
 
 
 def weak_ebc_probe(
@@ -399,22 +363,23 @@ def weak_ebc_probe(
 ) -> Tuple[float, float]:
     """Empirical error-bound constants for the window dual function.
 
-    Samples dual points at the given distances from the estimated dual
-    optimum and measures the decay ratio ``(q* - q(x)) / dist(x, x*)``.
-    Returns ``(c0, l0)`` where ``l0`` is the smallest grid radius from which
-    outward every sampled ratio stays positive and ``c0`` is the worst such
-    ratio, so ``q* - q(x) >= c0 * dist`` held on every sample at distance
-    ``l0`` or more.  Returns ``(0.0, max(radius_grid))`` when no grid suffix
-    works.  The optimal set is treated as the single estimated point, which
-    understates distances for degenerate duals with flat optimal faces.
+    Samples dual points at the given distances from the optimal multipliers
+    x* of the certified window solve and measures the decay ratio
+    ``(q* - q(x)) / dist(x, x*)``.  Returns ``(c0, l0)`` where ``l0`` is the
+    smallest grid radius from which outward every sampled ratio stays
+    positive and ``c0`` is the worst such ratio, so ``q* - q(x) >= c0 * dist``
+    held on every sample at distance ``l0`` or more.  Returns
+    ``(0.0, max(radius_grid))`` when no grid suffix works.  The optimal set is
+    treated as the single point x*, which understates distances for
+    degenerate duals with flat optimal faces.  An infeasible window raises
+    :class:`InfeasibleProblemError`.
     """
     radii = np.asarray(sorted(radius_grid), dtype=float)
     if radii.size == 0 or radii[0] <= 0.0:
         raise OracleError("radius grid must contain positive radii")
     if n_samples < 1:
         raise OracleError("need at least one sample per radius")
-    program = _window_program(problem, start, length)
-    center_point, _ = estimate_multipliers(problem, start, length)
+    program, _, _, center_point = _solve_window(problem, start, length)
     center = np.concatenate([center_point.ineq, center_point.eq])
     n_ineq = center_point.ineq.shape[0]
     _, q_star = _lagrangian_minimum(program, center_point.ineq, center_point.eq)

@@ -186,10 +186,14 @@ class MeanModel:
     inequalities: LinearRows | ServiceRows
     eq_matrix: Array  # (M, d)
 
-    def window_objective(self, start: int, length: int) -> Array:
+    def objective_table(self, start: int, length: int) -> Array:
+        """(length, d) mean objectives of slots start ... start+length-1."""
         if length < 1:
             raise ProblemError("window length must be at least 1")
-        return np.mean([self.objective_at(s) for s in range(start, start + length)], axis=0)
+        return np.array([self.objective_at(s) for s in range(start, start + length)])
+
+    def window_objective(self, start: int, length: int) -> Array:
+        return np.mean(self.objective_table(start, length), axis=0)
 
 
 @dataclass(frozen=True)

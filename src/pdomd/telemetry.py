@@ -169,14 +169,20 @@ def summarize_metrics(
     eq_violation = None
     if problem.means is not None:
         means = problem.means
-        gap = 0.0
-        g_avg = np.zeros(record.n_ineq)
-        for t in range(horizon):
-            mean_obj = means.objective_at(t)
-            gap += float(mean_obj @ record.decisions[t]) - float(mean_obj @ mu_star)
-            g_avg += means.inequalities.values(record.decisions[t])
-        expected_regret = float(gap)
-        g_avg /= horizon
+        # One product per slot, each the one a slot-by-slot loop takes, with
+        # cumsum adding in slot order as its running total does: the sums
+        # equal the loop's bit for bit.  The rows' per-row vectors stand as
+        # (L, 1), so the family's own `values` maps (T, d, 1) to (T, L, 1).
+        objectives = means.objective_table(0, horizon)[:, None, :]  # (T, 1, d)
+        decisions = record.decisions[:, :, None]  # (T, d, 1)
+        gap = (objectives @ decisions)[:, 0, 0] - (objectives @ mu_star[:, None])[:, 0, 0]
+        expected_regret = float(np.cumsum(gap)[-1])
+        rows = means.inequalities
+        rows = dataclasses.replace(rows, **{
+            name: value[:, None] for name, value in vars(rows).items()
+            if isinstance(value, np.ndarray) and value.ndim == 1
+        })
+        g_avg = np.cumsum(rows.values(decisions)[:, :, 0], axis=0)[-1] / horizon
         ineq_violation = float(np.linalg.norm(np.maximum(g_avg, 0.0)))
         h_avg = means.eq_matrix @ (record.decisions.mean(axis=0))
         eq_violation = float(np.linalg.norm(h_avg - record.targets))

@@ -249,6 +249,31 @@ class TestHindsight:
         lower = dual_function(problem, 0, horizon, DualPoint(mult[:1], mult[1:]))
         assert abs(value - lower) <= oracle._DUAL_GAP_TOL
 
+    def test_negated_multipliers_fail_the_certificate(self, monkeypatch):
+        solve = oracle._solve_linear
+
+        def negated(program):
+            point, ineq_mult, eq_mult = solve(program)
+            return point, -ineq_mult, -eq_mult
+
+        monkeypatch.setattr(oracle, "_solve_linear", negated)
+        # eta = -1 on the pinned row; lam = 1 on the capped coordinate
+        pinned = make_linear_problem(
+            Simplex(2),
+            np.array([1.0, 0.0]),
+            eq_rows=np.array([[1.0, 0.0]]),
+            targets=np.array([0.3]),
+        )
+        capped = make_linear_problem(
+            Simplex(2),
+            np.array([-1.0, 0.0]),
+            ineq_rows=np.array([[1.0, 0.0]]),
+            ineq_margins=np.array([0.3]),
+        )
+        for problem in (pinned, capped):
+            with pytest.raises(OracleError):
+                hindsight_optimum(problem, 0, 1)
+
     def test_means_required(self):
         import dataclasses
 
@@ -354,6 +379,45 @@ def test_service_lagrangian_minimum_is_stationary(case):
     assert gap <= 1e-9 * (1.0 + abs(value))
 
 
+@st.composite
+def simplex_lp_windows(draw):
+    """A feasible simplex LP with 2..5 coordinates, 0..2 inequality and 0..2
+    equality rows, plus a window.  Entries sit on a quarter grid; the margins
+    and targets hold at an interior anchor, so every window is feasible."""
+    d = draw(st.integers(2, 5))
+
+    def block(shape, low, high):
+        return draw(arrays(np.float64, shape, elements=st.integers(low, high).map(lambda k: k / 4)))
+
+    weights = block(d, 1, 4)
+    anchor = weights / weights.sum()
+    ineq_rows = block((draw(st.integers(0, 2)), d), -4, 4)
+    eq_rows = block((draw(st.integers(0, 2)), d), -4, 4)
+    problem = make_linear_problem(
+        Simplex(d),
+        block(d, -4, 4),
+        ineq_rows=ineq_rows,
+        ineq_margins=ineq_rows @ anchor + block(ineq_rows.shape[0], 0, 2),
+        eq_rows=eq_rows,
+        targets=eq_rows @ anchor,
+        drift_amplitude=draw(st.sampled_from([0.0, 0.1])),
+        drift_period=8,
+    )
+    return problem, draw(st.integers(0, 20)), draw(st.integers(1, 20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=simplex_lp_windows())
+def test_linear_multipliers_are_optimal(case):
+    problem, start, length = case
+    point, value = hindsight_optimum(problem, start, length)
+    duals, _ = estimate_multipliers(problem, start, length)
+    assert np.all(duals.ineq >= 0.0)
+    assert dual_function(problem, start, length, duals) == pytest.approx(value, abs=1e-9)
+    slack = duals.ineq * problem.means.inequalities.values(point)
+    assert np.all(np.abs(slack) <= 1e-9)
+
+
 class TestMultiplierEstimate:
     def test_slack_constraints_give_zero(self):
         problem = make_linear_problem(
@@ -379,14 +443,17 @@ class TestMultiplierEstimate:
         assert bound == pytest.approx(1.0, abs=1e-3)
 
     def test_infeasible_problem_diverges(self):
-        problem = make_linear_problem(
+        linear = make_linear_problem(
             Simplex(3),
             np.array([1.0, 2.0, 3.0]),
             eq_rows=np.array([[1.0, 0.0, 0.0]]),
             targets=np.array([1.5]),
         )
-        with pytest.raises(MultiplierDivergenceError):
-            estimate_multipliers(problem, 0, 1)
+        # full power on [0, 10] serves GAIN log1p(RATE 10) < LEVEL
+        service = service_problem(level=GAIN * math.log1p(RATE * 10.0) + 0.5)
+        for problem in (linear, service):
+            with pytest.raises(MultiplierDivergenceError):
+                estimate_multipliers(problem, 0, 1)
 
     def test_bound_stable_across_windows(self):
         # A drifting objective makes distinct windows average different
@@ -414,6 +481,11 @@ class TestMultiplierEstimate:
         assert point.ineq[0] == pytest.approx(LAM_STAR, abs=1.5e-3)
         value = dual_function(problem, 0, 1, point)
         assert value == pytest.approx(COST * X_STAR, abs=1e-6)
+
+    def test_service_multiplier_is_exact(self):
+        point, bound = estimate_multipliers(service_problem(), 0, 1)
+        assert point.ineq[0] == pytest.approx(LAM_STAR, abs=1e-8)
+        assert bound == pytest.approx(LAM_STAR, abs=1e-8)
 
 
 class TestWeakEbcProbe:

@@ -24,7 +24,14 @@ from pdomd import (
     run,
     slot_rng,
 )
-from pdomd.telemetry import TABLE_ROWS, _penalty_constant, geometry_by_name, write_table
+from pdomd.problems import ServiceRows
+from pdomd.telemetry import (
+    TABLE_ROWS,
+    _penalty_constant,
+    geometry_by_name,
+    summarize_metrics,
+    write_table,
+)
 
 
 def synthetic_run(horizon=200, variant="general", seed=9, d=6):
@@ -80,6 +87,31 @@ class TestMetrics:
         manual = np.max(np.hypot(record.ineq_dual_norm, record.eq_dual_norm))
         assert summary.max_dual_norm == pytest.approx(manual)
         assert summary.dual_ratio == pytest.approx(manual / 10.0)
+
+    def test_expected_metrics_match_slot_loop(self):
+        # the slot-by-slot sums are the reference, bit for bit, for a linear
+        # and a two-row service family, each with a violated row
+        problem, record = synthetic_run(horizon=150)
+        linear = problem.means.inequalities
+        families = (
+            dataclasses.replace(linear, offsets=linear.offsets - 1.0),
+            ServiceRows(np.array([30.0, 0.5]), np.random.default_rng(0).uniform(0, 1, (2, 6))),
+        )
+        mu_star = record.decisions[-1]
+        for rows in families:
+            prob = dataclasses.replace(
+                problem, means=dataclasses.replace(problem.means, inequalities=rows)
+            )
+            means = prob.means
+            gap, g_sum = 0.0, np.zeros(2)
+            for t in range(record.horizon):
+                mean_obj = means.objective_at(t)
+                gap += float(mean_obj @ record.decisions[t]) - float(mean_obj @ mu_star)
+                g_sum += means.inequalities.values(record.decisions[t])
+            summary = summarize_metrics(record, (mu_star, 0.0), prob, 0.0)
+            assert summary.expected_regret == gap
+            violation = float(np.linalg.norm(np.maximum(g_sum / record.horizon, 0.0)))
+            assert summary.ineq_violation == violation > 0.0
 
     def test_empty_record(self):
         problem = build_synthetic_problem(4, 1, 1, seed=0)
