@@ -32,7 +32,6 @@ from .problems import (
     MeanModel,
     ObservationBatch,
     PriceTrace,
-    ProblemConstants,
     ProblemInstance,
     ServiceRows,
     SlotFunctions,
@@ -50,7 +49,6 @@ from .telemetry import (
     MetricsSummary,
     RunRecord,
     compute_metrics,
-    divergence_radius,
     dpp_audit,
     export,
     import_record,

@@ -216,7 +216,6 @@ class EuclideanGeometry(BregmanGeometry):
 
     name = "euclidean"
     beta = 1.0
-    dual_norm_name = "l2"
 
     def divergence(self, x: Array, y: Array) -> float:
         x = _as_vector(x, "x")
@@ -254,7 +253,6 @@ class NegativeEntropyGeometry(BregmanGeometry):
 
     name = "negative_entropy"
     beta = 1.0
-    dual_norm_name = "linf"
 
     def divergence(self, x: Array, y: Array) -> float:
         x = _as_vector(x, "x")
@@ -371,7 +369,6 @@ def mirror_step(
     coeffs: Array,
     prox_weight: float,
     *,
-    gap_tol: float = 1e-10,
     max_iter: int = 100_000,
     force_numeric: bool = False,
 ) -> Array:
@@ -382,10 +379,9 @@ def mirror_step(
     Euclidean) and the projection of ``base - coeffs / prox_weight`` on
     (simplex, Euclidean).  Any other pair runs the certified solve: a
     bisection on the simplex's normalisation multiplier, at most ``max_iter``
-    steps, whose result must clear a Frank-Wolfe gap of
-    ``max(gap_tol, 1e-10)``.  ``force_numeric`` routes even the closed-form
-    pairs through the certified solve, which is how the closed forms are
-    cross-validated.
+    steps, whose result must clear a Frank-Wolfe gap of 1e-10.
+    ``force_numeric`` routes even the closed-form pairs through the certified
+    solve, which is how the closed forms are cross-validated.
 
     Raises
     ------
@@ -437,7 +433,7 @@ def mirror_step(
     probe = np.where(point == 0.0, np.finfo(float).tiny, point)
     grad = coeffs + prox_weight * (geometry.potential_grad(probe) - grad_base)
     gap = float(grad @ (point - decision_set.support_minimizer(grad)))
-    if not gap <= max(gap_tol, 1e-10):
+    if not gap <= 1e-10:
         raise ProxConvergenceError(
             f"certified prox missed its tolerance: gap {gap:.3e} "
             f"after {steps} bisection steps"

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,7 +35,6 @@ from .geometry import Box, DecisionSet, Simplex
 Array = np.ndarray
 
 REAC_WINDOW = 10  # arrivals in Reac's trailing average
-CONSTANTS_BLOCK = 5_000  # rows drawn and reduced at a time
 
 
 # ---------------------------------------------------------------------------
@@ -197,36 +196,8 @@ class MeanModel:
 
 
 @dataclass(frozen=True)
-class ProblemConstants:
-    """Bounds used by the diagnostic inequalities, in one dual norm.
-
-    Constraint bounds aggregate over the constraints in quadrature, which is
-    the form the penalty constants need:
-
-    objective_grad_bound  sup ||subgrad f||*
-    ineq_grad_bound       sup sqrt(sum_i ||subgrad g_i||*^2)
-    ineq_value_bound      sup sqrt(sum_i g_i^2)
-    eq_row_bound          sup sqrt(sum_j ||h_j||*^2)
-    objective_value_bound sup |f|
-    """
-
-    objective_grad_bound: float
-    ineq_grad_bound: float
-    ineq_value_bound: float
-    eq_row_bound: float
-    objective_value_bound: float
-
-
-@dataclass(frozen=True)
 class ProblemInstance:
-    """A decision set, its per-slot sampler, the exact means where known, and
-    the bounds of the diagnostic inequalities.
-
-    The bounds come from `estimate_constants`, a zero-argument callable that
-    returns them keyed by dual norm. Only the audit's penalty constant reads
-    them, so `constants_for` runs the estimator on its first call and keeps
-    the result; building or running a problem never pays for it.
-    """
+    """A decision set, its per-slot sampler and the exact means where known."""
 
     name: str
     decision_set: DecisionSet
@@ -235,52 +206,15 @@ class ProblemInstance:
     targets: Array  # (M,)
     sample_slot: Callable[[int, np.random.Generator], SlotFunctions]
     means: Optional[MeanModel] = None
-    estimate_constants: Optional[Callable[[], Mapping[str, ProblemConstants]]] = None
     horizon_cap: Optional[int] = None
-    _constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return self.decision_set.dim
 
-    def constants_for(self, dual_norm: str) -> ProblemConstants:
-        if not self._constants and self.estimate_constants is not None:
-            self._constants.update(self.estimate_constants())
-        try:
-            return self._constants[dual_norm]
-        except KeyError:
-            raise ProblemError(
-                f"no constants recorded for dual norm {dual_norm!r}"
-            ) from None
-
 
 # ---------------------------------------------------------------------------
 # synthetic linear scenario
-
-
-def _norms(matrix: Array, dual_norm: str) -> Array:
-    if dual_norm == "l2":
-        return np.linalg.norm(matrix, axis=-1)
-    if dual_norm == "linf":
-        return np.max(np.abs(matrix), axis=-1)
-    raise ProblemError(f"unknown dual norm {dual_norm!r}")
-
-
-def _linear_reach(coeffs: Array, decision_set: DecisionSet) -> float:
-    """sup over the set of |<coeffs, x>|, via the two supporting vertices."""
-    lo = float(coeffs @ decision_set.support_minimizer(coeffs))
-    hi = float(coeffs @ decision_set.support_minimizer(-coeffs))
-    return max(abs(lo), abs(hi))
-
-
-def _l1_reach(decision_set: DecisionSet) -> float:
-    """sup over the set of ||x||_1 (bounds the effect of sup-norm noise)."""
-    if isinstance(decision_set, Simplex):
-        return 1.0
-    if isinstance(decision_set, Box):
-        return float(np.sum(np.maximum(np.abs(decision_set.lower),
-                                       np.abs(decision_set.upper))))
-    raise ProblemError("l1 reach not known for this decision set")
 
 
 def make_linear_problem(
@@ -371,45 +305,6 @@ def make_linear_problem(
             eq_matrix=np.array(h_t, dtype=float),
         )
 
-    # Exact constant bounds: coefficients live in a known box around their
-    # drifting means, so sup-norms come from a one-period scan plus the
-    # worst-case noise contribution.
-    def estimate_constants() -> Mapping[str, ProblemConstants]:
-        period = np.arange(max(drift_period, 1))
-        drift_grid = np.array([c_base + drift(int(t)) for t in period])
-        l1_reach = _l1_reach(decision_set)
-        constants = {}
-        for dual_norm in ("l2", "linf"):
-            noise_unit = float(_norms(np.ones(d), dual_norm))
-            d1 = float(np.max(_norms(drift_grid, dual_norm))) + objective_noise * noise_unit
-            if n_ineq:
-                grad_sups = _norms(a_rows, dual_norm) + ineq_noise * noise_unit
-                d2 = float(np.sqrt(np.sum(grad_sups**2)))
-                value_sups = np.array([
-                    _linear_reach(a_rows[i], decision_set) + abs(margins[i])
-                    + ineq_noise * l1_reach
-                    for i in range(n_ineq)
-                ])
-                g_bound = float(np.sqrt(np.sum(value_sups**2)))
-            else:
-                d2, g_bound = 0.0, 0.0
-            if n_eq:
-                row_sups = _norms(h_rows, dual_norm) + eq_noise * noise_unit
-                h_bound = float(np.sqrt(np.sum(row_sups**2)))
-            else:
-                h_bound = 0.0
-            f_bound = max(
-                _linear_reach(drift_grid[t], decision_set) for t in range(len(period))
-            ) + objective_noise * l1_reach
-            constants[dual_norm] = ProblemConstants(
-                objective_grad_bound=d1,
-                ineq_grad_bound=d2,
-                ineq_value_bound=g_bound,
-                eq_row_bound=h_bound,
-                objective_value_bound=f_bound,
-            )
-        return constants
-
     means = MeanModel(
         objective_at=mean_objective,
         inequalities=LinearRows(a_rows.copy(), margins.copy()),
@@ -423,7 +318,6 @@ def make_linear_problem(
         targets=b,
         sample_slot=sample_slot,
         means=means,
-        estimate_constants=estimate_constants,
     )
 
 
@@ -590,81 +484,6 @@ def _pacing_structure(config: DatacenterConfig) -> Array:
     return rows
 
 
-def _estimate_datacenter_constants(
-    config: DatacenterConfig, zone_prices: Array, server_zone: Array
-) -> Mapping[str, ProblemConstants]:
-    """Monte Carlo tail bounds (99.99th percentile, 1.5x headroom).
-
-    Price-driven quantities are exact since the trace is known; Pareto and
-    Poisson tails are estimated from a fixed-seed sample so the constants are
-    reproducible for a given config/trace. `build_datacenter_problem` hands
-    this in as the estimator, so it runs on the first `constants_for`, which
-    only the audit makes.
-
-    The n x d noise sample (n = 100,000) and then the n x d budget sample
-    are drawn in blocks of CONSTANTS_BLOCK rows, and each block is reduced
-    at once to the per-row values the tails read (served jobs at the cap,
-    gradient steepness, pacing-row norms). The generator hands out the same
-    numbers in the same order as one n x d draw of each, and every
-    reduction is per row, so the bounds do not depend on the block size;
-    only one block is held at a time.
-    """
-    rng = np.random.default_rng(0x7A11B0)
-    d = config.n_servers
-    n = 100_000
-    gain, rate, shape = config.service_gain, config.service_rate, config.pareto_shape
-    full_service = gain * np.log1p(rate * config.power_cap)
-    blocks = [slice(lo, min(lo + CONSTANTS_BLOCK, n)) for lo in range(0, n, CONSTANTS_BLOCK)]
-    norms = ("l2", "linf")
-
-    arrivals = rng.poisson(config.arrival_mean, size=n).astype(float)
-
-    served_cap = np.empty(n)
-    steepness = {dual_norm: np.empty(n) for dual_norm in norms}  # at zero power
-    for rows in blocks:
-        noise = pareto_sample(1.0, shape, rng, size=(rows.stop - rows.start, d))
-        served_cap[rows] = noise.sum(axis=1) * full_service
-        gradient = noise * (gain * rate)
-        for dual_norm in norms:
-            steepness[dual_norm][rows] = _norms(gradient, dual_norm)
-
-    # A pacing row is constant on each cluster and rounding is monotone, so
-    # the sup norm of budgets * row is the largest per-cluster maximum times
-    # |row| there, bit for bit, without the products.
-    structure = _pacing_structure(config)
-    clusters = [cluster for cluster in config.clusters if cluster]
-    cluster_rows = np.abs(structure[:, [cluster[0] for cluster in clusters]])
-    h_quad = {dual_norm: np.zeros(n) for dual_norm in norms}
-    for rows in blocks:
-        budgets = pareto_sample(
-            config.budget_mean, shape, rng, size=(rows.stop - rows.start, d)
-        )
-        for row in structure:
-            h_quad["l2"][rows] += _norms(budgets * row, "l2") ** 2
-        maxima = np.column_stack(
-            [functools.reduce(np.maximum, (budgets[:, k] for k in c)) for c in clusters]
-        )
-        for row in cluster_rows:
-            h_quad["linf"][rows] += np.max(maxima * row, axis=1) ** 2
-
-    g_extreme = np.maximum(arrivals, np.abs(arrivals - served_cap))
-    server_prices = zone_prices[:, server_zone]
-
-    def tail(values: Array) -> float:
-        return float(np.quantile(values, 0.9999)) * 1.5
-
-    return {
-        dual_norm: ProblemConstants(
-            objective_grad_bound=float(np.max(_norms(server_prices, dual_norm))),
-            ineq_grad_bound=tail(steepness[dual_norm]),
-            ineq_value_bound=tail(g_extreme),
-            eq_row_bound=tail(np.sqrt(h_quad[dual_norm])),
-            objective_value_bound=float(np.max(server_prices.sum(axis=1))) * config.power_cap,
-        )
-        for dual_norm in norms
-    }
-
-
 def build_datacenter_problem(
     config: DatacenterConfig, prices: PriceTrace
 ) -> ProblemInstance:
@@ -675,10 +494,6 @@ def build_datacenter_problem(
     one zone per cluster). Inequality: arrivals minus noisy served jobs.
     Equalities: each cluster's expected budget spend pinned to its pacing
     share of the total, in homogeneous form with target zero.
-
-    The diagnostic constants are not estimated here: the instance carries
-    `_estimate_datacenter_constants` and runs it, in row blocks, on the
-    first `constants_for`, which only the audit calls.
     """
     if len(prices.zones) != len(config.clusters):
         raise ProblemError(
@@ -730,9 +545,6 @@ def build_datacenter_problem(
         targets=np.zeros(4),
         sample_slot=sample_slot,
         means=means,
-        estimate_constants=functools.partial(
-            _estimate_datacenter_constants, config, zone_prices, server_zone
-        ),
         horizon_cap=len(prices),
     )
 

@@ -25,11 +25,9 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError, ProblemError, ReplayMismatchError
 from .geometry import (
-    Box,
     BregmanGeometry,
     EuclideanGeometry,
     NegativeEntropyGeometry,
-    Simplex,
     mix_toward_uniform,
 )
 from .problems import ProblemInstance, slot_rng
@@ -223,39 +221,6 @@ def geometry_by_name(name: str) -> BregmanGeometry:
     raise GeometryError(f"unknown geometry {name!r}")
 
 
-def divergence_radius(geometry: BregmanGeometry, decision_set) -> float:
-    """sup over the set of D(x, y), where it is finite."""
-    if isinstance(geometry, EuclideanGeometry):
-        if isinstance(decision_set, Box):
-            span = decision_set.upper - decision_set.lower
-            return 0.5 * float(span @ span)
-        if isinstance(decision_set, Simplex):
-            return 1.0  # ||x - y||_2^2 peaks at 2, between two vertices
-    raise GeometryError(
-        f"divergence radius unavailable for {geometry.name} on this set"
-    )
-
-
-def _penalty_constant(
-    problem: ProblemInstance, geometry: BregmanGeometry, decision_set
-) -> float:
-    """The additive slack M of the per-slot drift-plus-penalty inequality."""
-    if isinstance(geometry, NegativeEntropyGeometry):
-        if not isinstance(decision_set, Simplex):
-            raise GeometryError("entropy audits require the simplex")
-        c = problem.constants_for("linf")
-        return (
-            c.eq_row_bound**2 + c.ineq_value_bound**2 + c.ineq_grad_bound**2
-        )
-    c = problem.constants_for(geometry.dual_norm_name)
-    radius = divergence_radius(geometry, decision_set)
-    return (
-        4.0 * radius * c.eq_row_bound**2 / geometry.beta
-        + c.ineq_value_bound**2
-        + 2.0 * radius * c.ineq_grad_bound**2 / geometry.beta
-    )
-
-
 def _check_replay(slot: int, what: str, replayed: float, recorded: float) -> None:
     """Refuse a replayed value that disagrees with the record; NaN disagrees."""
     if not abs(replayed - recorded) <= _REPLAY_TOL * (1.0 + abs(recorded)):
@@ -282,7 +247,39 @@ def replay_record(
     in 1..T-1, with comparators drawn from default_rng(audit_seed) in sample
     order. The worst residual is 0.0 for T < 2 and -inf without samples;
     positive or NaN means violated. The drift column is trusted as recorded,
-    so a corrupted value shows up as a violation, not a replay mismatch."""
+    so a corrupted value shows up as a violation, not a replay mismatch.
+
+    The bound is the one `core.step` obeys on every slot, with that slot's
+    own slack. Write mu, mu' for decisions t and t+1, f, g, h for slot t's
+    functions (f linear with coefficients c), Q, H for the multipliers the
+    step to mu' used, and p = V c + Q grad g(mu) + H h for its coefficients.
+    The step advances Q' = max(Q + s, 0) and H' = H + e with
+
+        s = g(mu) + grad g(mu) (mu' - mu),   e = h mu' - b.
+
+    Q >= 0 gives |max(Q + s, 0)| <= |Q + s| entrywise, so the drift
+    Delta = (|Q'|^2 - |Q|^2 + |H'|^2 - |H|^2) / 2 obeys
+
+        Delta <= Q.s + H.e + M,   M = |s|^2 / 2 + |e|^2 / 2,
+
+    with equality where no entry of Q clips. mu' minimizes
+    <p, x> + alpha D(x, base), so for every z in the set the three-point
+    inequality gives
+
+        <p, mu'> + alpha D(mu', base) <= <p, z> + alpha D(z, base) - alpha D(z, mu').
+
+    Adding the two, with g(mu) + grad g(mu) (z - mu) <= g(z) (g convex,
+    Q >= 0) and f(z) - f(mu) = <c, z - mu>:
+
+        V <c, mu' - mu> + Delta + alpha D(mu', base)
+            <= V (f(z) - f(mu)) + Q.g(z) + H.(h z - b)
+               + alpha (D(z, base) - D(z, mu')) + M.
+
+    The residual is the left side less the right at each sampled z. On a
+    record the engine wrote it is at most rounding. The analyses (Yu, Neely
+    & Wei 2017; Wei, Yu & Neely, arXiv 1908.00305) bound M by its supremum;
+    the audit takes M from the record's own decisions instead, so a
+    decision or a drift the engine did not produce breaks the bound."""
     horizon = record.horizon
     if mu_star is not None:
         mu_star = np.asarray(mu_star, dtype=float)
@@ -291,7 +288,6 @@ def replay_record(
     comparators = {}  # sampled slot -> its comparator points
     if horizon >= 2 and n_samples > 0:
         geometry = geometry_by_name(record.geometry)
-        penalty = _penalty_constant(problem, geometry, problem.decision_set)
         rng = np.random.default_rng(audit_seed)
         for s in rng.integers(1, horizon, size=n_samples):
             comparators.setdefault(int(s), []).append(problem.decision_set.sample(rng))
@@ -309,7 +305,12 @@ def replay_record(
         if t + 1 == horizon:
             break
         mu_next = record.decisions[t + 1]
-        for comparator in comparators.get(t + 1, ()):
+        rows = fns.inequalities
+        surrogate = rows.values(mu) + rows.grads(mu) @ (mu_next - mu)  # s, as core.step
+        eq_residual = fns.eq_matrix @ mu_next - record.targets  # e
+        samples = comparators.get(t + 1, ())
+        if samples:
+            slack = 0.5 * float(surrogate @ surrogate) + 0.5 * float(eq_residual @ eq_residual)
             if record.variant == "simplex":
                 base = mix_toward_uniform(mu, params.mixing_weight)
             else:
@@ -319,23 +320,20 @@ def replay_record(
                 + record.drift[t + 1]
                 + params.prox_weight * geometry.divergence(mu_next, base)
             )
+        for comparator in samples:
             rhs = params.objective_weight * (
                 float(fns.objective @ comparator) - float(fns.objective @ mu)
             )
-            rhs += float(q @ fns.inequalities.values(comparator))
-            if record.n_eq:
-                rhs += float(h @ (fns.eq_matrix @ comparator - record.targets))
+            rhs += float(q @ rows.values(comparator))
+            rhs += float(h @ (fns.eq_matrix @ comparator - record.targets))
             rhs += params.prox_weight * (
                 geometry.divergence(comparator, base)
                 - geometry.divergence(comparator, mu_next)
             )
-            rhs += penalty
+            rhs += slack
             residuals.append(lhs - rhs)
-        step = mu_next - mu
-        rows = fns.inequalities
-        q = np.maximum(q + (rows.values(mu) + rows.grads(mu) @ step), 0.0)  # as core.step
-        if record.n_eq:
-            h = h + fns.eq_matrix @ mu_next - record.targets
+        q = np.maximum(q + surrogate, 0.0)
+        h = h + eq_residual
         _check_replay(t + 1, "|Q|", float(np.linalg.norm(q)), record.ineq_dual_norm[t + 1])
         _check_replay(t + 1, "|H|", float(np.linalg.norm(h)), record.eq_dual_norm[t + 1])
     if horizon < 2:
@@ -353,9 +351,10 @@ def dpp_audit(
 
     For sampled slots t >= 1 and sampled comparator points, the recorded
     drift plus the objective-advance and prox-cost terms must not exceed the
-    comparator side plus the penalty constant. Returns the worst residual
-    (positive or NaN means violated), from the same single walk as
-    `compute_metrics`: see `replay_record`."""
+    comparator side plus the slot's own slack |s|^2/2 + |e|^2/2, the squared
+    multiplier increments. Returns the worst residual (positive or NaN means
+    violated), from the same single walk as `compute_metrics`: see
+    `replay_record`, which derives the bound."""
     return replay_record(record, problem, None, n_samples, audit_seed)[1]
 
 

@@ -9,6 +9,7 @@ from pdomd import (
     Box,
     ConfigError,
     EuclideanGeometry,
+    NegativeEntropyGeometry,
     ProblemError,
     Simplex,
     assemble_dual_weighted_gradient,
@@ -205,27 +206,37 @@ class TestRunInvariants:
         assert abs(total_drift - final) <= 1e-6 * max(final, 1.0)
 
     def test_penalty_lower_bound_each_step(self):
-        # General variant: advance + prox cost >= -V^2 D1^2 / (2 alpha beta).
+        # General variant: advance + prox cost >= -V^2 D1^2 / (2 alpha beta),
+        # with D1 the largest realized ||grad f||_2 over the slots run.
         problem = build_synthetic_problem(6, 2, 2, seed=2)
         params = parameter_schedule(400, "general")
-        d1 = problem.constants_for("l2").objective_grad_bound
-        floor = -(params.objective_weight**2) * d1**2 / (2.0 * params.prox_weight)
         from pdomd import iterate_run
 
-        for _, outcome, _, _ in iterate_run(problem, 400, params, seed=6, variant="general"):
+        slots = [
+            (outcome, obs)
+            for _, outcome, _, obs in iterate_run(problem, 400, params, seed=6, variant="general")
+        ]
+        d1 = max(EuclideanGeometry().dual_norm(obs.objective_grad) for _, obs in slots)
+        floor = -(params.objective_weight**2) * d1**2 / (2.0 * params.prox_weight)
+        for outcome, _ in slots:
             assert outcome.objective_advance + outcome.prox_cost >= floor - 1e-12
 
     def test_penalty_lower_bound_simplex(self):
+        # D1 is the largest realized ||grad f||_inf over the slots run.
         problem = build_synthetic_problem(6, 2, 2, seed=2)
         params = parameter_schedule(400, "simplex")
-        d1 = problem.constants_for("linf").objective_grad_bound
+        from pdomd import iterate_run
+
+        slots = [
+            (outcome, obs)
+            for _, outcome, _, obs in iterate_run(problem, 400, params, seed=6, variant="simplex")
+        ]
+        d1 = max(NegativeEntropyGeometry().dual_norm(obs.objective_grad) for _, obs in slots)
         floor = -(
             (params.objective_weight**2) * d1**2 / (2.0 * params.prox_weight)
             + params.objective_weight * params.mixing_weight * d1
         )
-        from pdomd import iterate_run
-
-        for _, outcome, _, _ in iterate_run(problem, 400, params, seed=6, variant="simplex"):
+        for outcome, _ in slots:
             assert outcome.objective_advance + outcome.prox_cost >= floor - 1e-12
 
     def test_simplex_iterates_stay_valid(self):

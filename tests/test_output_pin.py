@@ -39,7 +39,7 @@ PINNED = {
         "records/run_seed1.csv": "47ae36e4e4b7a056ed09a38eeece894c1d1b8f56d581bdbbecfd82b97882f09f",
         "violation_eq.csv": "8797506d52134ad46b0a48af7ff8913c4a4c29c87fa7fc97217cb7e852957cdf",
         "violation_ineq.csv": "1397677d9610c4b9cbecc4651d8ecf339cdac948d2004a717d4d4497c438551b",
-        "audit_stdout": "4faec20dccdba252159d65c879558a6416f578a644d7f7edc368d806ebd89829",
+        "audit_stdout": "2487ab046c2a5e541c9255c6798c424f2269cbf6fd8ec5d3687d0171a4e3e39d",
     },
     "sweep": {
         "sweep_means.csv": "5a5708bcb30f766ba83055ff24d1f6208250a881100f028f10ff2fef4c2b85c9",
@@ -53,7 +53,7 @@ PINNED = {
         "records/run_seed1.csv": "b506b30d0ea1203fd2253dc488862145c46f69b0efd0b3b9ddf3c2da40821d9a",
         "violation_eq.csv": "8f0810e7af48ae3301334feaca19e6681c1cf429fa50ffc7d13dc8e3e7d75780",
         "violation_ineq.csv": "8ad9712304dedbf818b57fb2ed15cc6cdd500199b450dbeda7d9681d85817287",
-        "audit_stdout": "63acba51d45d2cabd291e2e14d20e4cc4b6722c49cbd1adbfa7869eb1862308f",
+        "audit_stdout": "3798cf65b06d26477d3401cd71168cf1e1ad73336d3d6622c95bbff2a40d9cfa",
     },
 }
 

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from pdomd import (
     DatacenterConfig,
     PriceTrace,
-    ProblemConstants,
     ProblemError,
     Simplex,
     build_datacenter_problem,
     build_synthetic_problem,
-    generate_price_trace,
     make_linear_problem,
     pareto_sample,
     poisson_sample,
@@ -21,7 +19,6 @@ from pdomd import (
     service_curve,
     service_curve_inverse,
 )
-from pdomd import problems
 
 # Frozen reference: (e^(5/8) - 1)/4
 INVERSE_AT_FIVE = 0.2170614893580556
@@ -186,30 +183,6 @@ class TestSyntheticProblem:
         pooled = np.std(early + late) / np.sqrt(len(early))
         assert abs(np.mean(early) - np.mean(late)) < 3 * pooled
 
-    def test_constants_dominate_samples(self):
-        # The stored bounds are aggregate (in quadrature over constraints).
-        prob = build_synthetic_problem(6, 2, 2, seed=21)
-        rng = np.random.default_rng(0)
-        simplex = Simplex(6)
-        for dual_norm, vec_norm in (("l2", 2), ("linf", np.inf)):
-            c = prob.constants_for(dual_norm)
-            for t in range(500):
-                slot = prob.sample_slot(t, rng)
-                mu = simplex.sample(rng)
-                assert np.linalg.norm(slot.objective, vec_norm) <= c.objective_grad_bound + 1e-12
-                assert abs(slot.objective @ mu) <= c.objective_value_bound + 1e-12
-                grad_quad = sum(
-                    np.linalg.norm(grad, vec_norm) ** 2
-                    for grad in slot.inequalities.grads(mu)
-                )
-                value_quad = sum(value**2 for value in slot.inequalities.values(mu))
-                assert np.sqrt(grad_quad) <= c.ineq_grad_bound + 1e-12
-                assert np.sqrt(value_quad) <= c.ineq_value_bound + 1e-12
-                row_quad = sum(
-                    np.linalg.norm(row, vec_norm) ** 2 for row in slot.eq_matrix
-                )
-                assert np.sqrt(row_quad) <= c.eq_row_bound + 1e-12
-
     def test_pinned_coordinate_example(self):
         # h = (1,0,0), b = 0.3, objective touches only coordinate 0: the
         # feasible mean objective value is exactly 0.3 at any feasible point.
@@ -305,43 +278,6 @@ class TestDatacenterProblem:
         mu = np.full(50, 2.0)
         assert s1.inequalities.values(mu)[0] == s2.inequalities.values(mu)[0]
         assert np.array_equal(s1.eq_matrix, s2.eq_matrix)
-        c1 = p1.constants_for("l2")
-        c2 = p2.constants_for("l2")
-        assert c1 == c2
-
-    def test_stock_constants_pinned(self):
-        # Bit for bit as the (n, d) draws of the one-shot estimate gave them.
-        expected = {
-            "l2": ("0x1.4f88a885230e9p+9", "0x1.49d0576c078d3p+12",
-                   "0x1.dd9e8e527c8d1p+12", "0x1.3cf5bd0982b50p+9",
-                   "0x1.117626e0fc73dp+17"),
-            "linf": ("0x1.d07840ab29086p+6", "0x1.48fe82d0a33dbp+12",
-                     "0x1.dd9e8e527c8d1p+12", "0x1.3c3e980a368c1p+9",
-                     "0x1.117626e0fc73dp+17"),
-        }
-        prob = build_datacenter_problem(DatacenterConfig(), generate_price_trace(2000, 0))
-        for dual_norm, hexes in expected.items():
-            c = prob.constants_for(dual_norm)
-            got = (c.objective_grad_bound, c.ineq_grad_bound, c.ineq_value_bound,
-                   c.eq_row_bound, c.objective_value_bound)
-            assert tuple(value.hex() for value in got) == hexes
-
-    def test_constants_estimated_once_on_demand(self, monkeypatch):
-        calls = []
-        stub = ProblemConstants(1.0, 2.0, 3.0, 4.0, 5.0)
-
-        def counted(*args):
-            calls.append(args)
-            return {"l2": stub, "linf": stub}
-
-        monkeypatch.setattr(problems, "_estimate_datacenter_constants", counted)
-        prob = build_datacenter_problem(DatacenterConfig(), constant_trace(10))
-        assert calls == []
-        assert prob.constants_for("l2") is stub
-        assert prob.constants_for("linf") is stub
-        assert len(calls) == 1
-        with pytest.raises(ProblemError):
-            prob.constants_for("l1")
 
     def test_price_trace_validation(self):
         with pytest.raises(ProblemError):

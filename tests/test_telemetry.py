@@ -11,14 +11,17 @@ from hypothesis import strategies as st
 from pdomd import (
     AlgorithmParams,
     Box,
+    DatacenterConfig,
     MetricsSummary,
     ReplayMismatchError,
     RunRecord,
     Simplex,
+    build_datacenter_problem,
     build_synthetic_problem,
     compute_metrics,
     dpp_audit,
     export,
+    generate_price_trace,
     import_record,
     make_linear_problem,
     run,
@@ -27,8 +30,6 @@ from pdomd import (
 from pdomd.problems import ServiceRows
 from pdomd.telemetry import (
     TABLE_ROWS,
-    _penalty_constant,
-    geometry_by_name,
     summarize_metrics,
     write_table,
 )
@@ -121,11 +122,55 @@ class TestMetrics:
         assert summary.realized_regret == 0.0
 
 
+def replayed_record(record, problem, decisions):
+    """The record `decisions` imply: every column replayed from them slot by
+    slot, the multipliers advanced as `core.step` advances them."""
+    horizon = record.horizon
+    objective = np.zeros(horizon)
+    ineq = np.zeros((horizon, record.n_ineq))
+    eq = np.zeros((horizon, record.n_eq))
+    q_norm, h_norm, drift = np.zeros(horizon), np.zeros(horizon), np.zeros(horizon)
+    q, h = np.zeros(record.n_ineq), np.zeros(record.n_eq)
+    for t in range(horizon):
+        fns = problem.sample_slot(t, slot_rng(record.seed, t))
+        mu = decisions[t]
+        objective[t] = fns.objective @ mu
+        ineq[t] = fns.inequalities.values(mu)
+        eq[t] = fns.eq_matrix @ mu
+        if t + 1 == horizon:
+            break
+        mu_next = decisions[t + 1]
+        rows = fns.inequalities
+        q_new = np.maximum(q + (rows.values(mu) + rows.grads(mu) @ (mu_next - mu)), 0.0)
+        h_new = h + (fns.eq_matrix @ mu_next - record.targets)
+        q_norm[t + 1], h_norm[t + 1] = np.sqrt(q_new @ q_new), np.sqrt(h_new @ h_new)
+        drift[t + 1] = 0.5 * (q_norm[t + 1] ** 2 - q_norm[t] ** 2) + 0.5 * (
+            h_norm[t + 1] ** 2 - h_norm[t] ** 2
+        )
+        q, h = q_new, h_new
+    return dataclasses.replace(
+        record,
+        decisions=decisions,
+        objective_realized=objective,
+        ineq_realized=ineq,
+        eq_realized=eq,
+        ineq_dual_norm=q_norm,
+        eq_dual_norm=h_norm,
+        drift=drift,
+    )
+
+
 class TestDppAudit:
     def test_euclidean_synthetic_run_conforms(self):
         problem, record = synthetic_run(horizon=300, variant="general")
         worst = dpp_audit(record, problem, n_samples=60, audit_seed=3)
         assert worst <= 1e-6
+        # The datacenter box, whose slot slack reaches 1e8-1e9: rounding on
+        # that scale must keep clean records within the tolerance.
+        problem = build_datacenter_problem(DatacenterConfig(), generate_price_trace(300, 0))
+        for seed in range(3):
+            record = run(problem, 300, seed=seed)
+            assert dpp_audit(record, problem, n_samples=300, audit_seed=seed) <= 1e-6
 
     def test_simplex_variant_conforms(self):
         problem, record = synthetic_run(horizon=300, variant="simplex")
@@ -134,14 +179,25 @@ class TestDppAudit:
 
     def test_corrupted_drift_flagged(self):
         problem, record = synthetic_run(horizon=120, variant="general")
-        geometry = geometry_by_name(record.geometry)
-        penalty = _penalty_constant(problem, geometry, problem.decision_set)
-        record.drift[60] += 10.0 * penalty
+        record.drift[60] += 1.0  # well under a sup-bound constant (about 25 here)
         worst = dpp_audit(record, problem, n_samples=400, audit_seed=0)
         assert worst > 0.0
         record.drift[60] = np.nan
         worst = dpp_audit(record, problem, n_samples=400, audit_seed=0)
         assert np.isnan(worst)  # a NaN residual is not dropped from the maximum
+
+    @pytest.mark.parametrize("variant", ["general", "simplex"])
+    def test_shifted_decision_flagged(self, variant):
+        # One decision moved 1% toward a vertex, every other column rebuilt
+        # from the decisions, so only the bound can tell.
+        problem, record = synthetic_run(horizon=120, variant=variant)
+        decisions = record.decisions.copy()
+        vertex = np.zeros(record.dimension)
+        vertex[0] = 1.0
+        decisions[60] = 0.99 * decisions[60] + 0.01 * vertex
+        shifted = replayed_record(record, problem, decisions)
+        assert dpp_audit(replayed_record(record, problem, record.decisions), problem, 400) <= 1e-6
+        assert dpp_audit(shifted, problem, 400, 0) > 1e-6
 
     def test_foreign_seed_is_a_replay_mismatch(self):
         problem, record = synthetic_run(horizon=60)
