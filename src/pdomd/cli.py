@@ -40,6 +40,7 @@ from .core import VARIANTS, AlgorithmParams, RecordCollector, iterate_run, param
 from .errors import ConfigError, PdomdError
 from .oracle import hindsight_optimum
 from .problems import (
+    N_CLUSTERS,
     DatacenterConfig,
     PriceTrace,
     ProblemInstance,
@@ -63,6 +64,9 @@ Array = np.ndarray
 
 TRACE_COLUMNS = ("slot", "zone", "price")
 ZONE_OFFSETS = (1.0, 1.1, 0.9, 0.8, 1.2)
+TRACE_MEAN_PRICE = 30.0  # mean of the lognormal base series
+TRACE_SIGMA = 0.4  # log-scale spread of the base series
+TRACE_ZONE_JITTER = 0.1  # log-scale spread of each zone's own factor
 AUDIT_TOL = 1e-6
 _BOOTSTRAP_RESAMPLES = 1000
 _BOOTSTRAP_SEED = 1754
@@ -215,7 +219,7 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
     seeds_raw = raw.get("seeds", list(config.seeds))
     if not isinstance(seeds_raw, list) or not seeds_raw:
         raise ConfigError("seeds: expected a nonempty list of integers")
-    seeds = tuple(_expect_int(s, f"seeds[{i}]") for i, s in enumerate(seeds_raw))
+    seeds = tuple(_expect_int(s, f"seeds[{i}]", minimum=0) for i, s in enumerate(seeds_raw))
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds: duplicate entries")
 
@@ -257,6 +261,7 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
             instance_seed=_expect_int(
                 section.get("instance_seed", synth.instance_seed),
                 "synthetic.instance_seed",
+                minimum=0,
             ),
         )
         if synth.n_eq >= synth.dimension:
@@ -277,7 +282,7 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
         dc = DatacenterSettings(
             trace=trace,
             trace_seed=_expect_int(
-                section.get("trace_seed", dc.trace_seed), "datacenter.trace_seed"
+                section.get("trace_seed", dc.trace_seed), "datacenter.trace_seed", minimum=0
             ),
             pareto_shape=shape,
         )
@@ -369,41 +374,36 @@ def parse_config(path) -> ExperimentConfig:
 def parse_seed_range(text: str) -> Tuple[int, ...]:
     """'4..7' -> (4, 5, 6, 7); a bare integer selects a single seed."""
     text = text.strip()
-    if ".." in text:
-        first, _, last = text.partition("..")
-        try:
-            lo, hi = int(first), int(last)
-        except ValueError:
-            raise ConfigError(f"bad seed range {text!r}") from None
-        if hi < lo:
-            raise ConfigError(f"bad seed range {text!r}: end before start")
-        return tuple(range(lo, hi + 1))
+    first, dots, last = text.partition("..")
     try:
-        return (int(text),)
+        lo = int(first)
+        hi = int(last) if dots else lo
     except ValueError:
         raise ConfigError(f"bad seed range {text!r}") from None
+    if lo < 0:
+        raise ConfigError(f"bad seed range {text!r}: --seeds must be nonnegative")
+    if hi < lo:
+        raise ConfigError(f"bad seed range {text!r}: end before start")
+    return tuple(range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
 # price traces
 
 
-def generate_price_trace(
-    n_slots: int,
-    seed: int = 0,
-    mean_price: float = 30.0,
-    sigma: float = 0.4,
-    zone_jitter: float = 0.1,
-) -> PriceTrace:
-    """Synthetic electricity prices: a lognormal base series of the given
-    mean, scaled by fixed per-zone level offsets plus mild per-zone jitter."""
+def generate_price_trace(n_slots: int, seed: int = 0) -> PriceTrace:
+    """Synthetic electricity prices: a lognormal base series of mean
+    TRACE_MEAN_PRICE, scaled by fixed per-zone level offsets plus mild
+    per-zone jitter."""
     if n_slots < 1:
         raise ConfigError("trace needs at least one slot")
     rng = np.random.default_rng(seed)
-    base = rng.lognormal(np.log(mean_price) - 0.5 * sigma**2, sigma, size=n_slots)
+    base = rng.lognormal(
+        np.log(TRACE_MEAN_PRICE) - 0.5 * TRACE_SIGMA**2, TRACE_SIGMA, size=n_slots
+    )
     offsets = np.asarray(ZONE_OFFSETS)
     jitter = rng.lognormal(
-        -0.5 * zone_jitter**2, zone_jitter, size=(n_slots, offsets.size)
+        -0.5 * TRACE_ZONE_JITTER**2, TRACE_ZONE_JITTER, size=(n_slots, offsets.size)
     )
     prices = base[:, None] * offsets[None, :] * jitter
     zones = tuple(f"zone-{k}" for k in range(offsets.size))
@@ -452,6 +452,8 @@ def ingest_price_trace(path) -> PriceTrace:
                 raise ConfigError(
                     f"trace {path}:{lineno}: non-numeric slot or price"
                 ) from None
+            if not math.isfinite(price):
+                raise ConfigError(f"trace {path}:{lineno}: non-finite price")
             zone = row[1].strip()
             slots = per_zone.setdefault(zone, {})
             if slot in slots:
@@ -480,22 +482,16 @@ def ingest_price_trace(path) -> PriceTrace:
 # experiment execution
 
 
-def _build_problem(
-    config: ExperimentConfig,
-) -> Tuple[ProblemInstance, Optional[DatacenterConfig]]:
+def _build_problem(config: ExperimentConfig) -> ProblemInstance:
     if config.scenario == "synthetic":
         s = config.synthetic
-        problem = build_synthetic_problem(
-            s.dimension, s.n_ineq, s.n_eq, s.instance_seed
-        )
-        return problem, None
+        return build_synthetic_problem(s.dimension, s.n_ineq, s.n_eq, s.instance_seed)
     dc = DatacenterConfig(pareto_shape=config.datacenter.pareto_shape)
     if config.datacenter.trace is not None:
         trace = ingest_price_trace(config.datacenter.trace)
-        if len(trace.zones) != len(dc.clusters):
+        if len(trace.zones) != N_CLUSTERS:
             raise ConfigError(
-                f"datacenter.trace: has {len(trace.zones)} zones, "
-                f"need {len(dc.clusters)}"
+                f"datacenter.trace: has {len(trace.zones)} zones, need {N_CLUSTERS}"
             )
         if len(trace) < config.horizon:
             raise ConfigError(
@@ -504,7 +500,7 @@ def _build_problem(
             )
     else:
         trace = generate_price_trace(config.horizon, config.datacenter.trace_seed)
-    return build_datacenter_problem(dc, trace), dc
+    return build_datacenter_problem(dc, trace)
 
 
 def _series_header(config: ExperimentConfig, params: AlgorithmParams) -> str:
@@ -612,7 +608,6 @@ def _scored_pass(
     horizon: int,
     seed: int,
     hindsight: Tuple[Array, float],
-    dc: Optional[DatacenterConfig],
 ) -> Tuple[RunRecord, MetricsSummary, dict]:
     """Walk one seed's stream once, then score every policy on its draws.
 
@@ -634,8 +629,8 @@ def _scored_pass(
         "algorithm": (record.objective_realized, record.ineq_realized, record.eq_realized),
         "hindsight": stack.score(np.asarray(hindsight[0], dtype=float)),
     }
-    if dc is not None:
-        columns["reac"] = stack.score(reac_schedule(stack.row_arrays["levels"][:, 0], dc))
+    if config.scenario == "datacenter":
+        columns["reac"] = stack.score(reac_schedule(stack.row_arrays["levels"][:, 0]))
     # cumsum adds in slot order, as the running total of a slot loop does
     comparator_total = float(np.cumsum(columns["hindsight"][0])[-1])
     summary = summarize_metrics(record, hindsight, problem, comparator_total)
@@ -650,7 +645,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     summary dict with the output paths, the hindsight reference, per-seed
     metrics, and the seed-averaged time series that were written.
     """
-    problem, dc = _build_problem(config)
+    problem = _build_problem(config)
     horizon = config.horizon
     params = config.params_for(horizon)
     chash = config.config_hash()
@@ -662,14 +657,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
     header = _series_header(config, params)
 
     n_seeds = len(config.seeds)
-    policies = ["algorithm", "hindsight"] + (["reac"] if dc is not None else [])
+    policies = ["algorithm", "hindsight"] + (["reac"] if config.scenario == "datacenter" else [])
     cost = {name: np.zeros(horizon) for name in policies}
     ineq = {name: np.zeros(horizon) for name in policies}
     eq = {name: np.zeros(horizon) for name in policies}
     metrics_rows: List[Tuple[int, MetricsSummary]] = []
 
     for seed in config.seeds:
-        record, summary, columns = _scored_pass(problem, config, horizon, seed, hindsight, dc)
+        record, summary, columns = _scored_pass(problem, config, horizon, seed, hindsight)
         export(record, "csv", records_dir / f"run_seed{seed}.csv")
         metrics_rows.append((seed, summary))
         for name in policies:
@@ -777,7 +772,7 @@ def sweep_rates(config: ExperimentConfig) -> dict:
     if len(config.sweep_horizons) < 2:
         raise ConfigError("sweep needs at least two horizons to fit a slope")
 
-    problem, _ = _build_problem(config)
+    problem = _build_problem(config)
     horizons = np.asarray(config.sweep_horizons, dtype=float)
     n_h = len(config.sweep_horizons)
     n_seeds = len(config.seeds)
@@ -791,7 +786,7 @@ def sweep_rates(config: ExperimentConfig) -> dict:
     for i, horizon in enumerate(config.sweep_horizons):
         hindsight = hindsight_optimum(problem, 0, horizon)
         for j, seed in enumerate(config.seeds):
-            _, summary, _ = _scored_pass(problem, config, horizon, seed, hindsight, None)
+            _, summary, _ = _scored_pass(problem, config, horizon, seed, hindsight)
             regret[j, i] = summary.expected_regret
             ineq_viol[j, i] = summary.ineq_violation
             eq_viol[j, i] = summary.eq_violation
@@ -879,6 +874,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen_trace(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
     trace = generate_price_trace(args.slots, seed=args.seed)
     write_price_trace(trace, args.out)
     print(f"wrote {args.out}: {len(trace)} slots x {len(trace.zones)} zones")
@@ -888,8 +885,10 @@ def _cmd_gen_trace(args) -> int:
 def _cmd_audit(args) -> int:
     if args.samples < 1:  # zero samples would pass the audit vacuously
         raise ConfigError("--samples must be at least 1")
+    if args.audit_seed < 0:
+        raise ConfigError("--audit-seed must be nonnegative")
     config = parse_config(args.config)
-    problem, _ = _build_problem(config)
+    problem = _build_problem(config)
     record = import_record(args.record)
     chash = config.config_hash()
     if record.config_hash and record.config_hash != chash:
@@ -943,7 +942,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     audit_p = sub.add_parser("audit", help="audit a run record from files")
     audit_p.add_argument("--config", required=True, help="JSON config path")
     audit_p.add_argument("--record", required=True, help="run record CSV/JSON")
-    audit_p.add_argument("--samples", type=int, default=100)
+    audit_p.add_argument("--samples", type=int, default=100, help=(
+        "comparators, each at a slot drawn uniformly from 1..T-1, so a slot is checked with "
+        "probability 1-(1-1/(T-1))^samples, about samples/T; 95%% of slots take about 3T"))
     audit_p.add_argument("--audit-seed", type=int, default=0)
 
     args = parser.parse_args(argv)

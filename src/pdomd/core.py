@@ -106,36 +106,27 @@ class SolverState:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """Everything the diagnostics need about one slot.
+    """What the record needs about one slot: the drift of the multipliers
+    and their post-update norms."""
 
-    Dual norms are post-update. surrogate_ineq holds the pre-clip inequality
-    increments g + <grad g, step>; eq_residual holds <h, mu_new> - b."""
-
-    decision: Array
     drift: float
     ineq_dual_norm: float
     eq_dual_norm: float
-    objective_advance: float  # V <grad f, mu_new - mu_prev>
-    prox_cost: float  # alpha D(mu_new, base)
-    surrogate_ineq: Array
-    eq_residual: Array
 
 
 def initial_state(
-    problem: ProblemInstance,
-    params: AlgorithmParams,
-    variant: str = "general",
-    geometry: Optional[BregmanGeometry] = None,
+    problem: ProblemInstance, params: AlgorithmParams, variant: str = "general"
 ) -> SolverState:
+    """Slot 0: the decision set's initial point with zero multipliers.
+
+    The variant fixes the geometry: negative entropy for `simplex`,
+    Euclidean for `general`."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     decision_set = problem.decision_set
     if variant == "simplex" and not isinstance(decision_set, Simplex):
         raise ConfigError("the simplex variant needs a simplex decision set")
-    if geometry is None:
-        geometry = (
-            NegativeEntropyGeometry() if variant == "simplex" else EuclideanGeometry()
-        )
+    geometry = NegativeEntropyGeometry() if variant == "simplex" else EuclideanGeometry()
     return SolverState(
         slot=0,
         decision=decision_set.initial_point(),
@@ -166,17 +157,7 @@ def step(
     at the current decision; None means there is no previous slot."""
     params = state.params
     if obs is None:
-        outcome = StepOutcome(
-            decision=state.decision,
-            drift=0.0,
-            ineq_dual_norm=float(np.linalg.norm(state.duals.ineq)),
-            eq_dual_norm=float(np.linalg.norm(state.duals.eq)),
-            objective_advance=0.0,
-            prox_cost=0.0,
-            surrogate_ineq=np.zeros_like(state.duals.ineq),
-            eq_residual=np.zeros_like(state.duals.eq),
-        )
-        return replace(state, slot=state.slot + 1), outcome
+        return replace(state, slot=state.slot + 1), StepOutcome(0.0, *state.duals.norms())
 
     n_ineq, n_eq = state.duals.ineq.shape[0], state.duals.eq.shape[0]
     dim = state.decision.shape[0]
@@ -212,9 +193,7 @@ def step(
     move = mu_new - mu_prev
     surrogate = obs.ineq_values + obs.ineq_grads @ move if n_ineq else np.zeros(0)
     q_new = np.maximum(state.duals.ineq + surrogate, 0.0)
-    eq_residual = (
-        obs.eq_matrix @ mu_new - state.targets if n_eq else np.zeros(0)
-    )
+    eq_residual = obs.eq_matrix @ mu_new - state.targets if n_eq else np.zeros(0)
     h_new = state.duals.eq + eq_residual
 
     q_norm_old, h_norm_old = state.duals.norms()
@@ -222,21 +201,8 @@ def step(
     q_norm, h_norm = new_duals.norms()
     drift = 0.5 * (q_norm**2 - q_norm_old**2) + 0.5 * (h_norm**2 - h_norm_old**2)
 
-    outcome = StepOutcome(
-        decision=mu_new,
-        drift=drift,
-        ineq_dual_norm=q_norm,
-        eq_dual_norm=h_norm,
-        objective_advance=params.objective_weight
-        * float(obs.objective_grad @ move),
-        prox_cost=params.prox_weight * state.geometry.divergence(mu_new, base),
-        surrogate_ineq=surrogate,
-        eq_residual=eq_residual,
-    )
-    new_state = replace(
-        state, slot=state.slot + 1, decision=mu_new, duals=new_duals
-    )
-    return new_state, outcome
+    new_state = replace(state, slot=state.slot + 1, decision=mu_new, duals=new_duals)
+    return new_state, StepOutcome(drift, q_norm, h_norm)
 
 
 def iterate_run(
@@ -245,19 +211,19 @@ def iterate_run(
     params: AlgorithmParams,
     seed: int,
     variant: str = "general",
-    geometry: Optional[BregmanGeometry] = None,
 ) -> Iterator[Tuple[SolverState, StepOutcome, SlotFunctions, ObservationBatch]]:
     """Drive the engine against sampled slots, yielding per-slot results.
 
     Yields (state after the slot, outcome, the slot's sampled functions, the
     observation of those functions at the played decision). The functions
-    are sampled after the decision is made, matching the play order."""
+    are sampled after the decision is made, matching the play order. The
+    variant fixes the geometry, as in `initial_state`."""
     if problem.horizon_cap is not None and horizon > problem.horizon_cap:
         raise ProblemError(
             f"horizon {horizon} exceeds the problem's trace length "
             f"{problem.horizon_cap}"
         )
-    state = initial_state(problem, params, variant, geometry)
+    state = initial_state(problem, params, variant)
     obs = None
     for t in range(horizon):
         state, outcome = step(state, obs)
@@ -300,11 +266,10 @@ class RecordCollector:
         params: AlgorithmParams,
         seed: int,
         variant: str,
-        geometry: Optional[BregmanGeometry] = None,
         config_hash: str = "",
     ) -> RunRecord:
         """The record of the slots added so far, timed from construction."""
-        state = initial_state(self.problem, params, variant, geometry)
+        state = initial_state(self.problem, params, variant)
         return RunRecord(
             problem=self.problem.name,
             variant=variant,
@@ -324,14 +289,13 @@ def run(
     params: Optional[AlgorithmParams] = None,
     seed: int = 0,
     variant: str = "general",
-    geometry: Optional[BregmanGeometry] = None,
     config_hash: str = "",
 ) -> RunRecord:
     """Run the full loop and collect the trajectory record."""
     if params is None:
         params = parameter_schedule(max(horizon, 2), variant)
     collector = RecordCollector(problem, horizon)
-    slots = iterate_run(problem, horizon, params, seed, variant, geometry)
+    slots = iterate_run(problem, horizon, params, seed, variant)
     for state, outcome, _, obs in slots:
         collector.add(state, outcome, obs)
-    return collector.record(params, seed, variant, geometry, config_hash)
+    return collector.record(params, seed, variant, config_hash)

@@ -369,7 +369,6 @@ def mirror_step(
     coeffs: Array,
     prox_weight: float,
     *,
-    max_iter: int = 100_000,
     force_numeric: bool = False,
 ) -> Array:
     """Solve ``argmin_x <coeffs, x> + prox_weight * D(x, base)`` over the set.
@@ -378,8 +377,9 @@ def mirror_step(
     (simplex, negative entropy), the clipped gradient step on (box,
     Euclidean) and the projection of ``base - coeffs / prox_weight`` on
     (simplex, Euclidean).  Any other pair runs the certified solve: a
-    bisection on the simplex's normalisation multiplier, at most ``max_iter``
-    steps, whose result must clear a Frank-Wolfe gap of 1e-10.
+    bisection on the simplex's normalisation multiplier, uncapped since it
+    stops once its bracket no longer splits (see ``_bisect_normalisation``),
+    whose result must clear a Frank-Wolfe gap of 1e-10; a NaN gap fails.
     ``force_numeric`` routes even the closed-form pairs through the certified
     solve, which is how the closed forms are cross-validated.
 
@@ -422,7 +422,7 @@ def mirror_step(
             point = decision_set.project(geometry.potential_grad_inverse(shifted))
         steps = 0
     elif isinstance(decision_set, Simplex):
-        point, steps = _bisect_normalisation(geometry, shifted, max_iter)
+        point, steps = _bisect_normalisation(geometry, shifted)
     else:
         raise GeometryError(
             f"no certified prox for a {type(decision_set).__name__} decision set"
@@ -441,17 +441,17 @@ def mirror_step(
     return point
 
 
-def _bisect_normalisation(
-    geometry: BregmanGeometry, shifted: Array, max_iter: int
-) -> tuple[Array, int]:
+def _bisect_normalisation(geometry: BregmanGeometry, shifted: Array) -> tuple[Array, int]:
     """Bisect ``s`` until ``x(s) = max(grad_phi^-1(shifted - s), 0)`` sums to one.
 
     The sum is nonincreasing in ``s``.  It is at least one where the largest
     coordinate equals one and at most one where every coordinate is at most
-    ``1/d``, which brackets the root.  Bisection stops when the bracket can
-    no longer be split in floating point (about 55 steps) or after
-    ``max_iter`` steps.  The upper end's point is returned with its deficit
-    ``1 - sum`` added to its largest coordinate, so it lies in the simplex.
+    ``1/d``, which brackets the root.  Each step halves a finite bracket
+    until it can no longer be split in floating point: about 55 steps for a
+    root of order one, at most about 1,100 beside zero where floats are
+    densest.  A NaN or infinite end fails ``lo < mid < hi`` at once.  The
+    upper end's point is returned with its deficit ``1 - sum`` added to its
+    largest coordinate, so it lies in the simplex.
     """
 
     def at(s: float) -> Array:
@@ -463,7 +463,7 @@ def _bisect_normalisation(
     point = at(hi)
     total = float(point.sum())
     steps = 0
-    while steps < max_iter and total != 1.0:
+    while total != 1.0:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break

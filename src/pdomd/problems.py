@@ -17,11 +17,12 @@ simplex whose equality rows are linearly independent and whose interior
 anchor point makes the windowed static programs well posed, and a data-center
 power allocation scenario (50 servers in 5 clusters, electricity prices per
 zone, Poisson arrivals, Pareto service noise, budget-pacing equalities).
+Its layout and distribution parameters are module constants; only the Pareto
+shape is set per instance, through `DatacenterConfig`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -35,6 +36,18 @@ from .geometry import Box, DecisionSet, Simplex
 Array = np.ndarray
 
 REAC_WINDOW = 10  # arrivals in Reac's trailing average
+
+# The data-center scenario's fixed layout and distribution parameters.
+N_CLUSTERS = 5  # one price zone per cluster
+CLUSTER_SIZE = 10  # servers per cluster
+POWER_CAP = 30.0  # per-server power bound
+ARRIVAL_MEAN = 1000.0  # Poisson jobs per slot
+SERVICE_GAIN = 8.0  # the service curve gain * log(1 + rate * power)
+SERVICE_RATE = 4.0
+BUDGET_MEAN = 5.0  # Pareto budget per server and slot
+PACING_RATIOS = (0.05, 0.10, 0.25, 0.60)  # the last is shared by the final two clusters
+SERVER_CLUSTER = np.repeat(np.arange(N_CLUSTERS), CLUSTER_SIZE)  # cluster of each server
+SERVER_CLUSTER.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +84,13 @@ def poisson_sample(mean, rng):
     return int(rng.poisson(mean))
 
 
-def service_curve(power, gain=8.0, rate=4.0):
+def service_curve(power, gain=SERVICE_GAIN, rate=SERVICE_RATE):
     """Mean jobs served by one server at the given power draw."""
     served = gain * np.log1p(rate * np.asarray(power, dtype=float))
     return float(served) if served.ndim == 0 else served
 
 
-def service_curve_inverse(target, gain=8.0, rate=4.0, power_cap=30.0):
+def service_curve_inverse(target, gain=SERVICE_GAIN, rate=SERVICE_RATE, power_cap=POWER_CAP):
     """Power needed to serve `target` jobs on average, clipped to the range."""
     target = np.asarray(target, dtype=float)
     if np.any(target < 0.0):
@@ -117,8 +130,8 @@ class ServiceRows:
 
     levels: Array  # (L,)
     weights: Array  # (L, d)
-    gain: float = 8.0
-    rate: float = 4.0
+    gain: float = SERVICE_GAIN
+    rate: float = SERVICE_RATE
 
     def __len__(self) -> int:
         return self.levels.shape[0]
@@ -416,72 +429,23 @@ class PriceTrace:
 
 @dataclass(frozen=True)
 class DatacenterConfig:
-    """Cluster layout and distribution parameters of the power scenario.
+    """The one settable parameter of the power scenario: the Pareto shape of
+    its service noise and budgets. The rest are the module constants."""
 
-    Five clusters partition the servers; four pacing ratios cover them, the
-    last shared by the final two clusters."""
-
-    clusters: tuple = (
-        tuple(range(0, 10)),
-        tuple(range(10, 20)),
-        tuple(range(20, 30)),
-        tuple(range(30, 40)),
-        tuple(range(40, 50)),
-    )
-    power_cap: float = 30.0
-    arrival_mean: float = 1000.0
-    service_gain: float = 8.0
-    service_rate: float = 4.0
-    budget_mean: float = 5.0
-    pacing_ratios: tuple = (0.05, 0.10, 0.25, 0.60)
     pareto_shape: float = 2.5
 
     def __post_init__(self):
-        if len(self.clusters) != 5:
-            raise ProblemError(f"clusters must hold 5 clusters, got {len(self.clusters)}")
-        if len(self.pacing_ratios) != 4:
-            raise ProblemError(
-                f"pacing_ratios must hold 4 ratios, got {len(self.pacing_ratios)}"
-            )
-        servers = sorted(k for cluster in self.clusters for k in cluster)
-        if servers != list(range(len(servers))):
-            raise ProblemError("clusters must partition the server index range")
-        if abs(sum(self.pacing_ratios) - 1.0) > 1e-12:
-            raise ProblemError("pacing ratios must sum to 1")
-        for name in ("power_cap", "arrival_mean", "service_gain", "service_rate", "budget_mean"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ProblemError(f"{name} must be finite and positive, got {value!r}")
         if not (math.isfinite(self.pareto_shape) and self.pareto_shape > 1.0):
             raise ProblemError(
                 f"pareto_shape must be finite and exceed 1, got {self.pareto_shape!r}"
             )
 
-    @property
-    def n_servers(self) -> int:
-        return sum(len(c) for c in self.clusters)
 
-    @functools.cached_property
-    def server_cluster(self) -> Array:
-        """Cluster index of each server (read-only)."""
-        index = np.empty(self.n_servers, dtype=np.intp)
-        for j, cluster in enumerate(self.clusters):
-            index[list(cluster)] = j
-        index.flags.writeable = False
-        return index
-
-
-def _pacing_structure(config: DatacenterConfig) -> Array:
+def _pacing_structure() -> Array:
     """Rows chi_j - beta_j * 1; the last row merges the final two clusters."""
-    d = config.n_servers
-    ratios = config.pacing_ratios
-    groups = [list(config.clusters[j]) for j in range(3)]
-    groups.append(list(config.clusters[3]) + list(config.clusters[4]))
-    rows = np.zeros((4, d))
-    for j, group in enumerate(groups):
-        rows[j, group] = 1.0
-        rows[j] -= ratios[j]
-    return rows
+    group = np.minimum(SERVER_CLUSTER, len(PACING_RATIOS) - 1)
+    members = group == np.arange(len(PACING_RATIOS))[:, None]
+    return members - np.array(PACING_RATIOS)[:, None]
 
 
 def build_datacenter_problem(
@@ -495,19 +459,14 @@ def build_datacenter_problem(
     Equalities: each cluster's expected budget spend pinned to its pacing
     share of the total, in homogeneous form with target zero.
     """
-    if len(prices.zones) != len(config.clusters):
-        raise ProblemError(
-            f"trace has {len(prices.zones)} zones, need {len(config.clusters)}"
-        )
+    if len(prices.zones) != N_CLUSTERS:
+        raise ProblemError(f"trace has {len(prices.zones)} zones, need {N_CLUSTERS}")
     if len(prices) == 0:
         raise ProblemError("price trace is empty")
-    d = config.n_servers
-    server_zone = config.server_cluster  # one zone per cluster
+    d = SERVER_CLUSTER.size
     zone_prices = prices.prices
 
-    structure = _pacing_structure(config)
-    mean_rows = config.budget_mean * structure
-    gain, rate = config.service_gain, config.service_rate
+    structure = _pacing_structure()
     shape = config.pareto_shape
 
     def objective_at(t: int) -> Array:
@@ -515,31 +474,27 @@ def build_datacenter_problem(
             raise ProblemError(
                 f"slot {t} beyond trace length {zone_prices.shape[0]}"
             )
-        return zone_prices[t, server_zone].astype(float)
+        return zone_prices[t, SERVER_CLUSTER].astype(float)  # one zone per cluster
 
     def sample_slot(t: int, rng: np.random.Generator) -> SlotFunctions:
-        arrivals = poisson_sample(config.arrival_mean, rng)
+        arrivals = poisson_sample(ARRIVAL_MEAN, rng)
         noise = pareto_sample(1.0, shape, rng, size=d)
-        budgets = pareto_sample(config.budget_mean, shape, rng, size=d)
+        budgets = pareto_sample(BUDGET_MEAN, shape, rng, size=d)
         return SlotFunctions(
             slot=t,
             objective=objective_at(t),
-            inequalities=ServiceRows(
-                np.array([float(arrivals)]), noise[None, :], gain=gain, rate=rate
-            ),
+            inequalities=ServiceRows(np.array([float(arrivals)]), noise[None, :]),
             eq_matrix=budgets * structure,
         )
 
     means = MeanModel(
         objective_at=objective_at,
-        inequalities=ServiceRows(
-            np.array([config.arrival_mean]), np.ones((1, d)), gain=gain, rate=rate
-        ),
-        eq_matrix=mean_rows,
+        inequalities=ServiceRows(np.array([ARRIVAL_MEAN]), np.ones((1, d))),
+        eq_matrix=BUDGET_MEAN * structure,
     )
     return ProblemInstance(
         name="datacenter",
-        decision_set=Box(np.zeros(d), np.full(d, config.power_cap)),
+        decision_set=Box(np.zeros(d), np.full(d, POWER_CAP)),
         n_ineq=1,
         n_eq=4,
         targets=np.zeros(4),
@@ -549,7 +504,7 @@ def build_datacenter_problem(
     )
 
 
-def reac_schedule(arrivals: Sequence[float], config: DatacenterConfig) -> Array:
+def reac_schedule(arrivals: Sequence[float]) -> Array:
     """Reactive baseline over a whole horizon: row t of the (T, d) result is
     Reac's decision for slot t, given the slot arrivals `arrivals` (T,).
 
@@ -570,16 +525,10 @@ def reac_schedule(arrivals: Sequence[float], config: DatacenterConfig) -> Array:
     if arrivals.size > REAC_WINDOW:
         windows = sliding_window_view(arrivals[:-1], REAC_WINDOW)
         forecast[REAC_WINDOW:] = np.mean(windows, axis=1)
-    ratios = config.pacing_ratios
-    cluster_loads = forecast[:, None] * np.array([*ratios, ratios[3]])
+    cluster_loads = forecast[:, None] * np.array([*PACING_RATIOS, PACING_RATIOS[3]])
     cluster_loads[:, 3:] /= 2.0  # the final two clusters split the last share evenly
-    # An empty cluster's load reaches no server; dividing it by 1 keeps the
-    # quotient finite.
-    sizes = np.array([max(len(cluster), 1) for cluster in config.clusters], dtype=float)
-    power = service_curve_inverse(
-        cluster_loads / sizes, config.service_gain, config.service_rate, config.power_cap
-    )
+    power = service_curve_inverse(cluster_loads / CLUSTER_SIZE)
     # np.take keeps the rows C-contiguous; power[:, index] comes out
     # F-ordered, and a product over a strided row can differ in the last bit
     # from the same product over a slot's own contiguous point.
-    return np.take(power, config.server_cluster, axis=1)
+    return np.take(power, SERVER_CLUSTER, axis=1)

@@ -474,6 +474,9 @@ def _record_from_header_and_columns(path, header: dict, columns: dict) -> RunRec
     except ConfigError as exc:
         raise ProblemError(f"{path}: bad params header: {exc}") from None
     n_eq = len(header["targets"])
+    seed = header["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ProblemError(f"{path}: bad seed header: expected a nonnegative integer")
 
     def arr(name, width=None):
         data = np.asarray(columns[name], dtype=float)
@@ -490,7 +493,7 @@ def _record_from_header_and_columns(path, header: dict, columns: dict) -> RunRec
         problem=header["problem"],
         variant=header["variant"],
         geometry=header["geometry"],
-        seed=int(header["seed"]),
+        seed=seed,
         params=params,
         targets=np.asarray(header["targets"], dtype=float),
         decisions=arr("decisions", width=header.get("dimension")),

@@ -37,6 +37,7 @@ from pdomd import (
     sweep_rates,
 )
 from pdomd.cli import SyntheticSettings
+from test_core import penalty_terms
 from test_oracle import zoom_grid_minimum
 
 ENTROPY = NegativeEntropyGeometry()
@@ -183,13 +184,13 @@ def test_engine_algebra():
     params = parameter_schedule(horizon, "general")
 
     min_dual = np.inf
-    min_cost = np.inf
     d1 = 0.0  # the largest realized ||grad f||_2 over the slots run
-    for state, outcome, _, obs in iterate_run(problem, horizon, params, seed=0, variant="general"):
+    slots = list(iterate_run(problem, horizon, params, seed=0, variant="general"))
+    for state, _, _, obs in slots:
         if state.duals.ineq.size:
             min_dual = min(min_dual, float(np.min(state.duals.ineq)))
-        min_cost = min(min_cost, outcome.objective_advance + outcome.prox_cost)
         d1 = max(d1, EUCLID.dual_norm(obs.objective_grad))
+    min_cost = min(penalty_terms(slots))
     floor = -(params.objective_weight**2) * d1**2 / (2.0 * params.prox_weight)
     min_margin = min_cost - floor
 

@@ -203,16 +203,21 @@ _VALUES = {
 _NUMBER_KEYS = [
     ("T",), ("V",), ("alpha",), ("theta",), ("synthetic", "d"), ("datacenter", "pareto_shape")
 ]
+_SEED_KEYS = [("seeds", 0), ("synthetic", "instance_seed"), ("datacenter", "trace_seed")]
 
 
 @st.composite
 def broken_config_mappings(draw):
-    """A well-formed mapping with one non-finite, unknown or ill-typed key."""
+    """A well-formed mapping with one non-finite, unknown or ill-typed key,
+    or one negative seed."""
     mapping = draw(config_mappings())
-    kind = draw(st.sampled_from(["non-finite", "unknown", "ill-typed"]))
+    kind = draw(st.sampled_from(["non-finite", "unknown", "ill-typed", "negative-seed"]))
     if kind == "non-finite":
         path = draw(st.sampled_from(_NUMBER_KEYS))
         value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "negative-seed":
+        path = draw(st.sampled_from(_SEED_KEYS))
+        value = draw(st.integers(max_value=-1))
     elif kind == "unknown":
         section = draw(st.sampled_from([(), ("synthetic",), ("datacenter",)]))
         known = {key[-1] for key in _KEY_TYPES if key[:-1] == section} | {"config_hash"}
@@ -247,6 +252,11 @@ class TestSeedRange:
     def test_backwards_range(self):
         with pytest.raises(ConfigError, match="end before start"):
             parse_seed_range("7..4")
+
+    def test_negative_seed_rejected(self):
+        for text in ("-1", "-2..3"):
+            with pytest.raises(ConfigError, match="--seeds must be nonnegative"):
+                parse_seed_range(text)
 
     def test_garbage(self):
         with pytest.raises(ConfigError):
@@ -304,6 +314,13 @@ class TestPriceTraces:
         path.write_text("slot,zone,price\n0,a,cheap\n")
         with pytest.raises(ConfigError, match="non-numeric"):
             ingest_price_trace(path)
+
+    def test_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        for price in ("nan", "inf", "1e999"):
+            path.write_text(f"slot,zone,price\n0,a,1.0\n1,a,{price}\n")
+            with pytest.raises(ConfigError, match="inf.csv:3: non-finite price"):
+                ingest_price_trace(path)
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -401,7 +418,7 @@ class TestRunExperiment:
         # the exported record. Both must give the same numbers exactly.
         config = small_config(tmp_path, **entries)
         result = run_experiment(config)
-        problem, _ = cli._build_problem(config)
+        problem = cli._build_problem(config)
         for seed, summary in result["metrics"]:
             record = import_record(result["out_dir"] / "records" / f"run_seed{seed}.csv")
             assert compute_metrics(record, result["hindsight"], problem) == summary
@@ -418,16 +435,16 @@ class TestRunExperiment:
     def test_batched_scoring_matches_a_slot_loop(self, tmp_path, entries):
         # Reference: each policy's point scored on each slot's own functions.
         config = small_config(tmp_path, **entries)
-        problem, dc = cli._build_problem(config)
+        problem = cli._build_problem(config)
         horizon = config.horizon
         hindsight = hindsight_optimum(problem, 0, horizon)
-        _, summary, columns = cli._scored_pass(problem, config, horizon, 1, hindsight, dc)
+        _, summary, columns = cli._scored_pass(problem, config, horizon, 1, hindsight)
         slots = [fns for _, _, fns, _ in iterate_run(
             problem, horizon, config.params_for(horizon), 1, config.resolved_variant
         )]
         points = {"hindsight": [hindsight[0]] * horizon}
-        if dc is not None:
-            points["reac"] = reac_schedule([fns.inequalities.levels[0] for fns in slots], dc)
+        if config.scenario == "datacenter":
+            points["reac"] = reac_schedule([fns.inequalities.levels[0] for fns in slots])
         assert set(columns) == {"algorithm", *points}
         for name, policy_points in points.items():
             cost, ineq, eq = columns[name]
@@ -652,6 +669,11 @@ class TestMainExitCodes:
             header["params"][field] = value
             return ["# pdomd-run v1 " + json.dumps(header)] + lines[1:]
 
+        def with_seed(value):
+            header = json.loads(lines[0].removeprefix("# pdomd-run v1 "))
+            header["seed"] = value
+            return ["# pdomd-run v1 " + json.dumps(header)] + lines[1:]
+
         no_column_row = lines[:1]
         json_without_columns = [lines[0].removeprefix("# pdomd-run v1 ")]
         cases = [
@@ -665,6 +687,8 @@ class TestMainExitCodes:
             (with_param("horizon", float("nan")), "run_seed0.csv: bad params header: horizon"),
             (with_param("drift_window", float("nan")), "run_seed0.csv: bad params header: drift_window"),
             (with_param("drift_window", 2.5), "run_seed0.csv: bad params header: drift_window"),
+            (with_seed(-1), "run_seed0.csv: bad seed header"),
+            (with_seed(2.5), "run_seed0.csv: bad seed header"),
             (no_column_row, "run_seed0.csv"),
             (json_without_columns, "run_seed0.csv"),
             (None, "missing.csv"),
@@ -694,6 +718,17 @@ class TestMainExitCodes:
             argv = ["audit", "--config", "c.json", "--record", "r.csv", "--samples", samples]
             assert main(argv) == 2
             assert "--samples" in capsys.readouterr().err
+
+    def test_negative_seed_flags_are_exit_2(self, tmp_path, capsys):
+        for argv, flag in (
+            (["gen-trace", "--out", str(tmp_path / "t.csv"), "--seed", "-1"], "--seed"),
+            (["audit", "--config", "c.json", "--record", "r.csv", "--audit-seed", "-1"],
+             "--audit-seed"),
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert flag in err and err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
 
     def test_unwritable_output_is_exit_3(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -25,6 +25,25 @@ from pdomd.core import AlgorithmParams, DualState, SolverState
 from pdomd.problems import ObservationBatch
 
 
+def penalty_terms(slots):
+    """V <grad f, mu' - mu> + alpha D(mu', base) of every slot that steps,
+    from consecutive iterate_run yields: mu and mu' are the decisions before
+    and after the step, grad f is the observation the step consumed, and
+    base is mix_toward_uniform(mu, theta) on the simplex variant and mu on
+    the general one."""
+    terms = []
+    for (before, _, _, obs), (after, _, _, _) in zip(slots, slots[1:]):
+        params, mu, mu_new = after.params, before.decision, after.decision
+        base = mu
+        if after.variant == "simplex":
+            base = mix_toward_uniform(mu, params.mixing_weight)
+        terms.append(
+            params.objective_weight * float(obs.objective_grad @ (mu_new - mu))
+            + params.prox_weight * after.geometry.divergence(mu_new, base)
+        )
+    return terms
+
+
 def small_params(horizon, theta=0.0):
     return AlgorithmParams(
         objective_weight=float(np.sqrt(horizon)),
@@ -126,7 +145,7 @@ class TestStep:
         problem = build_synthetic_problem(6, 1, 1, seed=4)
         state = initial_state(problem, small_params(100))
         new_state, outcome = step(state, None)
-        assert np.array_equal(outcome.decision, problem.decision_set.initial_point())
+        assert np.array_equal(new_state.decision, problem.decision_set.initial_point())
         assert outcome.drift == 0.0
         assert outcome.ineq_dual_norm == 0.0 and outcome.eq_dual_norm == 0.0
         assert new_state.slot == 1
@@ -212,14 +231,11 @@ class TestRunInvariants:
         params = parameter_schedule(400, "general")
         from pdomd import iterate_run
 
-        slots = [
-            (outcome, obs)
-            for _, outcome, _, obs in iterate_run(problem, 400, params, seed=6, variant="general")
-        ]
-        d1 = max(EuclideanGeometry().dual_norm(obs.objective_grad) for _, obs in slots)
+        slots = list(iterate_run(problem, 400, params, seed=6, variant="general"))
+        d1 = max(EuclideanGeometry().dual_norm(obs.objective_grad) for *_, obs in slots)
         floor = -(params.objective_weight**2) * d1**2 / (2.0 * params.prox_weight)
-        for outcome, _ in slots:
-            assert outcome.objective_advance + outcome.prox_cost >= floor - 1e-12
+        for term in penalty_terms(slots):
+            assert term >= floor - 1e-12
 
     def test_penalty_lower_bound_simplex(self):
         # D1 is the largest realized ||grad f||_inf over the slots run.
@@ -227,17 +243,14 @@ class TestRunInvariants:
         params = parameter_schedule(400, "simplex")
         from pdomd import iterate_run
 
-        slots = [
-            (outcome, obs)
-            for _, outcome, _, obs in iterate_run(problem, 400, params, seed=6, variant="simplex")
-        ]
-        d1 = max(NegativeEntropyGeometry().dual_norm(obs.objective_grad) for _, obs in slots)
+        slots = list(iterate_run(problem, 400, params, seed=6, variant="simplex"))
+        d1 = max(NegativeEntropyGeometry().dual_norm(obs.objective_grad) for *_, obs in slots)
         floor = -(
             (params.objective_weight**2) * d1**2 / (2.0 * params.prox_weight)
             + params.objective_weight * params.mixing_weight * d1
         )
-        for outcome, _ in slots:
-            assert outcome.objective_advance + outcome.prox_cost >= floor - 1e-12
+        for term in penalty_terms(slots):
+            assert term >= floor - 1e-12
 
     def test_simplex_iterates_stay_valid(self):
         problem = build_synthetic_problem(10, 2, 2, seed=7)

@@ -203,15 +203,15 @@ class TestMirrorStep:
         for decision_set, bad in ((Simplex(2), np.nan), (box, np.nan), (box, np.inf)):
             with pytest.raises(GeometryError):
                 mirror_step(EUCLID, decision_set, np.array([0.5, 0.5]), np.array([bad, 0.0]), 1.0)
+        # A NaN coefficient makes the certificate's gap NaN, which it refuses.
         with pytest.raises(ProxConvergenceError):
             mirror_step(
                 ENTROPY,
                 Simplex(4),
                 np.full(4, 0.25),
-                np.array([3.0, -1.0, 2.0, 0.5]),
+                np.array([np.nan, -1.0, 2.0, 0.5]),
                 1.0,
                 force_numeric=True,
-                max_iter=1,
             )
 
         class Ball(DecisionSet):  # neither a box nor a simplex

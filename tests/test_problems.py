@@ -19,6 +19,14 @@ from pdomd import (
     service_curve,
     service_curve_inverse,
 )
+from pdomd.problems import (
+    CLUSTER_SIZE,
+    N_CLUSTERS,
+    PACING_RATIOS,
+    POWER_CAP,
+    SERVICE_GAIN,
+    SERVICE_RATE,
+)
 
 # Frozen reference: (e^(5/8) - 1)/4
 INVERSE_AT_FIVE = 0.2170614893580556
@@ -286,30 +294,29 @@ class TestDatacenterProblem:
             PriceTrace(("A", "B"), np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
-def reac_per_cluster(history, config):
+def reac_per_cluster(history):
     """Reac with one service-curve inverse per cluster, the reference for the
     per-server array form."""
     forecast = float(np.mean(list(history)[-10:]))
-    allocation = np.zeros(config.n_servers)
-    loads = [config.pacing_ratios[j] * forecast for j in range(3)]
-    loads += [config.pacing_ratios[3] * forecast / 2.0] * 2
-    for cluster, load in zip(config.clusters, loads):
-        allocation[list(cluster)] = service_curve_inverse(
-            load / len(cluster), config.service_gain, config.service_rate, config.power_cap
+    allocation = np.zeros(N_CLUSTERS * CLUSTER_SIZE)
+    loads = [PACING_RATIOS[j] * forecast for j in range(3)]
+    loads += [PACING_RATIOS[3] * forecast / 2.0] * 2
+    for j, load in enumerate(loads):
+        allocation[j * CLUSTER_SIZE:(j + 1) * CLUSTER_SIZE] = service_curve_inverse(
+            load / CLUSTER_SIZE, SERVICE_GAIN, SERVICE_RATE, POWER_CAP
         )
     return allocation
 
 
-def reac_after(history, arrival, config):
+def reac_after(history, arrival):
     """Reac's decision for the slot with `arrival`, after the arrivals in
     `history`."""
-    return reac_schedule(list(history) + [arrival], config)[len(history)]
+    return reac_schedule(list(history) + [arrival])[len(history)]
 
 
 class TestReacPolicy:
     def test_nominal_forecast(self):
-        config = DatacenterConfig()
-        mu = reac_schedule([1000.0], config)[0]
+        mu = reac_schedule([1000.0])[0]
         # Cluster 1 share 5%: 50 jobs over 10 servers, 5 jobs per server.
         assert np.allclose(mu[:10], INVERSE_AT_FIVE, atol=1e-12)
         # Final two clusters split the 60% share evenly: 30 jobs per server.
@@ -317,88 +324,56 @@ class TestReacPolicy:
         assert np.allclose(mu[30:], expected_heavy, atol=1e-12)
 
     def test_zero_arrivals(self):
-        mu = reac_after([0.0, 0.0], 0.0, DatacenterConfig())
+        mu = reac_after([0.0, 0.0], 0.0)
         assert np.all(mu == 0.0)
 
     def test_constant_history_constant_output(self):
-        config = DatacenterConfig()
-        a = reac_after([800.0] * 10, 500.0, config)
-        b = reac_after([800.0] * 4, 500.0, config)
+        a = reac_after([800.0] * 10, 500.0)
+        b = reac_after([800.0] * 4, 500.0)
         assert np.array_equal(a, b)
 
     def test_history_window_is_ten(self):
-        config = DatacenterConfig()
         long_history = [0.0] * 50 + [1000.0] * 10
-        a = reac_after(long_history, 500.0, config)
-        b = reac_after([1000.0] * 10, 500.0, config)
+        a = reac_after(long_history, 500.0)
+        b = reac_after([1000.0] * 10, 500.0)
         assert np.array_equal(a, b)
 
     def test_empty_history_rejected(self):
         with pytest.raises(ProblemError):
-            reac_schedule([], DatacenterConfig())
+            reac_schedule([])
 
     def test_non_finite_history_rejected(self):
-        config = DatacenterConfig()
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ProblemError, match="finite"):
-                reac_schedule([1000.0, bad, 900.0], config)
+                reac_schedule([1000.0, bad, 900.0])
             # A non-finite arrival is refused wherever it sits.
             with pytest.raises(ProblemError, match="finite"):
-                reac_schedule([bad] + [1000.0] * 10, config)
+                reac_schedule([bad] + [1000.0] * 10)
 
     def test_shape_and_layout(self):
-        config = DatacenterConfig()
-        schedule = reac_schedule(np.linspace(900.0, 1100.0, 25), config)
-        assert schedule.shape == (25, config.n_servers)
+        schedule = reac_schedule(np.linspace(900.0, 1100.0, 25))
+        assert schedule.shape == (25, N_CLUSTERS * CLUSTER_SIZE)
         assert schedule.flags.c_contiguous
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=30), st.floats(0.0, 5000.0))
     def test_matches_per_cluster_reference(self, history, arrival):
-        config = DatacenterConfig()
-        assert np.array_equal(
-            reac_after(history, arrival, config), reac_per_cluster(history, config)
-        )
+        assert np.array_equal(reac_after(history, arrival), reac_per_cluster(history))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=40))
     def test_rows_match_a_trailing_window(self, arrivals):
         # Row t is the per-cluster Reac of a deque(maxlen=10) holding the
         # arrivals before slot t, or slot 0's own arrival while it is empty.
-        config = DatacenterConfig()
-        schedule = reac_schedule(arrivals, config)
+        schedule = reac_schedule(arrivals)
         window = deque(maxlen=10)
         for t, arrival in enumerate(arrivals):
-            assert np.array_equal(schedule[t], reac_per_cluster(window or [arrival], config)), t
+            assert np.array_equal(schedule[t], reac_per_cluster(window or [arrival])), t
             window.append(arrival)
 
 
 class TestConfigValidation:
-    def test_ratio_sum_enforced(self):
-        with pytest.raises(ProblemError):
-            DatacenterConfig(pacing_ratios=(0.1, 0.1, 0.1, 0.1))
-
-    def test_cluster_partition_enforced(self):
-        bad = (tuple(range(0, 10)),) * 5
-        with pytest.raises(ProblemError):
-            DatacenterConfig(clusters=bad)
-
-    @pytest.mark.parametrize("n_clusters", [4, 6])
-    def test_five_clusters_required(self, n_clusters):
-        clusters = tuple(tuple(range(10 * j, 10 * j + 10)) for j in range(n_clusters))
-        with pytest.raises(ProblemError, match="clusters"):
-            DatacenterConfig(clusters=clusters)
-
-    @pytest.mark.parametrize("ratios", [(0.2, 0.3, 0.5), (0.1, 0.1, 0.2, 0.3, 0.3)])
-    def test_four_pacing_ratios_required(self, ratios):
-        with pytest.raises(ProblemError, match="pacing_ratios"):
-            DatacenterConfig(pacing_ratios=ratios)
-
     def test_parameters_rejected_by_name(self):
-        positive = ("power_cap", "arrival_mean", "service_gain", "service_rate", "budget_mean")
-        cases = [(name, value) for name in positive
-                 for value in (np.nan, np.inf, -np.inf, 0.0, -5.0)]
-        cases += [("pareto_shape", value) for value in (np.nan, np.inf, 1.0)]
-        for name, value in cases:
-            with pytest.raises(ProblemError, match=name):
-                DatacenterConfig(**{name: value})
+        for value in (np.nan, np.inf, 1.0):
+            with pytest.raises(ProblemError, match="pareto_shape"):
+                DatacenterConfig(pareto_shape=value)
