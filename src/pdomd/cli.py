@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import VARIANTS, AlgorithmParams, RecordCollector, iterate_run, parameter_schedule
+from .core import VARIANTS, AlgorithmParams, iterate_run, parameter_schedule
 from .errors import ConfigError, PdomdError
 from .oracle import hindsight_optimum
 from .problems import (
@@ -51,6 +51,7 @@ from .problems import (
 )
 from .telemetry import (
     MetricsSummary,
+    RecordCollector,
     RunRecord,
     export,
     import_record,

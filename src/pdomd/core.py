@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import time
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Tuple
 
@@ -25,20 +24,14 @@ import numpy as np
 
 from .errors import ConfigError, ProblemError
 from .geometry import (
-    BregmanGeometry,
-    DecisionSet,
-    EuclideanGeometry,
-    NegativeEntropyGeometry,
-    Simplex,
-    mirror_step,
-    mix_toward_uniform,
+    VARIANT_GEOMETRY, BregmanGeometry, DecisionSet, Simplex, mirror_step, prox_base
 )
 from .problems import ObservationBatch, ProblemInstance, SlotFunctions, slot_rng
-from .telemetry import RunRecord
+from .telemetry import RecordCollector, RunRecord
 
 Array = np.ndarray
 
-VARIANTS = ("general", "simplex")
+VARIANTS = tuple(VARIANT_GEOMETRY)
 
 
 @dataclass(frozen=True)
@@ -94,14 +87,19 @@ class DualState:
 
 @dataclass(frozen=True)
 class SolverState:
+    """The engine between slots; its variant fixes its geometry."""
+
     slot: int
     decision: Array  # the decision currently in play
     duals: DualState
     params: AlgorithmParams
-    geometry: BregmanGeometry
     decision_set: DecisionSet
     targets: Array  # (M,)
     variant: str
+
+    @property
+    def geometry(self) -> BregmanGeometry:
+        return VARIANT_GEOMETRY[self.variant]
 
 
 @dataclass(frozen=True)
@@ -126,13 +124,11 @@ def initial_state(
     decision_set = problem.decision_set
     if variant == "simplex" and not isinstance(decision_set, Simplex):
         raise ConfigError("the simplex variant needs a simplex decision set")
-    geometry = NegativeEntropyGeometry() if variant == "simplex" else EuclideanGeometry()
     return SolverState(
         slot=0,
         decision=decision_set.initial_point(),
         duals=DualState(np.zeros(problem.n_ineq), np.zeros(problem.n_eq)),
         params=params,
-        geometry=geometry,
         decision_set=decision_set,
         targets=np.asarray(problem.targets, dtype=float),
         variant=variant,
@@ -181,10 +177,7 @@ def step(
         raise ProblemError(f"slot {obs.slot}: observation is not finite")
 
     mu_prev = state.decision
-    if state.variant == "simplex":
-        base = mix_toward_uniform(mu_prev, params.mixing_weight)
-    else:
-        base = mu_prev
+    base = prox_base(state.variant, mu_prev, params.mixing_weight)
     coeffs = assemble_dual_weighted_gradient(state, obs)
     mu_new = mirror_step(
         state.geometry, state.decision_set, base, coeffs, params.prox_weight
@@ -230,57 +223,6 @@ def iterate_run(
         fns = problem.sample_slot(t, slot_rng(seed, t))
         obs = fns.observe(state.decision)
         yield state, outcome, fns, obs
-
-
-class RecordCollector:
-    """Record columns filled slot by slot from iterate_run's yields.
-
-    `run` and the experiment harness both build their records here, so a
-    record means the same thing whichever of them wrote it."""
-
-    def __init__(self, problem: ProblemInstance, horizon: int):
-        self.problem = problem
-        self.columns = {
-            "decisions": np.zeros((horizon, problem.dimension)),
-            "objective_realized": np.zeros(horizon),
-            "ineq_realized": np.zeros((horizon, problem.n_ineq)),
-            "eq_realized": np.zeros((horizon, problem.n_eq)),
-            "ineq_dual_norm": np.zeros(horizon),
-            "eq_dual_norm": np.zeros(horizon),
-            "drift": np.zeros(horizon),
-        }
-        self.started = time.perf_counter()
-
-    def add(self, state: SolverState, outcome: StepOutcome, obs: ObservationBatch) -> None:
-        t, columns = obs.slot, self.columns
-        columns["decisions"][t] = state.decision
-        columns["objective_realized"][t] = obs.objective_value
-        columns["ineq_realized"][t] = obs.ineq_values
-        columns["eq_realized"][t] = obs.eq_matrix @ state.decision
-        columns["ineq_dual_norm"][t] = outcome.ineq_dual_norm
-        columns["eq_dual_norm"][t] = outcome.eq_dual_norm
-        columns["drift"][t] = outcome.drift
-
-    def record(
-        self,
-        params: AlgorithmParams,
-        seed: int,
-        variant: str,
-        config_hash: str = "",
-    ) -> RunRecord:
-        """The record of the slots added so far, timed from construction."""
-        state = initial_state(self.problem, params, variant)
-        return RunRecord(
-            problem=self.problem.name,
-            variant=variant,
-            geometry=state.geometry.name,
-            seed=seed,
-            params=params,
-            targets=state.targets,
-            config_hash=config_hash,
-            wall_time_s=time.perf_counter() - self.started,
-            **self.columns,
-        )
 
 
 def run(

@@ -362,6 +362,16 @@ def mix_toward_uniform(point: Array, mixing_weight: float) -> Array:
     return (1.0 - mixing_weight) * point + mixing_weight / point.shape[0]
 
 
+#: The geometry each engine variant runs; nothing else decides it.
+VARIANT_GEOMETRY = {"general": EuclideanGeometry(), "simplex": NegativeEntropyGeometry()}
+
+
+def prox_base(variant: str, point: Array, mixing_weight: float) -> Array:
+    """The centre of a variant's prox step from ``point``: blended toward
+    uniform on the simplex variant, which keeps KL divergences finite."""
+    return mix_toward_uniform(point, mixing_weight) if variant == "simplex" else point
+
+
 def mirror_step(
     geometry: BregmanGeometry,
     decision_set: DecisionSet,

@@ -166,11 +166,12 @@ def _service_dual(program: _WindowProgram, mult: Array) -> Tuple[Array, float, A
     n_ineq = len(rows)
     scale = mult[:n_ineq] @ rows.weights
     slope = program.objective + mult[n_ineq:] @ eq
-    # a ratio past the float range is +inf, and its coordinate clips to the
-    # upper bound, as the limit does
+    # a ratio or a stationary point past the float range is +inf, and its
+    # coordinate clips to the upper bound, as the limit does
     with np.errstate(over="ignore"):
         ratio = np.divide(scale, slope, out=np.full(slope.shape, np.inf), where=slope > 0.0)
-    point = np.clip((ratio * (rows.gain * rows.rate) - 1.0) / rows.rate, dset.lower, dset.upper)
+        stationary = (ratio * (rows.gain * rows.rate) - 1.0) / rows.rate
+    point = np.clip(stationary, dset.lower, dset.upper)
     residual = np.concatenate([rows.values(point), eq @ point - program.targets])
     return point, float(program.objective @ point) + float(mult @ residual), residual
 

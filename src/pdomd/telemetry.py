@@ -6,10 +6,11 @@ works from records: metric summaries, the drift-plus-penalty audit, and the
 CSV/JSON exporters. `replay_record` is the one replay of a record: it draws
 each slot once and checks the objective, the multiplier norms and the
 sampled drift-plus-penalty residuals in the same walk; `compute_metrics` and
-`dpp_audit` are views of it. CSV columns are fixed as
+`dpp_audit` are views of it. `COLUMNS` lays out the record's columns for
+`RecordCollector`, the exporters and the importers; in CSV they read
 t, mu_0..mu_{d-1}, f_realized, g_0..g_{L-1}, h_0..h_{M-1}, q_norm, h_norm, drift
-and numbers are written in repr precision so import reproduces the record
-bit-exactly. Import rejects a NaN or infinite cell.
+in repr precision, so import reproduces the record bit-exactly. Import
+rejects a NaN or infinite cell and a column row out of that layout.
 """
 
 from __future__ import annotations
@@ -18,33 +19,43 @@ import csv
 import dataclasses
 import json
 import math
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, ProblemError, ReplayMismatchError
-from .geometry import (
-    BregmanGeometry,
-    EuclideanGeometry,
-    NegativeEntropyGeometry,
-    mix_toward_uniform,
-)
-from .problems import ProblemInstance, slot_rng
+from .errors import ConfigError, ProblemError, ReplayMismatchError
+from .geometry import VARIANT_GEOMETRY, prox_base
+from .problems import ObservationBatch, ProblemInstance, slot_rng
 
 if TYPE_CHECKING:
-    from .core import AlgorithmParams
+    from .core import AlgorithmParams, SolverState, StepOutcome
 
 Array = np.ndarray
 
 _REPLAY_TOL = 1e-9
 TABLE_ROWS = 500  # table rows held as Python values at a time
 
+#: The record's per-slot columns in file order, as (RunRecord field, CSV name).
+#: A CSV name ending in "_" means a (T, k) field, one numbered column per entry.
+COLUMNS = (
+    ("decisions", "mu_"),
+    ("objective_realized", "f_realized"),
+    ("ineq_realized", "g_"),
+    ("eq_realized", "h_"),
+    ("ineq_dual_norm", "q_norm"),
+    ("eq_dual_norm", "h_norm"),
+    ("drift", "drift"),
+)
+
 
 @dataclass
 class RunRecord:
     """Full trajectory of one run.
 
+    The variant fixes the geometry: `geometry` names
+    `VARIANT_GEOMETRY[variant]`, and an unknown variant is refused.
     Dual-norm columns hold the multiplier norms after each slot's update, so
     the final row carries the terminal norms and the drift column telescopes
     against it. The drift column stores the recorded per-slot drift, which
@@ -53,7 +64,6 @@ class RunRecord:
 
     problem: str
     variant: str
-    geometry: str
     seed: int
     params: "AlgorithmParams"
     targets: Array  # (M,)
@@ -68,18 +78,21 @@ class RunRecord:
     wall_time_s: float = 0.0
 
     def __post_init__(self):
-        t, d = self.decisions.shape
-        if self.objective_realized.shape != (t,):
-            raise ProblemError("objective column length mismatch")
-        if self.ineq_realized.shape[0] != t or self.eq_realized.shape[0] != t:
-            raise ProblemError("constraint column length mismatch")
+        if self.variant not in VARIANT_GEOMETRY:
+            raise ProblemError(f"unknown variant {self.variant!r}")
+        t = len(self.decisions)
+        for field, csv_name in COLUMNS:
+            shape = getattr(self, field).shape
+            if shape[:1] != (t,) or len(shape) != 1 + csv_name.endswith("_"):
+                raise ProblemError(f"{field} column of shape {shape} does not fit {t} slots")
         if self.eq_realized.shape[1] != self.targets.shape[0]:
             raise ProblemError("equality column count must match targets")
-        for name in ("ineq_dual_norm", "eq_dual_norm", "drift"):
-            if getattr(self, name).shape != (t,):
-                raise ProblemError(f"{name} column length mismatch")
         if t and (np.min(self.ineq_dual_norm) < 0 or np.min(self.eq_dual_norm) < 0):
             raise ProblemError("dual norms cannot be negative")
+
+    @property
+    def geometry(self) -> str:
+        return VARIANT_GEOMETRY[self.variant].name
 
     @property
     def horizon(self) -> int:
@@ -96,6 +109,55 @@ class RunRecord:
     @property
     def n_eq(self) -> int:
         return self.eq_realized.shape[1]
+
+
+class RecordCollector:
+    """Record columns filled slot by slot from `core.iterate_run`'s yields.
+
+    `core.run` and the experiment harness both build their records here, so
+    a record means the same thing whichever of them wrote it."""
+
+    def __init__(self, problem: ProblemInstance, horizon: int):
+        self.problem = problem
+        wide = {
+            "decisions": problem.dimension,
+            "ineq_realized": problem.n_ineq,
+            "eq_realized": problem.n_eq,
+        }
+        self.columns = {
+            field: np.zeros((horizon, wide[field]) if field in wide else horizon)
+            for field, _ in COLUMNS
+        }
+        self.started = time.perf_counter()
+
+    def add(self, state: "SolverState", outcome: "StepOutcome", obs: ObservationBatch) -> None:
+        t, columns = obs.slot, self.columns
+        columns["decisions"][t] = state.decision
+        columns["objective_realized"][t] = obs.objective_value
+        columns["ineq_realized"][t] = obs.ineq_values
+        columns["eq_realized"][t] = obs.eq_matrix @ state.decision
+        columns["ineq_dual_norm"][t] = outcome.ineq_dual_norm
+        columns["eq_dual_norm"][t] = outcome.eq_dual_norm
+        columns["drift"][t] = outcome.drift
+
+    def record(
+        self,
+        params: "AlgorithmParams",
+        seed: int,
+        variant: str,
+        config_hash: str = "",
+    ) -> RunRecord:
+        """The record of the slots added so far, timed from construction."""
+        return RunRecord(
+            problem=self.problem.name,
+            variant=variant,
+            seed=seed,
+            params=params,
+            targets=np.asarray(self.problem.targets, dtype=float),
+            config_hash=config_hash,
+            wall_time_s=time.perf_counter() - self.started,
+            **self.columns,
+        )
 
 
 @dataclass(frozen=True)
@@ -213,14 +275,6 @@ def summarize_metrics(
 # drift-plus-penalty audit
 
 
-def geometry_by_name(name: str) -> BregmanGeometry:
-    if name == "euclidean":
-        return EuclideanGeometry()
-    if name == "negative_entropy":
-        return NegativeEntropyGeometry()
-    raise GeometryError(f"unknown geometry {name!r}")
-
-
 def _check_replay(slot: int, what: str, replayed: float, recorded: float) -> None:
     """Refuse a replayed value that disagrees with the record; NaN disagrees."""
     if not abs(replayed - recorded) <= _REPLAY_TOL * (1.0 + abs(recorded)):
@@ -238,6 +292,8 @@ def replay_record(
 ) -> Tuple[float, float]:
     """Replay a record once: (sum_t f^t(mu_star), worst bound residual).
 
+    A record whose (dimension, n_ineq, n_eq) are not the problem's raises
+    ProblemError; the divergence is the one `VARIANT_GEOMETRY` gives its variant.
     Slot t is drawn once, through slot_rng(seed, t). The walk checks the
     objective at decisions[t] and adds f^t(mu_star) unless mu_star is None;
     evaluates the drift-plus-penalty residual of each sample of slot t+1,
@@ -281,13 +337,17 @@ def replay_record(
     the audit takes M from the record's own decisions instead, so a
     decision or a drift the engine did not produce breaks the bound."""
     horizon = record.horizon
+    shape = (record.dimension, record.n_ineq, record.n_eq)
+    wanted = (problem.dimension, problem.n_ineq, problem.n_eq)
+    if shape != wanted:
+        raise ProblemError(f"record shape (d, L, M) = {shape} is not the problem's {wanted}")
     if mu_star is not None:
         mu_star = np.asarray(mu_star, dtype=float)
         if mu_star.shape != (record.dimension,):
             raise ProblemError("hindsight point dimension mismatch")
+    geometry = VARIANT_GEOMETRY[record.variant]
     comparators = {}  # sampled slot -> its comparator points
     if horizon >= 2 and n_samples > 0:
-        geometry = geometry_by_name(record.geometry)
         rng = np.random.default_rng(audit_seed)
         for s in rng.integers(1, horizon, size=n_samples):
             comparators.setdefault(int(s), []).append(problem.decision_set.sample(rng))
@@ -311,10 +371,7 @@ def replay_record(
         samples = comparators.get(t + 1, ())
         if samples:
             slack = 0.5 * float(surrogate @ surrogate) + 0.5 * float(eq_residual @ eq_residual)
-            if record.variant == "simplex":
-                base = mix_toward_uniform(mu, params.mixing_weight)
-            else:
-                base = mu
+            base = prox_base(record.variant, mu, params.mixing_weight)
             lhs = (
                 params.objective_weight * float(fns.objective @ (mu_next - mu))
                 + record.drift[t + 1]
@@ -375,13 +432,14 @@ def _header_dict(record: RunRecord) -> dict:
     }
 
 
-def _column_names(record: RunRecord) -> list:
+def _column_names(widths: Sequence[int]) -> list:
+    """The CSV column row for these COLUMNS widths (read for numbered ones only)."""
     names = ["t"]
-    names += [f"mu_{k}" for k in range(record.dimension)]
-    names.append("f_realized")
-    names += [f"g_{i}" for i in range(record.n_ineq)]
-    names += [f"h_{j}" for j in range(record.n_eq)]
-    names += ["q_norm", "h_norm", "drift"]
+    for (_, csv_name), width in zip(COLUMNS, widths):
+        if csv_name.endswith("_"):
+            names += [f"{csv_name}{k}" for k in range(width)]
+        else:
+            names.append(csv_name)
     return names
 
 
@@ -433,31 +491,16 @@ def export(obj, fmt: str, path) -> None:
 
 
 def _export_record_csv(record: RunRecord, path) -> None:
+    blocks = [getattr(record, field) for field, _ in COLUMNS]
+    names = _column_names([block.shape[-1] for block in blocks])
     with open(path, "w", newline="") as fh:
         fh.write("# pdomd-run v1 " + json.dumps(_header_dict(record)) + "\n")
-        write_table(fh, _column_names(record), [
-            np.arange(record.horizon).astype(object),
-            record.decisions,
-            record.objective_realized,
-            record.ineq_realized,
-            record.eq_realized,
-            record.ineq_dual_norm,
-            record.eq_dual_norm,
-            record.drift,
-        ])
+        write_table(fh, names, [np.arange(record.horizon).astype(object), *blocks])
 
 
 def _export_record_json(record: RunRecord, path) -> None:
     payload = _header_dict(record)
-    payload["columns"] = {
-        "decisions": record.decisions.tolist(),
-        "objective_realized": record.objective_realized.tolist(),
-        "ineq_realized": record.ineq_realized.tolist(),
-        "eq_realized": record.eq_realized.tolist(),
-        "ineq_dual_norm": record.ineq_dual_norm.tolist(),
-        "eq_dual_norm": record.eq_dual_norm.tolist(),
-        "drift": record.drift.tolist(),
-    }
+    payload["columns"] = {field: getattr(record, field).tolist() for field, _ in COLUMNS}
     # an empty record's 2-D columns read back as [] without their widths
     payload["dimension"] = record.dimension
     payload["n_ineq"] = record.n_ineq
@@ -473,15 +516,21 @@ def _record_from_header_and_columns(path, header: dict, columns: dict) -> RunRec
         params = AlgorithmParams(**header["params"])
     except ConfigError as exc:
         raise ProblemError(f"{path}: bad params header: {exc}") from None
-    n_eq = len(header["targets"])
     seed = header["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ProblemError(f"{path}: bad seed header: expected a nonnegative integer")
 
-    def arr(name, width=None):
+    # an empty JSON record's 2-D columns read back as [] without their widths
+    wide = {
+        "decisions": header.get("dimension"),
+        "ineq_realized": header.get("n_ineq"),
+        "eq_realized": len(header["targets"]),
+    }
+
+    def arr(name):
         data = np.asarray(columns[name], dtype=float)
-        if width is not None and data.shape == (0,):  # [] from an empty record
-            data = data.reshape(0, width)
+        if name in wide and data.shape == (0,):
+            data = data.reshape(0, wide[name])
         bad = np.argwhere(~np.isfinite(data))
         if len(bad):
             slot, *column = bad[0]
@@ -489,23 +538,23 @@ def _record_from_header_and_columns(path, header: dict, columns: dict) -> RunRec
             raise ProblemError(f"{path}: non-finite {cell} at slot {slot}")
         return data
 
-    return RunRecord(
-        problem=header["problem"],
-        variant=header["variant"],
-        geometry=header["geometry"],
-        seed=seed,
-        params=params,
-        targets=np.asarray(header["targets"], dtype=float),
-        decisions=arr("decisions", width=header.get("dimension")),
-        objective_realized=arr("objective_realized"),
-        ineq_realized=arr("ineq_realized", width=header.get("n_ineq")),
-        eq_realized=arr("eq_realized", width=n_eq),
-        ineq_dual_norm=arr("ineq_dual_norm"),
-        eq_dual_norm=arr("eq_dual_norm"),
-        drift=arr("drift"),
-        config_hash=header.get("config_hash", ""),
-        wall_time_s=float(header.get("wall_time_s", 0.0)),
-    )
+    data = {field: arr(field) for field, _ in COLUMNS}
+    try:
+        record = RunRecord(
+            problem=header["problem"],
+            variant=header["variant"],
+            seed=seed,
+            params=params,
+            targets=np.asarray(header["targets"], dtype=float),
+            config_hash=header.get("config_hash", ""),
+            wall_time_s=float(header.get("wall_time_s", 0.0)),
+            **data,
+        )
+    except ProblemError as exc:
+        raise ProblemError(f"{path}: {exc}") from None
+    if header["geometry"] != record.geometry:
+        raise ProblemError(f"{path}: bad geometry header: {record.variant} runs {record.geometry}")
+    return record
 
 
 def import_record(path) -> RunRecord:
@@ -535,9 +584,14 @@ def _import_record_csv(path) -> RunRecord:
             raise ProblemError(f"{path}: not a run record export")
         header = json.loads(header_line[len(prefix):])
         reader = csv.reader(fh)
-        names = next(reader, None)
-        if names is None:
-            raise ProblemError(f"{path}: no column row")
+        names = next(reader, [])
+        widths = [
+            sum(n.startswith(csv_name) and n[len(csv_name):].isdigit() for n in names)
+            if csv_name.endswith("_") else 1
+            for _, csv_name in COLUMNS
+        ]
+        if names != _column_names(widths):
+            raise ProblemError(f"{path}: column row does not match the record layout")
         rows = []
         for row in reader:
             if not row:
@@ -552,21 +606,10 @@ def _import_record_csv(path) -> RunRecord:
                 rows.append([float(x) for x in row[1:]])
             except ValueError:
                 raise ProblemError(f"{where}: non-numeric cell") from None
-    d = sum(1 for n in names if n.startswith("mu_"))
-    n_ineq = sum(1 for n in names if n.startswith("g_"))
-    n_eq = sum(1 for n in names if n.startswith("h_") and n != "h_norm")
     data = np.array(rows, dtype=float).reshape(len(rows), len(names) - 1)
-    widths = (d, 1, n_ineq, n_eq, 1, 1, 1)
-    decisions, objective, ineq, eq, q_norm, h_norm, drift = np.split(
-        data, np.cumsum(widths)[:-1], axis=1
-    )
+    blocks = np.split(data, np.cumsum(widths)[:-1], axis=1)
     columns = {
-        "decisions": decisions,
-        "objective_realized": objective[:, 0],
-        "ineq_realized": ineq,
-        "eq_realized": eq,
-        "ineq_dual_norm": q_norm[:, 0],
-        "eq_dual_norm": h_norm[:, 0],
-        "drift": drift[:, 0],
+        field: block if csv_name.endswith("_") else block[:, 0]
+        for (field, csv_name), block in zip(COLUMNS, blocks)
     }
     return _record_from_header_and_columns(path, header, columns)

@@ -669,11 +669,21 @@ class TestMainExitCodes:
             header["params"][field] = value
             return ["# pdomd-run v1 " + json.dumps(header)] + lines[1:]
 
-        def with_seed(value):
+        def with_header(field, value):
             header = json.loads(lines[0].removeprefix("# pdomd-run v1 "))
-            header["seed"] = value
+            header[field] = value
             return ["# pdomd-run v1 " + json.dumps(header)] + lines[1:]
 
+        def with_column_row(old, new):  # the cells stay as they are
+            return [lines[0], lines[1].replace(old, new)] + lines[2:]
+
+        # the only inequality column, dropped from every row: the record reads
+        # as consistent, but with no inequalities where the problem has one
+        g_index = lines[1].split(",").index("g_0")
+        without_g = lines[:1] + [
+            ",".join(cell for k, cell in enumerate(line.split(",")) if k != g_index)
+            for line in lines[1:]
+        ]
         no_column_row = lines[:1]
         json_without_columns = [lines[0].removeprefix("# pdomd-run v1 ")]
         cases = [
@@ -687,8 +697,13 @@ class TestMainExitCodes:
             (with_param("horizon", float("nan")), "run_seed0.csv: bad params header: horizon"),
             (with_param("drift_window", float("nan")), "run_seed0.csv: bad params header: drift_window"),
             (with_param("drift_window", 2.5), "run_seed0.csv: bad params header: drift_window"),
-            (with_seed(-1), "run_seed0.csv: bad seed header"),
-            (with_seed(2.5), "run_seed0.csv: bad seed header"),
+            (with_header("seed", -1), "run_seed0.csv: bad seed header"),
+            (with_header("seed", 2.5), "run_seed0.csv: bad seed header"),
+            (with_header("geometry", "euclidean"), "run_seed0.csv: bad geometry header"),
+            (with_header("variant", "bogus"), "run_seed0.csv: unknown variant 'bogus'"),
+            (with_column_row("g_0", "gx"), "run_seed0.csv: column row does not match"),
+            (with_column_row("q_norm,h_norm", "h_norm,q_norm"), "column row does not match"),
+            (without_g, "record shape (d, L, M) = (4, 0, 1) is not the problem's (4, 1, 1)"),
             (no_column_row, "run_seed0.csv"),
             (json_without_columns, "run_seed0.csv"),
             (None, "missing.csv"),

@@ -22,6 +22,7 @@ from pdomd import (
     step,
 )
 from pdomd.core import AlgorithmParams, DualState, SolverState
+from pdomd.geometry import prox_base
 from pdomd.problems import ObservationBatch
 
 
@@ -29,14 +30,12 @@ def penalty_terms(slots):
     """V <grad f, mu' - mu> + alpha D(mu', base) of every slot that steps,
     from consecutive iterate_run yields: mu and mu' are the decisions before
     and after the step, grad f is the observation the step consumed, and
-    base is mix_toward_uniform(mu, theta) on the simplex variant and mu on
-    the general one."""
+    base is prox_base: mix_toward_uniform(mu, theta) on the simplex variant
+    and mu on the general one."""
     terms = []
     for (before, _, _, obs), (after, _, _, _) in zip(slots, slots[1:]):
         params, mu, mu_new = after.params, before.decision, after.decision
-        base = mu
-        if after.variant == "simplex":
-            base = mix_toward_uniform(mu, params.mixing_weight)
+        base = prox_base(after.variant, mu, params.mixing_weight)
         terms.append(
             params.objective_weight * float(obs.objective_grad @ (mu_new - mu))
             + params.prox_weight * after.geometry.divergence(mu_new, base)
@@ -118,7 +117,6 @@ class TestAssembly:
             decision=state.decision,
             duals=DualState(np.array([2.0]), np.zeros(0)),
             params=params,
-            geometry=state.geometry,
             decision_set=state.decision_set,
             targets=state.targets,
             variant="general",

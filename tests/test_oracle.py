@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -377,6 +378,23 @@ def test_service_lagrangian_minimum_is_stationary(case):
     gap = float(grad @ (point - problem.decision_set.support_minimizer(grad)))
     assert problem.decision_set.contains(point, tol=0.0)
     assert gap <= 1e-9 * (1.0 + abs(value))
+
+
+def test_service_dual_overflow_clips_silently():
+    """A finite ratio near the float maximum overflows the stationary point;
+    the coordinate clips to the upper bound, as the limit does, without a
+    RuntimeWarning."""
+    program = oracle._WindowProgram(
+        objective=np.full(2, 1e-300),
+        inequalities=ServiceRows(np.array([1.0]), np.ones((1, 2))),
+        eq_matrix=np.zeros((0, 2)),
+        targets=np.zeros(0),
+        decision_set=Box(np.zeros(2), np.full(2, 30.0)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point, _, _ = oracle._service_dual(program, np.array([1e7]))
+    assert point.tolist() == [30.0, 30.0]
 
 
 @st.composite

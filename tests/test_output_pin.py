@@ -28,6 +28,13 @@ CONFIGS = {
         "synthetic": {"d": 10, "n_ineq": 2, "n_eq": 2, "instance_seed": 0},
     },
     "sweep": {"scenario": "synthetic", "seeds": [0, 1], "sweep_T": [50, 100]},
+    "synthetic-simplex": {
+        "scenario": "synthetic",
+        "T": 200,
+        "seeds": [0, 1],
+        "variant": "simplex",
+        "synthetic": {"d": 10, "n_ineq": 2, "n_eq": 2, "instance_seed": 0},
+    },
 }
 
 PINNED = {
@@ -54,6 +61,16 @@ PINNED = {
         "violation_eq.csv": "8f0810e7af48ae3301334feaca19e6681c1cf429fa50ffc7d13dc8e3e7d75780",
         "violation_ineq.csv": "8ad9712304dedbf818b57fb2ed15cc6cdd500199b450dbeda7d9681d85817287",
         "audit_stdout": "3798cf65b06d26477d3401cd71168cf1e1ad73336d3d6622c95bbff2a40d9cfa",
+    },
+    "synthetic-simplex": {
+        "config_resolved.json": "102221b2d40f5a16774c81dd36fdcb7bceed799bd1d9e14545feb1a38ae10b64",
+        "cost_cumulative.csv": "4b808415a1ecdcbcefbd72a30cfc8467f5191a32839328c52eb389ff8ba0178e",
+        "metrics.csv": "b9d22fe179d3c5d39413beb60c4eb207ffde572e168ff703d87d72ddd132fe80",
+        "records/run_seed0.csv": "55e5a96b23f5b21839da87f14eb10eb538f7b3a1dd56362f59aaae7f163687f0",
+        "records/run_seed1.csv": "4f25302b87ea017590f014ae52902b411242ed3188541d1c2fe8ef5e5489f537",
+        "violation_eq.csv": "160f1d62454d6cd83079ee82df5218bc2b7c3be4534ab93f1c0335fb75691feb",
+        "violation_ineq.csv": "5a3c93bdcc8dd041ffe3417f98bd0336e931be423666d8dbde3d40f55fd52048",
+        "audit_stdout": "51e5a5f209905a93c3ca6b79e4e4519b65e78e220558c6525ba5a0dfd6ff9bed",
     },
 }
 

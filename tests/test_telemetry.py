@@ -342,7 +342,6 @@ def records(draw):
     return RunRecord(
         problem=draw(st.text(max_size=8)),
         variant=draw(st.sampled_from(["simplex", "general"])),
-        geometry=draw(st.sampled_from(["euclidean", "negative_entropy"])),
         seed=draw(st.integers(0, 2**32 - 1)),
         params=AlgorithmParams(
             objective_weight=draw(st.floats(min_value=1e-6, max_value=1e6)),
@@ -379,6 +378,7 @@ def test_record_round_trip_property(tmp_path_factory, record):
             record.seed,
             record.config_hash,
         ), fmt
+        assert loaded.geometry == record.geometry, fmt
 
 
 def reference_table(names, index, blocks):
