@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -79,10 +79,14 @@ def parameter_schedule(horizon: int, variant: str = "general") -> AlgorithmParam
 class DualState:
     ineq: Array  # Q, elementwise nonnegative
     eq: Array  # H, signed
+    norms: Tuple[float, float] = field(init=False, repr=False, compare=False)  # ‖Q‖, ‖H‖
 
-    def norms(self) -> Tuple[float, float]:
-        # np.linalg.norm computes the same sqrt(v @ v), with more call overhead.
-        return math.sqrt(self.ineq @ self.ineq), math.sqrt(self.eq @ self.eq)
+    def __post_init__(self):
+        # Computed once: a step reports them, and the next step reads them
+        # back for its drift. np.linalg.norm computes the same sqrt(v @ v),
+        # with more call overhead.
+        norms = math.sqrt(self.ineq @ self.ineq), math.sqrt(self.eq @ self.eq)
+        object.__setattr__(self, "norms", norms)
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,13 @@ class SolverState:
     @property
     def geometry(self) -> BregmanGeometry:
         return VARIANT_GEOMETRY[self.variant]
+
+    def advanced(self, decision: Array, duals: DualState) -> "SolverState":
+        """The next slot's state (cheaper than dataclasses.replace)."""
+        return SolverState(
+            self.slot + 1, decision, duals, self.params, self.decision_set, self.targets,
+            self.variant,
+        )
 
 
 @dataclass(frozen=True)
@@ -153,7 +164,7 @@ def step(
     at the current decision; None means there is no previous slot."""
     params = state.params
     if obs is None:
-        return replace(state, slot=state.slot + 1), StepOutcome(0.0, *state.duals.norms())
+        return state.advanced(state.decision, state.duals), StepOutcome(0.0, *state.duals.norms)
 
     n_ineq, n_eq = state.duals.ineq.shape[0], state.duals.eq.shape[0]
     dim = state.decision.shape[0]
@@ -189,13 +200,11 @@ def step(
     eq_residual = obs.eq_matrix @ mu_new - state.targets if n_eq else np.zeros(0)
     h_new = state.duals.eq + eq_residual
 
-    q_norm_old, h_norm_old = state.duals.norms()
+    q_norm_old, h_norm_old = state.duals.norms
     new_duals = DualState(q_new, h_new)
-    q_norm, h_norm = new_duals.norms()
+    q_norm, h_norm = new_duals.norms
     drift = 0.5 * (q_norm**2 - q_norm_old**2) + 0.5 * (h_norm**2 - h_norm_old**2)
-
-    new_state = replace(state, slot=state.slot + 1, decision=mu_new, duals=new_duals)
-    return new_state, StepOutcome(drift, q_norm, h_norm)
+    return state.advanced(mu_new, new_duals), StepOutcome(drift, q_norm, h_norm)
 
 
 def iterate_run(
@@ -209,8 +218,9 @@ def iterate_run(
 
     Yields (state after the slot, outcome, the slot's sampled functions, the
     observation of those functions at the played decision). The functions
-    are sampled after the decision is made, matching the play order. The
-    variant fixes the geometry, as in `initial_state`."""
+    are sampled after the decision is made, matching the play order; the
+    slot's generator is made first, so a bad seed fails before any step.
+    The variant fixes the geometry, as in `initial_state`."""
     if problem.horizon_cap is not None and horizon > problem.horizon_cap:
         raise ProblemError(
             f"horizon {horizon} exceeds the problem's trace length "
@@ -219,8 +229,9 @@ def iterate_run(
     state = initial_state(problem, params, variant)
     obs = None
     for t in range(horizon):
+        rng = slot_rng(seed, t)
         state, outcome = step(state, obs)
-        fns = problem.sample_slot(t, slot_rng(seed, t))
+        fns = problem.sample_slot(t, rng)
         obs = fns.observe(state.decision)
         yield state, outcome, fns, obs
 

@@ -111,7 +111,11 @@ class Box(DecisionSet):
         point = np.asarray(point, dtype=float)
         if point.shape != self.lower.shape:
             return False
-        return bool(np.all(point >= self.lower - tol) and np.all(point <= self.upper + tol))
+        # logical_and.reduce is np.all without its Python-level wrapper.
+        return bool(
+            np.logical_and.reduce(point >= self.lower - tol)
+            and np.logical_and.reduce(point <= self.upper + tol)
+        )
 
     def project(self, point: Array) -> Array:
         # Same values as np.clip, at about a third of its cost on short vectors.
@@ -137,19 +141,27 @@ class Simplex(DecisionSet):
         if int(self.dim) < 1:
             raise GeometryError("simplex dimension must be at least 1")
         object.__setattr__(self, "dim", int(self.dim))
+        ranks = np.arange(1, self.dim + 1)  # the projection's 1..d, built once
+        ranks.flags.writeable = False
+        object.__setattr__(self, "_ranks", ranks)
 
     def contains(self, point: Array, tol: float = MEMBERSHIP_TOL) -> bool:
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dim,):
             return False
-        return bool(np.all(point >= -tol) and abs(float(point.sum()) - 1.0) <= tol)
+        # The minimum is NaN, and fails the test, when any entry is NaN.
+        return bool(
+            np.minimum.reduce(point) >= -tol and abs(float(np.add.reduce(point)) - 1.0) <= tol
+        )
 
     def project(self, point: Array) -> Array:
         # Sort-based projection onto the simplex.
         v = np.asarray(point, dtype=float)
+        if v.shape != (self.dim,):
+            raise GeometryError(f"cannot project shape {v.shape} onto a {self.dim}-simplex")
         u = np.sort(v)[::-1]
         css = np.cumsum(u) - 1.0
-        idx = np.arange(1, v.shape[0] + 1)
+        idx = self._ranks
         support = idx[u - css / idx > 0]
         if support.size == 0:  # a NaN, +inf or overflowing sum leaves no support
             raise GeometryError("cannot project a point with NaN or overflowing entries")

@@ -19,16 +19,25 @@ power allocation scenario (50 servers in 5 clusters, electricity prices per
 zone, Poisson arrivals, Pareto service noise, budget-pacing equalities).
 Its layout and distribution parameters are module constants; only the Pareto
 shape is set per instance, through `DatacenterConfig`.
+
+Every slot of a run draws from its own generator, `slot_rng(seed, t)`, whose
+stream is exactly numpy's
+`default_rng(SeedSequence(entropy=seed, spawn_key=(t,)))`. So any slot can be
+replayed alone, which is what the record audit relies on. The SeedSequence
+hash is computed for blocks of `SEED_BLOCK` slots at once, and the
+`SEED_CACHE_BLOCKS` most recently used blocks (1 MiB) are kept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ProblemError
 from .geometry import Box, DecisionSet, Simplex
@@ -54,13 +63,127 @@ SERVER_CLUSTER.flags.writeable = False
 # sampling primitives
 
 
+SEED_BLOCK = 512  # slots hashed together; a power of two, so 2**32 is a block edge
+SEED_CACHE_BLOCKS = 64  # 16 KiB of seed words per block
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_INTEGER = (int, np.integer)  # what a seed or slot may be; a bool is an int
+
+
 def slot_rng(seed: int, slot: int) -> np.random.Generator:
     """Generator for one slot of one run, replayable in isolation.
 
-    Spawning off the slot index means any single slot's draws can be
-    reproduced without replaying the slots before it, which is what the
-    record audits rely on."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(slot,)))
+    The stream is exactly that of
+    `default_rng(SeedSequence(entropy=seed, spawn_key=(slot,)))`: spawning
+    off the slot index means any single slot's draws can be reproduced
+    without replaying the slots before it, which is what the record audits
+    rely on. The SeedSequence words come from `_seed_block`, which hashes
+    SEED_BLOCK slots at once and keeps the SEED_CACHE_BLOCKS most recently
+    used blocks (1 MiB); numpy seeds the PCG64 from them. The returned
+    generator cannot `spawn`.
+
+    Raises ProblemError, naming the argument, unless seed and slot are
+    nonnegative integers (Python or numpy; a bool counts as 0 or 1)."""
+    if not (isinstance(seed, _INTEGER) and seed >= 0):
+        raise ProblemError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not (isinstance(slot, _INTEGER) and slot >= 0):
+        raise ProblemError(f"slot must be a nonnegative integer, got {slot!r}")
+    slot = int(slot)
+    words = _seed_block(int(seed), slot // SEED_BLOCK)[slot % SEED_BLOCK]
+    return np.random.Generator(np.random.PCG64(_SlotSeed(words)))
+
+
+class _SlotSeed(ISeedSequence):
+    """One slot's SeedSequence output, `generate_state(4, np.uint64)`,
+    handed to PCG64, which asks for nothing else."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: Array):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and dtype is np.uint64:  # PCG64's request, word for word
+            return self._words
+        raise ProblemError("a slot seed holds only PCG64's four 64-bit words")
+
+
+def _words32(n: int) -> list:
+    """A nonnegative integer's 32-bit words, least significant first."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hashmix(value, hash_const, mult=_MULT_A):
+    """numpy's hashmix on a word or a uint32 array; the constant is
+    returned advanced. Masking keeps Python ints to 32 bits; uint32 arrays
+    wrap by themselves (and, unlike numpy scalars, without a warning)."""
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> 16, hash_const
+
+
+def _mix(x, y):
+    """numpy's mix of a pool word with a hashed word, either side an array."""
+    result = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+    return result ^ result >> 16
+
+
+@functools.lru_cache(maxsize=SEED_CACHE_BLOCKS)
+def _seed_block(seed: int, block: int) -> Array:
+    """`SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(4, np.uint64)`
+    for the SEED_BLOCK slots t of a block, as a read-only (SEED_BLOCK, 4) array.
+
+    This is numpy's SeedSequence algorithm, run once for the whole block:
+    the seed's words padded to the pool size, then the slot's words, hashed
+    into a pool of four words, which then generates eight 32-bit words. The
+    hash constants advance the same way whatever the data, so every slot
+    runs the same operations; the seed-only part runs on Python ints and
+    the rest on uint32 arrays with one entry per slot. Only the lowest word
+    of the slot varies within a block, since blocks are aligned to
+    SEED_BLOCK, which divides 2**32: a slot of 2**32 or more has the same
+    higher words as its block's first slot."""
+    first = block * SEED_BLOCK
+    low = first & _MASK32
+    seed_words = _words32(seed)
+    entropy = (
+        seed_words
+        + [0] * (_POOL_SIZE - len(seed_words))
+        + [np.arange(low, low + SEED_BLOCK, dtype=np.uint32)]
+        + _words32(first)[1:]
+    )
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    state = np.empty((8, SEED_BLOCK), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        state[i], hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+    # numpy pairs the words little-endian, whatever the host's byte order.
+    words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+    words.flags.writeable = False
+    return words
 
 
 def pareto_sample(mean, shape, rng, size=None):

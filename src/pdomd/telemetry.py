@@ -602,6 +602,8 @@ def _import_record_csv(path) -> RunRecord:
                 raise ProblemError(
                     f"{where}: expected {len(names)} columns, got {len(row)}"
                 )
+            if row[0] != str(len(rows)):  # the slots read 0..T-1, in order
+                raise ProblemError(f"{where}: slot cell {row[0]!r}, expected {len(rows)}")
             try:
                 rows.append([float(x) for x in row[1:]])
             except ValueError:

@@ -657,10 +657,10 @@ class TestMainExitCodes:
         # lines[0] is the json header, lines[1] the column names
         truncated = lines[:5] + [lines[5].rsplit(",", 2)[0]] + lines[6:]
 
-        def with_cell(value):  # mu_1 of slot 1
-            fields = lines[3].split(",")
-            fields[2] = value
-            return lines[:3] + [",".join(fields)] + lines[4:]
+        def with_cell(value, line=3, column=2):  # by default mu_1 of slot 1
+            fields = lines[line].split(",")
+            fields[column] = value
+            return lines[:line] + [",".join(fields)] + lines[line + 1:]
 
         broken_header = ["# pdomd-run v1 {broken"] + lines[1:]
 
@@ -691,6 +691,8 @@ class TestMainExitCodes:
             (with_cell("abc"), "run_seed0.csv:4:"),
             (with_cell("nan"), "run_seed0.csv: non-finite decisions[1] at slot 1"),
             (with_cell("inf"), "run_seed0.csv: non-finite decisions[1] at slot 1"),
+            (with_cell("abc", column=0), "run_seed0.csv:4: slot cell 'abc', expected 1"),
+            (with_cell("77", line=4, column=0), "run_seed0.csv:5: slot cell '77', expected 2"),
             (broken_header, "run_seed0.csv"),
             (with_param("prox_weight", float("nan")), "run_seed0.csv: bad params header: prox_weight"),
             (with_param("prox_weight", -1.0), "run_seed0.csv: bad params header: prox_weight"),

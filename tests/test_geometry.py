@@ -337,9 +337,11 @@ class TestDecisionSets:
         assert s.contains(np.array([0.2, 0.3, 0.5]))
         assert not s.contains(np.array([0.2, 0.3, 0.4]))
         assert not s.contains(np.array([-0.1, 0.6, 0.5]))
+        assert not s.contains(np.array([np.nan, 0.5, 0.5]))
         b = unit_box(2)
         assert b.contains(np.array([0.0, 1.0]))
         assert not b.contains(np.array([0.0, 1.1]))
+        assert not b.contains(np.array([0.5, np.nan]))
 
     def test_simplex_projection(self):
         rng = np.random.default_rng(12)
@@ -352,6 +354,8 @@ class TestDecisionSets:
             for _ in range(5):
                 z = s.sample(rng)
                 assert np.linalg.norm(v - p) <= np.linalg.norm(v - z) + 1e-9
+        with pytest.raises(GeometryError, match="onto a 5-simplex"):
+            s.project(np.ones(4))
 
     def test_support_minimizer(self):
         s = Simplex(4)

@@ -2,7 +2,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdomd import (
@@ -16,8 +16,10 @@ from pdomd import (
     pareto_sample,
     poisson_sample,
     reac_schedule,
+    run,
     service_curve,
     service_curve_inverse,
+    slot_rng,
 )
 from pdomd.problems import (
     CLUSTER_SIZE,
@@ -73,6 +75,44 @@ class TestSamplers:
         seq_a = [poisson_sample(42.0, a) for _ in range(50)]
         seq_b = [poisson_sample(42.0, b) for _ in range(50)]
         assert seq_a == seq_b
+
+
+class TestSlotRng:
+    """slot_rng's stream is numpy's spawned SeedSequence stream, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**130 - 1), st.integers(0, 2**40 - 1))
+    @example(0, 511)  # the edges of the first seed block
+    @example(0, 512)
+    @example(0, 513)
+    @example(1, 2**32 - 1)  # the last one-word slot key
+    @example(1, 2**32)  # the first two-word slot key
+    @example(2**32, 7)  # the first two-word seed
+    @example(2**64, 2**32 + 513)  # a three-word seed
+    @example(True, np.int64(513))  # a bool and a numpy integer, as numpy reads them
+    def test_matches_numpy_seed_sequence(self, seed, slot):
+        ours = slot_rng(seed, slot)
+        reference = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(slot,)))
+        assert ours.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(ours.uniform(size=5), reference.uniform(size=5))
+
+    @pytest.mark.parametrize(
+        "seed, slot, name", [(-1, 0, "seed"), (0, -1, "slot"), (1.5, 0, "seed"), ("3", 0, "seed")]
+    )
+    def test_bad_seed_or_slot_is_named(self, seed, slot, name):
+        with pytest.raises(ProblemError, match=f"^{name} must be a nonnegative integer"):
+            slot_rng(seed, slot)
+
+    def test_generator_holds_only_its_pcg64_seed(self):
+        rng = slot_rng(0, 0)
+        with pytest.raises(ProblemError, match="PCG64's four 64-bit words"):
+            rng.bit_generator.seed_seq.generate_state(8)
+        with pytest.raises(TypeError):
+            rng.spawn(1)
+
+    def test_run_rejects_a_negative_seed(self):
+        with pytest.raises(ProblemError, match="^seed must be a nonnegative integer, got -1"):
+            run(build_synthetic_problem(10, 2, 2, 0), 5, seed=-1)
 
 
 class TestServiceCurve:
