@@ -18,6 +18,11 @@ window programs are solved through their dual, a concave function of a
 handful of multipliers, by a safeguarded Newton method.  Either way one
 solve yields the minimizer and the multipliers, certified together by the
 feasibility residuals and the primal-dual gap, each at or below 1e-6.
+
+scipy stays a dependency, but HiGHS is imported at the first linear window
+solve (the synthetic scenario, :func:`estimate_multipliers` and
+:func:`weak_ebc_probe` on linear rows), not with this module: ``import
+pdomd`` and datacenter runs never load scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-import scipy.optimize
 
 from .errors import InfeasibleProblemError, MultiplierDivergenceError, OracleError
 from .geometry import Box, DecisionSet, Simplex
@@ -138,6 +142,8 @@ def _solve_linear(program: _WindowProgram) -> Tuple[Array, Array, Array]:
         raise OracleError(f"unsupported decision set {type(dset).__name__}")
     if not b_eq.size:
         a_eq = b_eq = None
+    import scipy.optimize  # deferred: it costs more than the rest of `import pdomd`
+
     res = scipy.optimize.linprog(
         c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
     )
