@@ -12,10 +12,12 @@ Subcommands:
   audit      re-derive a run record's per-slot bound residuals and metrics
              from files alone
 
-`run` and `sweep` draw each seed's slot functions once and score every
-policy (the algorithm, the hindsight fixed point, Reac) on that one draw;
-replaying the draws from a record is `audit`'s path, and it too draws each
-slot once (`telemetry.replay_record`).
+`run` and `sweep` walk all seeds of a horizon at once, as lanes of one
+engine walk (`core.iterate_run`), drawing each seed's slot functions once.
+Every policy (the algorithm, the hindsight fixed point, Reac) is scored on
+that one draw, in blocks of SCORE_BLOCK slots during the walk, so no slot
+functions are kept past their block. Replaying the draws from a record is
+`audit`'s path, and it too draws each slot once (`telemetry.replay_record`).
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.  All outputs
 embed the resolved configuration hash so a record can be audited later
@@ -69,6 +71,7 @@ TRACE_MEAN_PRICE = 30.0  # mean of the lognormal base series
 TRACE_SIGMA = 0.4  # log-scale spread of the base series
 TRACE_ZONE_JITTER = 0.1  # log-scale spread of each zone's own factor
 AUDIT_TOL = 1e-6
+SCORE_BLOCK = 64  # slots a scored pass holds before it scores the policies on them
 _BOOTSTRAP_RESAMPLES = 1000
 _BOOTSTRAP_SEED = 1754
 
@@ -555,96 +558,103 @@ def _policy_series(
     return ineq_series, eq_series
 
 
-class _SlotStack:
-    """The functions of every slot of a pass as arrays with a leading slot
-    axis: the objective rows, the inequality family's arrays and the
-    equality rows.
+class _PolicyScores:
+    """Each policy's (cost, inequality values, equality rows) on every slot
+    of every lane of a walk, as (S, T), (S, T, L) and (S, T, M) arrays.
 
-    `rows` is the inequality family over the stacked arrays, with each
-    per-row vector (L,) standing as (T, L, 1). Given (T, d, 1) points, or
-    one (d, 1) point, the family's own `values` then takes one (L, d) @
-    (d, 1) product per slot and returns (T, L, 1)."""
+    Slots are scored SCORE_BLOCK at a time while the walk goes on, so no
+    more than a block of slot functions is held. Every (slot, lane) takes
+    the products a single slot takes (`SlotFunctions.evaluate`), so the
+    columns equal a slot-by-slot scoring bit for bit. On the datacenter
+    scenario Reac is scored too: row t of its schedule reads only the
+    arrivals before t (and those of slot 0), so a block's rows, scheduled
+    from the arrivals drawn up to its end, are those of `reac_schedule`
+    over the whole horizon."""
 
-    def __init__(self, first: SlotFunctions, horizon: int):
-        self.objective = np.empty((horizon, *first.objective.shape))
-        self.eq_matrix = np.empty((horizon, *first.eq_matrix.shape))
-        self.row_arrays = {
-            name: np.empty((horizon, *value.shape))
-            for name, value in vars(first.inequalities).items()
-            if isinstance(value, np.ndarray)
+    def __init__(self, problem: ProblemInstance, horizon: int, lanes: int, hindsight_point: Array,
+                 reac: bool):
+        self.hindsight_point = hindsight_point
+        self.arrivals = np.empty((lanes, horizon)) if reac else None
+        widths = ((), (problem.n_ineq,), (problem.n_eq,))
+        self.columns = {
+            name: tuple(np.empty((lanes, horizon, *width)) for width in widths)
+            for name in (["hindsight", "reac"] if reac else ["hindsight"])
         }
-        self.rows = dataclasses.replace(first.inequalities, **{
-            name: column[:, :, None] if column.ndim == 2 else column
-            for name, column in self.row_arrays.items()
-        })
+        self.pending: List[SlotFunctions] = []
+        self.scored = 0
 
     def add(self, fns: SlotFunctions) -> None:
-        t = fns.slot
-        self.objective[t] = fns.objective
-        self.eq_matrix[t] = fns.eq_matrix
-        for name, column in self.row_arrays.items():
-            column[t] = getattr(fns.inequalities, name)
+        """Queue one slot's lane-stacked functions; score a full block."""
+        self.pending.append(fns)
+        if len(self.pending) == SCORE_BLOCK:
+            self.flush()
 
-    def score(self, points: Array) -> Tuple[Array, Array, Array]:
-        """(cost, inequality values, equality rows) of one (d,) point in
-        every slot, or of (T, d) points, one per slot.
-
-        Each slot's product is the one a single slot takes: a (1, d) @
-        (d, 1) dot for the cost, (L, d) @ (d, 1) for the inequalities and
-        (M, d) @ (d, 1) for the equality rows. So the columns equal a
-        slot-by-slot scoring bit for bit, which a (T, d) @ (d,) product
-        would not."""
-        columns = points[..., None]  # (d, 1) or (T, d, 1)
-        cost = (self.objective[:, None, :] @ columns)[:, 0, 0]
-        return (
-            cost,
-            self.rows.values(columns)[:, :, 0],
-            (self.eq_matrix @ columns)[:, :, 0],
-        )
+    def flush(self) -> None:
+        """Score the queued slots."""
+        if not self.pending:
+            return
+        start, end = self.scored, self.scored + len(self.pending)
+        block = SlotFunctions.stack(self.pending)  # (B, S, ...)
+        self.pending = []
+        points = {"hindsight": self.hindsight_point}
+        if self.arrivals is not None:
+            self.arrivals[:, start:end] = block.inequalities.levels[:, :, 0].T
+            points["reac"] = np.stack(
+                [reac_schedule(lane[:end], start) for lane in self.arrivals], axis=1
+            )
+        for name, point in points.items():
+            for column, values in zip(self.columns[name], block.evaluate(point)):
+                column[:, start:end] = np.swapaxes(values, 0, 1)
+        self.scored = end
 
 
 def _scored_pass(
     problem: ProblemInstance,
     config: ExperimentConfig,
     horizon: int,
-    seed: int,
+    seeds: Sequence[int],
     hindsight: Tuple[Array, float],
-) -> Tuple[RunRecord, MetricsSummary, dict]:
-    """Walk one seed's stream once, then score every policy on its draws.
+) -> List[Tuple[RunRecord, MetricsSummary, dict]]:
+    """Walk the seeds' streams once, as lanes in lockstep, and score every
+    policy on their draws as the walk goes.
 
-    The walk only records the run and stacks each slot's functions; the
-    hindsight point and Reac's schedule are scored on all slots at once
-    afterwards. Returns the algorithm's record, its metrics summary, and
-    (cost, inequality values, equality rows) per policy: the algorithm, the
-    hindsight fixed point, and Reac on the datacenter scenario."""
+    Returns, per seed in order: the algorithm's record, its metrics summary,
+    and (cost, inequality values, equality rows) per policy: the algorithm,
+    the hindsight fixed point, and Reac on the datacenter scenario."""
     params, variant = config.params_for(horizon), config.resolved_variant
-    collector = RecordCollector(problem, horizon)
-    stack = None
-    for state, outcome, fns, obs in iterate_run(problem, horizon, params, seed, variant):
+    seeds = tuple(seeds)
+    collector = RecordCollector(problem, horizon, lanes=len(seeds))
+    scores = _PolicyScores(
+        problem, horizon, len(seeds), np.asarray(hindsight[0], dtype=float),
+        reac=config.scenario == "datacenter",
+    )
+    for state, outcome, fns, obs in iterate_run(problem, horizon, params, seeds, variant):
         collector.add(state, outcome, obs)
-        if stack is None:
-            stack = _SlotStack(fns, horizon)
-        stack.add(fns)
-    record = collector.record(params, seed, variant, config_hash=config.config_hash())
-    columns = {
-        "algorithm": (record.objective_realized, record.ineq_realized, record.eq_realized),
-        "hindsight": stack.score(np.asarray(hindsight[0], dtype=float)),
-    }
-    if config.scenario == "datacenter":
-        columns["reac"] = stack.score(reac_schedule(stack.row_arrays["levels"][:, 0]))
-    # cumsum adds in slot order, as the running total of a slot loop does
-    comparator_total = float(np.cumsum(columns["hindsight"][0])[-1])
-    summary = summarize_metrics(record, hindsight, problem, comparator_total)
-    return record, summary, columns
+        scores.add(fns)
+    scores.flush()
+    chash = config.config_hash()
+    results = []
+    for lane, seed in enumerate(seeds):
+        record = collector.record(params, seed, variant, chash, lane)
+        columns = {
+            "algorithm": (record.objective_realized, record.ineq_realized, record.eq_realized),
+            **{name: tuple(c[lane] for c in cols) for name, cols in scores.columns.items()},
+        }
+        # cumsum adds in slot order, as the running total of a slot loop does
+        comparator_total = float(np.cumsum(columns["hindsight"][0])[-1])
+        summary = summarize_metrics(record, hindsight, problem, comparator_total)
+        results.append((record, summary, columns))
+    return results
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run the configured scenario across seeds and write all outputs.
 
-    Each seed's stream is drawn once: the algorithm, the hindsight fixed
-    point and Reac are all scored on the slots the run consumed. Returns a
-    summary dict with the output paths, the hindsight reference, per-seed
-    metrics, and the seed-averaged time series that were written.
+    One walk advances every seed as a lane, and each seed's stream is drawn
+    once: the algorithm, the hindsight fixed point and Reac are all scored
+    on the slots the run consumed. Returns a summary dict with the output
+    paths, the hindsight reference, per-seed metrics, and the seed-averaged
+    time series that were written.
     """
     problem = _build_problem(config)
     horizon = config.horizon
@@ -664,8 +674,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     eq = {name: np.zeros(horizon) for name in policies}
     metrics_rows: List[Tuple[int, MetricsSummary]] = []
 
-    for seed in config.seeds:
-        record, summary, columns = _scored_pass(problem, config, horizon, seed, hindsight)
+    for record, summary, columns in _scored_pass(problem, config, horizon, config.seeds, hindsight):
+        seed = record.seed
         export(record, "csv", records_dir / f"run_seed{seed}.csv")
         metrics_rows.append((seed, summary))
         for name in policies:
@@ -786,8 +796,8 @@ def sweep_rates(config: ExperimentConfig) -> dict:
 
     for i, horizon in enumerate(config.sweep_horizons):
         hindsight = hindsight_optimum(problem, 0, horizon)
-        for j, seed in enumerate(config.seeds):
-            _, summary, _ = _scored_pass(problem, config, horizon, seed, hindsight)
+        passes = _scored_pass(problem, config, horizon, config.seeds, hindsight)
+        for j, (_, summary, _) in enumerate(passes):
             regret[j, i] = summary.expected_regret
             ineq_viol[j, i] = summary.ineq_violation
             eq_viol[j, i] = summary.eq_violation

@@ -11,20 +11,29 @@ The engine never samples anything itself: it consumes observation batches
 to where they come from. The first slot has no previous observations; by
 convention the initial point is played and the multipliers stay at zero,
 which is the same as starting the updates one slot late.
+
+The state and the observations may carry a leading lane axis: decisions
+(S, d), Q (S, L) and H (S, M), with V, alpha and theta shared. A lane is one
+seed's run, and `iterate_run` walks the lanes of several seeds in lockstep,
+one step over all of them per slot; a single seed is walked with no lane
+axis, by the same code. Every operation acts along the last axis, and every
+product takes each lane in the form a single run takes, so a lane's numbers
+equal its own run's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigError, ProblemError
+from .errors import ConfigError, GeometryError, ProblemError
 from .geometry import (
-    VARIANT_GEOMETRY, BregmanGeometry, DecisionSet, Simplex, mirror_step, prox_base
+    VARIANT_GEOMETRY, BregmanGeometry, Box, DecisionSet, Simplex, exponentiated_rows, prox_base
 )
 from .problems import ObservationBatch, ProblemInstance, SlotFunctions, slot_rng
 from .telemetry import RecordCollector, RunRecord
@@ -77,29 +86,45 @@ def parameter_schedule(horizon: int, variant: str = "general") -> AlgorithmParam
 
 @dataclass(frozen=True)
 class DualState:
-    ineq: Array  # Q, elementwise nonnegative
-    eq: Array  # H, signed
-    norms: Tuple[float, float] = field(init=False, repr=False, compare=False)  # ‖Q‖, ‖H‖
+    ineq: Array  # Q, elementwise nonnegative: (L,), or (S, L) with lanes
+    eq: Array  # H, signed: (M,), or (S, M)
+    norms: Tuple[Array, Array] = field(init=False, repr=False, compare=False)  # ‖Q‖, ‖H‖
 
     def __post_init__(self):
         # Computed once: a step reports them, and the next step reads them
-        # back for its drift. np.linalg.norm computes the same sqrt(v @ v),
-        # with more call overhead.
-        norms = math.sqrt(self.ineq @ self.ineq), math.sqrt(self.eq @ self.eq)
-        object.__setattr__(self, "norms", norms)
+        # back for its drift.
+        object.__setattr__(self, "norms", (_norm(self.ineq), _norm(self.eq)))
+
+
+def _norm(v: Array) -> Array:
+    """sqrt(v @ v) of each lane: the value np.linalg.norm computes, with
+    less call overhead. A scalar without lanes."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _half_change(q_old: float, h_old: float, q: float, h: float) -> float:
+    """The drift from the norms before and after a step, squared by libm
+    pow as a Python float's `**` squares: numpy's square of an array is
+    x * x, which differs from pow in the last bit."""
+    return 0.5 * (math.pow(q, 2) - math.pow(q_old, 2)) + 0.5 * (
+        math.pow(h, 2) - math.pow(h_old, 2)
+    )
 
 
 @dataclass(frozen=True)
 class SolverState:
-    """The engine between slots; its variant fixes its geometry."""
+    """The engine between slots; its variant fixes its geometry. `seed` is
+    the run's seed, or the tuple of its lanes' seeds, which errors name; it
+    is None for a state made outside `iterate_run`."""
 
     slot: int
-    decision: Array  # the decision currently in play
+    decision: Array  # the decision currently in play: (d,), or (S, d)
     duals: DualState
     params: AlgorithmParams
     decision_set: DecisionSet
     targets: Array  # (M,)
     variant: str
+    seed: Union[int, Tuple[int, ...], None] = None
 
     @property
     def geometry(self) -> BregmanGeometry:
@@ -109,14 +134,14 @@ class SolverState:
         """The next slot's state (cheaper than dataclasses.replace)."""
         return SolverState(
             self.slot + 1, decision, duals, self.params, self.decision_set, self.targets,
-            self.variant,
+            self.variant, self.seed,
         )
 
 
 @dataclass(frozen=True)
 class StepOutcome:
     """What the record needs about one slot: the drift of the multipliers
-    and their post-update norms."""
+    and their post-update norms, each a float, or an (S,) array with lanes."""
 
     drift: float
     ineq_dual_norm: float
@@ -124,25 +149,36 @@ class StepOutcome:
 
 
 def initial_state(
-    problem: ProblemInstance, params: AlgorithmParams, variant: str = "general"
+    problem: ProblemInstance,
+    params: AlgorithmParams,
+    variant: str = "general",
+    seed: Union[int, Sequence[int], None] = None,
 ) -> SolverState:
     """Slot 0: the decision set's initial point with zero multipliers.
 
     The variant fixes the geometry: negative entropy for `simplex`,
-    Euclidean for `general`."""
+    Euclidean for `general`. A tuple or list of seeds gives one lane per
+    seed."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     decision_set = problem.decision_set
     if variant == "simplex" and not isinstance(decision_set, Simplex):
         raise ConfigError("the simplex variant needs a simplex decision set")
+    lanes = ()
+    if isinstance(seed, (tuple, list)):
+        if not seed:
+            raise ProblemError("a lane walk needs at least one seed")
+        seed = tuple(seed)
+        lanes = (len(seed),)
     return SolverState(
         slot=0,
-        decision=decision_set.initial_point(),
-        duals=DualState(np.zeros(problem.n_ineq), np.zeros(problem.n_eq)),
+        decision=np.tile(decision_set.initial_point(), (*lanes, 1)),
+        duals=DualState(np.zeros((*lanes, problem.n_ineq)), np.zeros((*lanes, problem.n_eq))),
         params=params,
         decision_set=decision_set,
         targets=np.asarray(problem.targets, dtype=float),
         variant=variant,
+        seed=seed,
     )
 
 
@@ -150,60 +186,99 @@ def assemble_dual_weighted_gradient(state: SolverState, obs: ObservationBatch) -
     """Linear coefficients of the proximal subproblem:
     V grad f + sum_i Q_i grad g_i + sum_j H_j h_j."""
     coeffs = state.params.objective_weight * obs.objective_grad
-    if state.duals.ineq.size:
-        coeffs = coeffs + state.duals.ineq @ obs.ineq_grads
-    if state.duals.eq.size:
-        coeffs = coeffs + state.duals.eq @ obs.eq_matrix
+    duals = state.duals
+    if duals.ineq.shape[-1]:
+        coeffs = coeffs + np.vecmat(duals.ineq, obs.ineq_grads)
+    if duals.eq.shape[-1]:
+        coeffs = coeffs + np.vecmat(duals.eq, obs.eq_matrix)
     return coeffs
+
+
+def _prox(state: SolverState, base: Array, coeffs: Array) -> Array:
+    """The variant's closed-form prox step from `base`, lane by lane.
+
+    Unchecked: `step` has validated the observation, and the base is the
+    engine's own decision, so `mirror_step`'s argument checks are left to
+    library callers."""
+    decision_set, prox_weight = state.decision_set, state.params.prox_weight
+    if state.variant == "simplex":
+        return exponentiated_rows(base, coeffs / prox_weight)
+    if isinstance(decision_set, Simplex):
+        return decision_set.project_rows(base - coeffs / prox_weight)
+    if isinstance(decision_set, Box):
+        return decision_set.project(base - coeffs / prox_weight)
+    raise GeometryError(f"no closed-form prox for a {type(decision_set).__name__} decision set")
+
+
+def _where(state: SolverState, obs: ObservationBatch) -> str:
+    """'seed s, slot t' for the first lane whose observation is not finite
+    (all the lanes' seeds if each is finite but their sum overflows), or
+    'slot t' when the state names no seed."""
+    seed = state.seed
+    if isinstance(seed, tuple):
+        fields = (obs.objective_value, obs.objective_grad, obs.ineq_values, obs.ineq_grads,
+                  obs.eq_matrix)
+        lanes = (s for k, s in enumerate(seed) if not all(np.isfinite(f[k]).all() for f in fields))
+        seed = next(lanes, seed)
+    return f"slot {obs.slot}" if seed is None else f"seed {seed}, slot {obs.slot}"
 
 
 def step(
     state: SolverState, obs: Optional[ObservationBatch]
 ) -> Tuple[SolverState, StepOutcome]:
-    """Advance one slot. obs carries the previous slot's functions evaluated
-    at the current decision; None means there is no previous slot."""
+    """Advance one slot, on every lane at once. obs carries the previous
+    slot's functions evaluated at the current decision; None means there is
+    no previous slot."""
     params = state.params
     if obs is None:
-        return state.advanced(state.decision, state.duals), StepOutcome(0.0, *state.duals.norms)
+        q_norm, h_norm = state.duals.norms
+        drift = np.zeros(np.shape(q_norm))[()]
+        return state.advanced(state.decision, state.duals), StepOutcome(drift, q_norm, h_norm)
 
-    n_ineq, n_eq = state.duals.ineq.shape[0], state.duals.eq.shape[0]
-    dim = state.decision.shape[0]
-    if obs.objective_grad.shape != (dim,):
+    duals, dim = state.duals, state.decision.shape[-1]
+    if obs.objective_grad.shape != state.decision.shape:
         raise ProblemError("objective gradient dimension mismatch")
-    if obs.ineq_values.shape != (n_ineq,) or obs.ineq_grads.shape != (n_ineq, dim):
+    if (
+        obs.ineq_values.shape != duals.ineq.shape
+        or obs.ineq_grads.shape != (*duals.ineq.shape, dim)
+    ):
         raise ProblemError("inequality observation shape mismatch")
-    if obs.eq_matrix.shape != (n_eq, dim):
+    if obs.eq_matrix.shape != (*duals.eq.shape, dim):
         raise ProblemError("equality observation shape mismatch")
     # The sum is finite exactly when every entry is, short of an overflow the
     # multiplier arithmetic could not absorb either; it costs one reduction
-    # per array, cheaper than an elementwise test.
+    # per array, cheaper than an elementwise test. This is the slot's one
+    # validation: the prox step below trusts it.
     total = (
-        obs.objective_value
+        np.add.reduce(obs.objective_value, None)
         + np.add.reduce(obs.objective_grad, None)
         + np.add.reduce(obs.ineq_values, None)
         + np.add.reduce(obs.ineq_grads, None)
         + np.add.reduce(obs.eq_matrix, None)
     )
     if not math.isfinite(total):
-        raise ProblemError(f"slot {obs.slot}: observation is not finite")
+        raise ProblemError(f"{_where(state, obs)}: observation is not finite")
 
     mu_prev = state.decision
     base = prox_base(state.variant, mu_prev, params.mixing_weight)
-    coeffs = assemble_dual_weighted_gradient(state, obs)
-    mu_new = mirror_step(
-        state.geometry, state.decision_set, base, coeffs, params.prox_weight
-    )
+    mu_new = _prox(state, base, assemble_dual_weighted_gradient(state, obs))
 
-    move = mu_new - mu_prev
-    surrogate = obs.ineq_values + obs.ineq_grads @ move if n_ineq else np.zeros(0)
-    q_new = np.maximum(state.duals.ineq + surrogate, 0.0)
-    eq_residual = obs.eq_matrix @ mu_new - state.targets if n_eq else np.zeros(0)
-    h_new = state.duals.eq + eq_residual
+    # The grouping is the record's: Q + (g + grad g . move) and H + (h mu' - b).
+    if duals.ineq.shape[-1]:
+        move = mu_new - mu_prev
+        surrogate = obs.ineq_values + np.matvec(obs.ineq_grads, move)
+        q_new = np.maximum(duals.ineq + surrogate, 0.0)
+    else:
+        q_new = duals.ineq
+    if duals.eq.shape[-1]:
+        h_new = duals.eq + (np.matvec(obs.eq_matrix, mu_new) - state.targets)
+    else:
+        h_new = duals.eq
 
-    q_norm_old, h_norm_old = state.duals.norms
     new_duals = DualState(q_new, h_new)
     q_norm, h_norm = new_duals.norms
-    drift = 0.5 * (q_norm**2 - q_norm_old**2) + 0.5 * (h_norm**2 - h_norm_old**2)
+    norms = (*duals.norms, q_norm, h_norm)
+    drift = np.array(list(map(_half_change, *norms))) if q_norm.ndim else _half_change(*norms)
     return state.advanced(mu_new, new_duals), StepOutcome(drift, q_norm, h_norm)
 
 
@@ -211,7 +286,7 @@ def iterate_run(
     problem: ProblemInstance,
     horizon: int,
     params: AlgorithmParams,
-    seed: int,
+    seed: Union[int, Sequence[int]],
     variant: str = "general",
 ) -> Iterator[Tuple[SolverState, StepOutcome, SlotFunctions, ObservationBatch]]:
     """Drive the engine against sampled slots, yielding per-slot results.
@@ -219,19 +294,29 @@ def iterate_run(
     Yields (state after the slot, outcome, the slot's sampled functions, the
     observation of those functions at the played decision). The functions
     are sampled after the decision is made, matching the play order; the
-    slot's generator is made first, so a bad seed fails before any step.
-    The variant fixes the geometry, as in `initial_state`."""
+    slot's generators are made first, so a bad seed fails before any step.
+    The variant fixes the geometry, as in `initial_state`.
+
+    A tuple or list of seeds walks one lane per seed in lockstep: each slot
+    draws every lane's functions from its own `slot_rng(seed, t)`, then
+    steps and observes all lanes at once, so the yielded state, outcome and
+    observation carry a leading lane axis and the functions are the lanes'
+    `SlotFunctions.stack`. Each lane's numbers equal those of its seed's
+    own walk bit for bit."""
     if problem.horizon_cap is not None and horizon > problem.horizon_cap:
         raise ProblemError(
             f"horizon {horizon} exceeds the problem's trace length "
             f"{problem.horizon_cap}"
         )
-    state = initial_state(problem, params, variant)
+    state = initial_state(problem, params, variant, seed)
+    lanes = isinstance(state.seed, tuple)
+    seeds = state.seed if lanes else (seed,)
+    gather = SlotFunctions.stack if lanes else operator.itemgetter(0)
     obs = None
     for t in range(horizon):
-        rng = slot_rng(seed, t)
+        rngs = [slot_rng(lane_seed, t) for lane_seed in seeds]
         state, outcome = step(state, obs)
-        fns = problem.sample_slot(t, rng)
+        fns = gather([problem.sample_slot(t, rng) for rng in rngs])
         obs = fns.observe(state.decision)
         yield state, outcome, fns, obs
 

@@ -155,19 +155,26 @@ class Simplex(DecisionSet):
         )
 
     def project(self, point: Array) -> Array:
-        # Sort-based projection onto the simplex.
         v = np.asarray(point, dtype=float)
         if v.shape != (self.dim,):
             raise GeometryError(f"cannot project shape {v.shape} onto a {self.dim}-simplex")
-        u = np.sort(v)[::-1]
-        css = np.cumsum(u) - 1.0
-        idx = self._ranks
-        support = idx[u - css / idx > 0]
-        if support.size == 0:  # a NaN, +inf or overflowing sum leaves no support
+        return self.project_rows(v)
+
+    def project_rows(self, points: Array) -> Array:
+        """Sort-based projection of each (d,) row of a (..., d) stack,
+        unchecked but for a row with no support: a NaN, +inf or overflowing
+        sum leaves none, and raises GeometryError."""
+        # The ufuncs' own reduce methods skip np.max's and np.cumsum's wrappers.
+        u = np.sort(points, axis=-1)[..., ::-1]
+        ratios = (np.add.accumulate(u, axis=-1) - 1.0) / self._ranks
+        # rho, the last rank whose entry stays above its ratio, picks the threshold
+        rho = np.maximum.reduce((u > ratios) * self._ranks, axis=-1, keepdims=True)
+        if not np.logical_and.reduce(rho, None):
             raise GeometryError("cannot project a point with NaN or overflowing entries")
-        rho = support[-1]
-        threshold = css[rho - 1] / rho
-        return np.maximum(v - threshold, 0.0)
+        threshold = np.minimum.reduce(
+            ratios, axis=-1, keepdims=True, where=self._ranks == rho, initial=np.inf
+        )
+        return np.maximum(points - threshold, 0.0)
 
     def support_minimizer(self, direction: Array) -> Array:
         out = np.zeros(self.dim)
@@ -339,10 +346,16 @@ def exponentiated_gradient_step(base: Array, coeffs: Array) -> Array:
         raise GeometryError("exponentiated-gradient base must be strictly positive")
     if not np.isfinite(coeffs).all():
         raise GeometryError("coefficients must be finite")
-    shifted = coeffs - coeffs.min()
+    return exponentiated_rows(base, coeffs)
+
+
+def exponentiated_rows(base: Array, coeffs: Array) -> Array:
+    """The exponentiated-gradient step of each (d,) row of (..., d) stacks,
+    unchecked but for a row whose weights are not a finite positive sum."""
+    shifted = coeffs - np.minimum.reduce(coeffs, axis=-1, keepdims=True)
     weights = base * np.exp(-shifted)
-    total = float(weights.sum())
-    if not np.isfinite(total) or total <= 0.0:
+    total = np.add.reduce(weights, axis=-1, keepdims=True)
+    if not np.logical_and.reduce((total > 0.0) & (total < np.inf), None):  # a NaN fails both
         raise GeometryError("exponentiated-gradient weights degenerated to zero")
     return weights / total
 
@@ -371,7 +384,7 @@ def mix_toward_uniform(point: Array, mixing_weight: float) -> Array:
         raise GeometryError("mixing weight must lie in [0, 1)")
     if mixing_weight == 0.0:
         return point.copy()
-    return (1.0 - mixing_weight) * point + mixing_weight / point.shape[0]
+    return prox_base("simplex", point, mixing_weight)
 
 
 #: The geometry each engine variant runs; nothing else decides it.
@@ -380,8 +393,12 @@ VARIANT_GEOMETRY = {"general": EuclideanGeometry(), "simplex": NegativeEntropyGe
 
 def prox_base(variant: str, point: Array, mixing_weight: float) -> Array:
     """The centre of a variant's prox step from ``point``: blended toward
-    uniform on the simplex variant, which keeps KL divergences finite."""
-    return mix_toward_uniform(point, mixing_weight) if variant == "simplex" else point
+    uniform on the simplex variant, which keeps KL divergences finite.
+    Unchecked, and row by row on a (..., d) stack; `mix_toward_uniform` is
+    the checked blend."""
+    if variant != "simplex" or mixing_weight == 0.0:
+        return point
+    return (1.0 - mixing_weight) * point + mixing_weight / point.shape[-1]
 
 
 def mirror_step(

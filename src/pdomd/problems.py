@@ -30,10 +30,11 @@ hash is computed for blocks of `SEED_BLOCK` slots at once, and the
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -230,14 +231,14 @@ def service_curve_inverse(target, gain=SERVICE_GAIN, rate=SERVICE_RATE, power_ca
 class LinearRows:
     """Rows g_i(x) = <coeffs_i, x> - offsets_i."""
 
-    coeffs: Array  # (L, d)
-    offsets: Array  # (L,)
+    coeffs: Array  # (L, d), or (..., L, d) for a stack of slots
+    offsets: Array  # (L,), or (..., L)
 
     def __len__(self) -> int:
-        return self.offsets.shape[0]
+        return self.offsets.shape[-1]
 
     def values(self, point: Array) -> Array:
-        return self.coeffs @ point - self.offsets
+        return np.matvec(self.coeffs, point) - self.offsets
 
     def grads(self, point: Array) -> Array:
         return self.coeffs
@@ -251,38 +252,68 @@ class ServiceRows:
     and the weighted log terms are the (noisy) served jobs.
     """
 
-    levels: Array  # (L,)
-    weights: Array  # (L, d)
+    levels: Array  # (L,), or (..., L) for a stack of slots
+    weights: Array  # (L, d), or (..., L, d)
     gain: float = SERVICE_GAIN
     rate: float = SERVICE_RATE
 
     def __len__(self) -> int:
-        return self.levels.shape[0]
+        return self.levels.shape[-1]
 
     def values(self, point: Array) -> Array:
-        return self.levels - self.weights @ (self.gain * np.log1p(self.rate * point))
+        return self.levels - np.matvec(self.weights, self.gain * np.log1p(self.rate * point))
 
     def grads(self, point: Array) -> Array:
-        return -self.weights * (self.gain * self.rate) / (1.0 + self.rate * point)
+        return -self.weights * (self.gain * self.rate) / (1.0 + self.rate * point[..., None, :])
 
 
 @dataclass(frozen=True)
 class SlotFunctions:
     """The realized functions of one slot, evaluable anywhere on the set.
 
-    Every objective is linear, so it is its coefficient vector."""
+    Every objective is linear, so it is its coefficient vector. `stack`
+    lays several slots' functions along a leading axis; every method then
+    evaluates each of them at its own point of a (..., d) stack, or all of
+    them at one (d,) point, with one product per slot of the same form a
+    single slot takes, so the values equal a slot-by-slot loop bit for bit.
+    Row families evaluate points of shape (..., d) the same way."""
 
     slot: int
-    objective: Array  # (d,)
+    objective: Array  # (d,), or (..., d)
     inequalities: LinearRows | ServiceRows
-    eq_matrix: Array  # (M, d) rows h_j
+    eq_matrix: Array  # (M, d) rows h_j, or (..., M, d)
+
+    @staticmethod
+    def stack(slots: Sequence["SlotFunctions"]) -> "SlotFunctions":
+        """The functions of `slots` along a new leading axis, under the
+        first one's slot index."""
+        first = slots[0]
+        rows = first.inequalities
+        # np.array stacks equal-shaped arrays as np.stack does, at a third of its cost
+        return SlotFunctions(
+            slot=first.slot,
+            objective=np.array([fns.objective for fns in slots]),
+            inequalities=dataclasses.replace(rows, **{
+                name: np.array([getattr(fns.inequalities, name) for fns in slots])
+                for name, value in vars(rows).items() if isinstance(value, np.ndarray)
+            }),
+            eq_matrix=np.array([fns.eq_matrix for fns in slots]),
+        )
+
+    def evaluate(self, point: Array) -> Tuple[Array, Array, Array]:
+        """(objective values, inequality values, equality rows) at `point`."""
+        return (
+            np.vecdot(self.objective, point),
+            self.inequalities.values(point),
+            np.matvec(self.eq_matrix, point),
+        )
 
     def observe(self, point: Array) -> "ObservationBatch":
         """Package values and subgradients at `point` for the engine."""
         point = np.asarray(point, dtype=float)
         return ObservationBatch(
             slot=self.slot,
-            objective_value=float(self.objective @ point),
+            objective_value=np.vecdot(self.objective, point),
             objective_grad=self.objective,
             ineq_values=self.inequalities.values(point),
             ineq_grads=self.inequalities.grads(point),
@@ -295,15 +326,16 @@ class ObservationBatch:
     """What the engine sees at the start of a slot.
 
     Plain values and subgradients of the previous slot's functions, all
-    evaluated at the decision that was played.
+    evaluated at the decision that was played; a lane walk's batch carries
+    a leading lane axis on every field but the slot.
     """
 
     slot: int
-    objective_value: float
-    objective_grad: Array
-    ineq_values: Array  # (L,)
-    ineq_grads: Array  # (L, d)
-    eq_matrix: Array  # (M, d)
+    objective_value: float  # or (S,)
+    objective_grad: Array  # (d,), or (S, d)
+    ineq_values: Array  # (L,), or (S, L)
+    ineq_grads: Array  # (L, d), or (S, L, d)
+    eq_matrix: Array  # (M, d), or (S, M, d)
 
 
 # ---------------------------------------------------------------------------
@@ -592,12 +624,13 @@ def build_datacenter_problem(
     structure = _pacing_structure()
     shape = config.pareto_shape
 
+    objectives = np.take(zone_prices, SERVER_CLUSTER, axis=1)  # one zone per cluster
+    objectives.flags.writeable = False  # every slot and lane shares its row
+
     def objective_at(t: int) -> Array:
-        if t >= zone_prices.shape[0]:
-            raise ProblemError(
-                f"slot {t} beyond trace length {zone_prices.shape[0]}"
-            )
-        return zone_prices[t, SERVER_CLUSTER].astype(float)  # one zone per cluster
+        if t >= objectives.shape[0]:
+            raise ProblemError(f"slot {t} beyond trace length {objectives.shape[0]}")
+        return objectives[t]
 
     def sample_slot(t: int, rng: np.random.Generator) -> SlotFunctions:
         arrivals = poisson_sample(ARRIVAL_MEAN, rng)
@@ -627,9 +660,10 @@ def build_datacenter_problem(
     )
 
 
-def reac_schedule(arrivals: Sequence[float]) -> Array:
-    """Reactive baseline over a whole horizon: row t of the (T, d) result is
+def reac_schedule(arrivals: Sequence[float], first: int = 0) -> Array:
+    """Reactive baseline over a horizon: row t of the (T, d) result is
     Reac's decision for slot t, given the slot arrivals `arrivals` (T,).
+    Given `first`, only rows first..T-1 are made, and returned.
 
     Row t forecasts the arrivals by the mean of the REAC_WINDOW before it,
     arrivals[max(0, t - REAC_WINDOW):t]; row 0 has none and forecasts
@@ -639,15 +673,19 @@ def reac_schedule(arrivals: Sequence[float]) -> Array:
     arrivals = np.asarray(arrivals, dtype=float)
     if arrivals.ndim != 1 or arrivals.size == 0:
         raise ProblemError("arrivals must be a nonempty vector")
+    if not 0 <= first < arrivals.size:
+        raise ProblemError(f"first row {first!r} is not a slot of {arrivals.size}")
     if not np.isfinite(arrivals).all():
         raise ProblemError("arrivals must be finite")
-    forecast = np.empty(arrivals.size)
-    forecast[0] = arrivals[0]
-    for t in range(1, min(arrivals.size, REAC_WINDOW)):  # the windows still filling
-        forecast[t] = np.mean(arrivals[:t])
-    if arrivals.size > REAC_WINDOW:
-        windows = sliding_window_view(arrivals[:-1], REAC_WINDOW)
-        forecast[REAC_WINDOW:] = np.mean(windows, axis=1)
+    forecast = np.empty(arrivals.size - first)
+    if first == 0:
+        forecast[0] = arrivals[0]
+    for t in range(max(first, 1), min(arrivals.size, REAC_WINDOW)):  # the windows still filling
+        forecast[t - first] = np.mean(arrivals[:t])
+    full = max(first, REAC_WINDOW)  # the first row of a full window
+    if arrivals.size > full:
+        windows = sliding_window_view(arrivals[full - REAC_WINDOW:-1], REAC_WINDOW)
+        forecast[full - first:] = np.mean(windows, axis=1)
     cluster_loads = forecast[:, None] * np.array([*PACING_RATIOS, PACING_RATIOS[3]])
     cluster_loads[:, 3:] /= 2.0  # the final two clusters split the last share evenly
     power = service_curve_inverse(cluster_loads / CLUSTER_SIZE)

@@ -115,30 +115,32 @@ class RecordCollector:
     """Record columns filled slot by slot from `core.iterate_run`'s yields.
 
     `core.run` and the experiment harness both build their records here, so
-    a record means the same thing whichever of them wrote it."""
+    a record means the same thing whichever of them wrote it. Given `lanes`,
+    it collects a lane walk of that many seeds, one record per lane."""
 
-    def __init__(self, problem: ProblemInstance, horizon: int):
+    def __init__(self, problem: ProblemInstance, horizon: int, lanes: Optional[int] = None):
         self.problem = problem
+        lead = () if lanes is None else (lanes,)
         wide = {
             "decisions": problem.dimension,
             "ineq_realized": problem.n_ineq,
             "eq_realized": problem.n_eq,
         }
         self.columns = {
-            field: np.zeros((horizon, wide[field]) if field in wide else horizon)
+            field: np.zeros((*lead, horizon, wide[field]) if field in wide else (*lead, horizon))
             for field, _ in COLUMNS
         }
         self.started = time.perf_counter()
 
     def add(self, state: "SolverState", outcome: "StepOutcome", obs: ObservationBatch) -> None:
         t, columns = obs.slot, self.columns
-        columns["decisions"][t] = state.decision
-        columns["objective_realized"][t] = obs.objective_value
-        columns["ineq_realized"][t] = obs.ineq_values
-        columns["eq_realized"][t] = obs.eq_matrix @ state.decision
-        columns["ineq_dual_norm"][t] = outcome.ineq_dual_norm
-        columns["eq_dual_norm"][t] = outcome.eq_dual_norm
-        columns["drift"][t] = outcome.drift
+        columns["decisions"][..., t, :] = state.decision
+        columns["objective_realized"][..., t] = obs.objective_value
+        columns["ineq_realized"][..., t, :] = obs.ineq_values
+        columns["eq_realized"][..., t, :] = np.matvec(obs.eq_matrix, state.decision)
+        columns["ineq_dual_norm"][..., t] = outcome.ineq_dual_norm
+        columns["eq_dual_norm"][..., t] = outcome.eq_dual_norm
+        columns["drift"][..., t] = outcome.drift
 
     def record(
         self,
@@ -146,8 +148,13 @@ class RecordCollector:
         seed: int,
         variant: str,
         config_hash: str = "",
+        lane: Optional[int] = None,
     ) -> RunRecord:
-        """The record of the slots added so far, timed from construction."""
+        """The record of the slots added so far (of one lane, given lanes),
+        timed from construction."""
+        columns = self.columns
+        if lane is not None:
+            columns = {field: column[lane] for field, column in columns.items()}
         return RunRecord(
             problem=self.problem.name,
             variant=variant,
@@ -156,7 +163,7 @@ class RecordCollector:
             targets=np.asarray(self.problem.targets, dtype=float),
             config_hash=config_hash,
             wall_time_s=time.perf_counter() - self.started,
-            **self.columns,
+            **columns,
         )
 
 
@@ -231,18 +238,12 @@ def summarize_metrics(
         means = problem.means
         # One product per slot, each the one a slot-by-slot loop takes, with
         # cumsum adding in slot order as its running total does: the sums
-        # equal the loop's bit for bit.  The rows' per-row vectors stand as
-        # (L, 1), so the family's own `values` maps (T, d, 1) to (T, L, 1).
+        # equal the loop's bit for bit.
         objectives = means.objective_table(0, horizon)[:, None, :]  # (T, 1, d)
         decisions = record.decisions[:, :, None]  # (T, d, 1)
         gap = (objectives @ decisions)[:, 0, 0] - (objectives @ mu_star[:, None])[:, 0, 0]
         expected_regret = float(np.cumsum(gap)[-1])
-        rows = means.inequalities
-        rows = dataclasses.replace(rows, **{
-            name: value[:, None] for name, value in vars(rows).items()
-            if isinstance(value, np.ndarray) and value.ndim == 1
-        })
-        g_avg = np.cumsum(rows.values(decisions)[:, :, 0], axis=0)[-1] / horizon
+        g_avg = np.cumsum(means.inequalities.values(record.decisions), axis=0)[-1] / horizon
         ineq_violation = float(np.linalg.norm(np.maximum(g_avg, 0.0)))
         h_avg = means.eq_matrix @ (record.decisions.mean(axis=0))
         eq_violation = float(np.linalg.norm(h_avg - record.targets))
@@ -391,8 +392,9 @@ def replay_record(
             residuals.append(lhs - rhs)
         q = np.maximum(q + surrogate, 0.0)
         h = h + eq_residual
-        _check_replay(t + 1, "|Q|", float(np.linalg.norm(q)), record.ineq_dual_norm[t + 1])
-        _check_replay(t + 1, "|H|", float(np.linalg.norm(h)), record.eq_dual_norm[t + 1])
+        # sqrt(v @ v) is the value np.linalg.norm computes, as DualState takes it
+        _check_replay(t + 1, "|Q|", math.sqrt(q @ q), record.ineq_dual_norm[t + 1])
+        _check_replay(t + 1, "|H|", math.sqrt(h @ h), record.eq_dual_norm[t + 1])
     if horizon < 2:
         return comparator_total, 0.0
     return comparator_total, float(np.max(residuals, initial=-np.inf))  # NaN propagates

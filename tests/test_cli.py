@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdomd import cli, hindsight_optimum, iterate_run
+from pdomd import cli, hindsight_optimum, iterate_run, run
 from pdomd.problems import reac_schedule
 from pdomd.cli import (
     ExperimentConfig,
@@ -24,7 +24,7 @@ from pdomd.cli import (
     write_price_trace,
 )
 from pdomd.errors import ConfigError
-from pdomd.telemetry import compute_metrics, import_record
+from pdomd.telemetry import COLUMNS, compute_metrics, import_record
 
 
 def write_config(path, **entries):
@@ -438,7 +438,7 @@ class TestRunExperiment:
         problem = cli._build_problem(config)
         horizon = config.horizon
         hindsight = hindsight_optimum(problem, 0, horizon)
-        _, summary, columns = cli._scored_pass(problem, config, horizon, 1, hindsight)
+        [(_, summary, columns)] = cli._scored_pass(problem, config, horizon, (1,), hindsight)
         slots = [fns for _, _, fns, _ in iterate_run(
             problem, horizon, config.params_for(horizon), 1, config.resolved_variant
         )]
@@ -457,6 +457,36 @@ class TestRunExperiment:
             running += columns["hindsight"][0][t]
         assert summary.realized_regret == float(np.sum(columns["algorithm"][0])) - running
 
+    def test_non_finite_lane_is_exit_3(self, tmp_path, monkeypatch, capsys):
+        # Slot 5's second draw is seed 4's: the lanes draw in seed order.
+        build = cli.build_synthetic_problem
+
+        def poisoned_build(*args):
+            problem = build(*args)
+            draws = collections.Counter()
+
+            def sample_slot(t, rng):
+                fns = problem.sample_slot(t, rng)
+                draws[t] += 1
+                if (t, draws[t]) == (5, 2):
+                    return dataclasses.replace(fns, objective=np.full_like(fns.objective, np.nan))
+                return fns
+
+            return dataclasses.replace(problem, sample_slot=sample_slot)
+
+        monkeypatch.setattr(cli, "build_synthetic_problem", poisoned_build)
+        config_path = write_config(
+            tmp_path / "c.json",
+            scenario="synthetic",
+            T=20,
+            seeds=[3, 4, 5],
+            synthetic={"d": 4, "n_ineq": 1, "n_eq": 1},
+            out_dir=str(tmp_path / "out"),
+        )
+        assert main(["run", "--config", str(config_path)]) == 3
+        assert "seed 4, slot 5: observation is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "records" / "run_seed3.csv").exists()
+
     def test_resolved_config_detects_tampering(self, tmp_path):
         config = small_config(tmp_path)
         result = run_experiment(config)
@@ -466,6 +496,56 @@ class TestRunExperiment:
         path.write_text(json.dumps(resolved))
         with pytest.raises(ConfigError, match="config_hash"):
             parse_config(path)
+
+
+LANE_SCENARIOS = {
+    "synthetic-general": {"synthetic": {"d": 6, "n_ineq": 2, "n_eq": 2}, "variant": "general"},
+    "synthetic-simplex": {"synthetic": {"d": 6, "n_ineq": 2, "n_eq": 2}, "variant": "simplex"},
+    "datacenter": {"scenario": "datacenter"},
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    scenario=st.sampled_from(sorted(LANE_SCENARIOS)),
+    seeds=st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True),
+    horizon=st.integers(2, 90),
+    block=st.integers(1, 40),
+)
+def test_lane_pass_matches_one_seed_runs(scenario, seeds, horizon, block):
+    """The lane pass's records equal each seed's own `core.run` bit for
+    bit, and its hindsight and Reac columns equal each slot's own functions
+    scored at the point and at `reac_schedule` over the whole horizon, at
+    any scoring block size."""
+    config = config_from_mapping({
+        **LANE_SCENARIOS[scenario], "T": horizon, "seeds": seeds, "out_dir": "unused"
+    })
+    problem = cli._build_problem(config)
+    params, variant = config.params_for(horizon), config.resolved_variant
+    point = problem.decision_set.sample(np.random.default_rng(horizon))
+    stock = cli.SCORE_BLOCK
+    cli.SCORE_BLOCK = block
+    try:
+        passes = cli._scored_pass(problem, config, horizon, seeds, (point, 0.0))
+    finally:
+        cli.SCORE_BLOCK = stock
+    assert [record.seed for record, _, _ in passes] == seeds
+    for seed, (record, _, columns) in zip(seeds, passes):
+        alone = run(problem, horizon, params, seed, variant)
+        for field, _ in COLUMNS:
+            assert getattr(record, field).tobytes() == getattr(alone, field).tobytes(), field
+        slots = [fns for _, _, fns, _ in iterate_run(problem, horizon, params, seed, variant)]
+        points = {"hindsight": [point] * horizon}
+        if scenario == "datacenter":
+            points["reac"] = reac_schedule([fns.inequalities.levels[0] for fns in slots])
+        assert set(columns) == {"algorithm", *points}
+        for name, policy_points in points.items():
+            expected = zip(*(
+                (fns.objective @ at, fns.inequalities.values(at), fns.eq_matrix @ at)
+                for fns, at in zip(slots, policy_points)
+            ))
+            for got, want in zip(columns[name], expected):
+                assert got.tobytes() == np.array(want).tobytes(), name
 
 
 class TestSweep:

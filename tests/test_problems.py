@@ -411,6 +411,18 @@ class TestReacPolicy:
             assert np.array_equal(schedule[t], reac_per_cluster(window or [arrival])), t
             window.append(arrival)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=40), st.data())
+    def test_first_row_selects_the_tail(self, arrivals, data):
+        first = data.draw(st.integers(0, len(arrivals) - 1))
+        tail = reac_schedule(arrivals, first)
+        assert tail.tobytes() == reac_schedule(arrivals)[first:].tobytes()
+
+    def test_first_row_outside_the_horizon_rejected(self):
+        for first in (-1, 3):
+            with pytest.raises(ProblemError, match="first row"):
+                reac_schedule([1000.0, 900.0, 950.0], first)
+
 
 class TestConfigValidation:
     def test_parameters_rejected_by_name(self):
