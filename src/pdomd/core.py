@@ -210,17 +210,29 @@ def _prox(state: SolverState, base: Array, coeffs: Array) -> Array:
     raise GeometryError(f"no closed-form prox for a {type(decision_set).__name__} decision set")
 
 
-def _where(state: SolverState, obs: ObservationBatch) -> str:
-    """'seed s, slot t' for the first lane whose observation is not finite
-    (all the lanes' seeds if each is finite but their sum overflows), or
-    'slot t' when the state names no seed."""
+def _check_finite(state: SolverState, obs: ObservationBatch) -> None:
+    """Refuse an observation with a NaN or infinite entry, naming 'seed s,
+    slot t' for the first lane with one (all the lanes' seeds if their sum
+    alone overflows), or 'slot t' when the state names no seed. The sum is
+    finite exactly when every entry is, short of an overflow the multiplier
+    arithmetic could not absorb either, at one reduction per array."""
+    total = (
+        np.add.reduce(obs.objective_value, None)
+        + np.add.reduce(obs.objective_grad, None)
+        + np.add.reduce(obs.ineq_values, None)
+        + np.add.reduce(obs.ineq_grads, None)
+        + np.add.reduce(obs.eq_matrix, None)
+    )
+    if math.isfinite(total):
+        return
     seed = state.seed
     if isinstance(seed, tuple):
         fields = (obs.objective_value, obs.objective_grad, obs.ineq_values, obs.ineq_grads,
                   obs.eq_matrix)
         lanes = (s for k, s in enumerate(seed) if not all(np.isfinite(f[k]).all() for f in fields))
         seed = next(lanes, seed)
-    return f"slot {obs.slot}" if seed is None else f"seed {seed}, slot {obs.slot}"
+    where = f"slot {obs.slot}" if seed is None else f"seed {seed}, slot {obs.slot}"
+    raise ProblemError(f"{where}: observation is not finite")
 
 
 def step(
@@ -245,19 +257,7 @@ def step(
         raise ProblemError("inequality observation shape mismatch")
     if obs.eq_matrix.shape != (*duals.eq.shape, dim):
         raise ProblemError("equality observation shape mismatch")
-    # The sum is finite exactly when every entry is, short of an overflow the
-    # multiplier arithmetic could not absorb either; it costs one reduction
-    # per array, cheaper than an elementwise test. This is the slot's one
-    # validation: the prox step below trusts it.
-    total = (
-        np.add.reduce(obs.objective_value, None)
-        + np.add.reduce(obs.objective_grad, None)
-        + np.add.reduce(obs.ineq_values, None)
-        + np.add.reduce(obs.ineq_grads, None)
-        + np.add.reduce(obs.eq_matrix, None)
-    )
-    if not math.isfinite(total):
-        raise ProblemError(f"{_where(state, obs)}: observation is not finite")
+    _check_finite(state, obs)  # the prox step below trusts it
 
     mu_prev = state.decision
     base = prox_base(state.variant, mu_prev, params.mixing_weight)
@@ -295,7 +295,8 @@ def iterate_run(
     observation of those functions at the played decision). The functions
     are sampled after the decision is made, matching the play order; the
     slot's generators are made first, so a bad seed fails before any step.
-    The variant fixes the geometry, as in `initial_state`.
+    A non-finite observation is refused as `step` refuses one, the last
+    slot's too. The variant fixes the geometry, as in `initial_state`.
 
     A tuple or list of seeds walks one lane per seed in lockstep: each slot
     draws every lane's functions from its own `slot_rng(seed, t)`, then
@@ -318,6 +319,8 @@ def iterate_run(
         state, outcome = step(state, obs)
         fns = gather([problem.sample_slot(t, rng) for rng in rngs])
         obs = fns.observe(state.decision)
+        if t + 1 == horizon:  # no step consumes, and so checks, the last observation
+            _check_finite(state, obs)
         yield state, outcome, fns, obs
 
 

@@ -40,11 +40,16 @@ Array = np.ndarray
 MEMBERSHIP_TOL = 1e-12
 
 
-def _as_vector(x, name: str) -> Array:
+def _as_vector(x, name: str, stack: bool = False) -> Array:
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
+    if arr.ndim != 1 and not (stack and arr.ndim > 1):
         raise GeometryError(f"{name} must be a one-dimensional vector, got shape {arr.shape}")
     return arr
+
+
+def _per_row(values: Array):
+    """A float for one point's value, the array for a stack's."""
+    return float(values) if values.ndim == 0 else values
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +72,8 @@ class DecisionSet(ABC):
 
     @abstractmethod
     def support_minimizer(self, direction: Array) -> Array:
-        """A minimizer of ``<direction, z>`` over the set."""
+        """A minimizer of ``<direction, z>`` over the set, row by row on a
+        (..., d) stack of directions."""
 
     @abstractmethod
     def initial_point(self) -> Array:
@@ -75,7 +81,7 @@ class DecisionSet(ABC):
 
     @abstractmethod
     def sample(self, rng: np.random.Generator) -> Array:
-        """A random member of the set (used by audits and tests)."""
+        """A random member of the set (used by tests and demos)."""
 
 
 @dataclass(frozen=True)
@@ -177,9 +183,7 @@ class Simplex(DecisionSet):
         return np.maximum(points - threshold, 0.0)
 
     def support_minimizer(self, direction: Array) -> Array:
-        out = np.zeros(self.dim)
-        out[int(np.argmin(direction))] = 1.0
-        return out
+        return np.eye(self.dim)[np.argmin(direction, axis=-1)]
 
     def initial_point(self) -> Array:
         return np.full(self.dim, 1.0 / self.dim)
@@ -211,7 +215,8 @@ class BregmanGeometry(ABC):
 
     @abstractmethod
     def divergence(self, x: Array, y: Array) -> float:
-        """Bregman divergence ``D(x, y)``."""
+        """Bregman divergence ``D(x, y)``; an array of them, row by row, on
+        (..., d) stacks of points."""
 
     @abstractmethod
     def potential_grad(self, x: Array) -> Array:
@@ -237,12 +242,12 @@ class EuclideanGeometry(BregmanGeometry):
     beta = 1.0
 
     def divergence(self, x: Array, y: Array) -> float:
-        x = _as_vector(x, "x")
-        y = _as_vector(y, "y")
+        x = _as_vector(x, "x", stack=True)
+        y = _as_vector(y, "y", stack=True)
         if x.shape != y.shape:
             raise GeometryError("divergence arguments must share a shape")
         diff = x - y
-        return 0.5 * float(diff @ diff)
+        return _per_row(0.5 * np.vecdot(diff, diff))
 
     def potential_grad(self, x: Array) -> Array:
         return np.asarray(x, dtype=float)
@@ -274,8 +279,8 @@ class NegativeEntropyGeometry(BregmanGeometry):
     beta = 1.0
 
     def divergence(self, x: Array, y: Array) -> float:
-        x = _as_vector(x, "x")
-        y = _as_vector(y, "y")
+        x = _as_vector(x, "x", stack=True)
+        y = _as_vector(y, "y", stack=True)
         if x.shape != y.shape:
             raise GeometryError("divergence arguments must share a shape")
         if np.any(y <= 0.0):
@@ -284,7 +289,7 @@ class NegativeEntropyGeometry(BregmanGeometry):
             raise GeometryError("negative-entropy divergence needs nonnegative x")
         positive = x > 0.0
         terms = np.where(positive, x * np.log(np.where(positive, x, 1.0) / y), 0.0)
-        return float(np.sum(terms) - float(x.sum()) + float(y.sum()))
+        return _per_row(terms.sum(axis=-1) - x.sum(axis=-1) + y.sum(axis=-1))
 
     def potential_grad(self, x: Array) -> Array:
         return np.log(np.asarray(x, dtype=float))

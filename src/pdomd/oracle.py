@@ -155,29 +155,17 @@ def _solve_linear(program: _WindowProgram) -> Tuple[Array, Array, Array]:
     return np.asarray(res.x, dtype=float), -res.ineqlin.marginals, eq_mult
 
 
-def _service_dual(program: _WindowProgram, mult: Array) -> Tuple[Array, float, Array]:
-    """Lagrangian minimizer, dual value and dual gradient (the constraint
-    residuals there) of a service-row program at the stacked multipliers
-    (lam, eta).
-
-    The minimizer is separable over a box.  With s = lam @ W and
-    a = c + eta @ A, coordinate k minimizes a_k x - s_k g log(1 + r x) on
-    [lo_k, hi_k]: the stationary point (s_k g r / a_k - 1) / r clipped to
-    the box when a_k > 0, and hi_k otherwise (the term is then
-    nonincreasing, as W >= 0 and lam >= 0).
+def _lagrangian_minimum(program: _WindowProgram, mult: Array) -> Tuple[Array, float, Array]:
+    """Lagrangian minimizer over the decision set alone, dual value and dual
+    gradient (the constraint residuals there) at the stacked multipliers
+    (lam, eta), all closed form: the minimizer is the row family's
+    `minimizer` with slope c + eta @ A.
     """
     dset, rows, eq = program.decision_set, program.inequalities, program.eq_matrix
-    if not isinstance(dset, Box):
+    if not (program.all_linear or isinstance(dset, Box)):
         raise OracleError(f"service rows need a box decision set, got {type(dset).__name__}")
     n_ineq = len(rows)
-    scale = mult[:n_ineq] @ rows.weights
-    slope = program.objective + mult[n_ineq:] @ eq
-    # a ratio or a stationary point past the float range is +inf, and its
-    # coordinate clips to the upper bound, as the limit does
-    with np.errstate(over="ignore"):
-        ratio = np.divide(scale, slope, out=np.full(slope.shape, np.inf), where=slope > 0.0)
-        stationary = (ratio * (rows.gain * rows.rate) - 1.0) / rows.rate
-    point = np.clip(stationary, dset.lower, dset.upper)
+    point = rows.minimizer(mult[:n_ineq], program.objective + mult[n_ineq:] @ eq, dset)
     residual = np.concatenate([rows.values(point), eq @ point - program.targets])
     return point, float(program.objective @ point) + float(mult @ residual), residual
 
@@ -203,7 +191,7 @@ def _solve_service(program: _WindowProgram) -> Tuple[Array, Array, float]:
     rows, eq, dset = program.inequalities, program.eq_matrix, program.decision_set
     n_ineq = len(rows)
     mult = np.zeros(n_ineq + eq.shape[0])
-    point, value, grad = _service_dual(program, mult)
+    point, value, grad = _lagrangian_minimum(program, mult)
     grad_step = 1.0
     for _ in range(_NEWTON_MAX_ITER):
         free = np.ones(mult.size, dtype=bool)
@@ -227,7 +215,7 @@ def _solve_service(program: _WindowProgram) -> Tuple[Array, Array, float]:
         for _ in range(60):
             trial = mult + t * direction
             trial[:n_ineq] = np.maximum(trial[:n_ineq], 0.0)
-            trial_point, trial_value, trial_grad = _service_dual(program, trial)
+            trial_point, trial_value, trial_grad = _lagrangian_minimum(program, trial)
             if trial_value >= value + 1e-4 * float(grad @ (trial - mult)) - slack:
                 break
             t *= 0.5
@@ -264,7 +252,7 @@ def _solve_window(
             f"equality residual {eq_res:.3e}"
         )
     value = float(program.objective @ point)
-    _, dual_value = _lagrangian_minimum(program, duals.ineq, duals.eq)
+    _, dual_value, _ = _lagrangian_minimum(program, np.concatenate([duals.ineq, duals.eq]))
     if value - dual_value > _DUAL_GAP_TOL:
         raise OracleError(
             f"duality gap {value - dual_value:.3e} exceeds {_DUAL_GAP_TOL:.0e}"
@@ -292,27 +280,6 @@ def hindsight_optimum(
     return point, value
 
 
-def _lagrangian_minimum(
-    program: _WindowProgram, ineq_mult: Array, eq_mult: Array
-) -> Tuple[Array, float]:
-    """Minimize the weighted Lagrangian over the decision set alone.
-
-    Returns the minimizer and the dual value, both in closed form: linear
-    rows take the set's support point, service rows the coordinatewise
-    stationary point on a box.
-    """
-    if not program.all_linear:
-        point, value, _ = _service_dual(program, np.concatenate([ineq_mult, eq_mult]))
-        return point, value
-    eta_term = eq_mult @ program.eq_matrix if eq_mult.size else 0.0
-    offset_shift = float(eq_mult @ program.targets) if eq_mult.size else 0.0
-    rows = program.inequalities
-    combined = program.objective + ineq_mult @ rows.coeffs + eta_term
-    constant = -float(ineq_mult @ rows.offsets) - offset_shift
-    point = program.decision_set.support_minimizer(combined)
-    return point, float(combined @ point + constant)
-
-
 def dual_function(
     problem: ProblemInstance, start: int, length: int, point: DualPoint
 ) -> float:
@@ -335,8 +302,7 @@ def dual_function(
             f"expected {program.eq_matrix.shape[0]} equality multipliers, "
             f"got shape {eta.shape}"
         )
-    _, value = _lagrangian_minimum(program, lam, eta)
-    return value
+    return _lagrangian_minimum(program, np.concatenate([lam, eta]))[1]
 
 
 def estimate_multipliers(
@@ -389,7 +355,7 @@ def weak_ebc_probe(
     program, _, _, center_point = _solve_window(problem, start, length)
     center = np.concatenate([center_point.ineq, center_point.eq])
     n_ineq = center_point.ineq.shape[0]
-    _, q_star = _lagrangian_minimum(program, center_point.ineq, center_point.eq)
+    q_star = _lagrangian_minimum(program, center)[1]
 
     rng = np.random.default_rng(seed)
     worst_per_radius = np.full(radii.size, np.inf)
@@ -406,9 +372,7 @@ def weak_ebc_probe(
             dist = float(np.linalg.norm(candidate - center))
             if dist <= 1e-12:
                 continue
-            _, q_val = _lagrangian_minimum(
-                program, candidate[:n_ineq], candidate[n_ineq:]
-            )
+            q_val = _lagrangian_minimum(program, candidate)[1]
             ratio = (q_star - q_val) / dist
             worst_per_radius[r_index] = min(worst_per_radius[r_index], ratio)
 

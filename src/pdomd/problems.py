@@ -243,6 +243,11 @@ class LinearRows:
     def grads(self, point: Array) -> Array:
         return self.coeffs
 
+    def minimizer(self, mult: Array, slope: Array, decision_set: DecisionSet) -> Array:
+        """A minimizer over the set of <slope, x> + mult . g(x): its support
+        point for slope + mult A. Row by row on stacks, as ServiceRows'."""
+        return decision_set.support_minimizer(slope + np.vecmat(mult, self.coeffs))
+
 
 @dataclass(frozen=True)
 class ServiceRows:
@@ -265,6 +270,21 @@ class ServiceRows:
 
     def grads(self, point: Array) -> Array:
         return -self.weights * (self.gain * self.rate) / (1.0 + self.rate * point[..., None, :])
+
+    def minimizer(self, mult: Array, slope: Array, box: Box) -> Array:
+        """The minimizer over a box of <slope, x> + mult . g(x), mult >= 0.
+        It is separable: with s = mult W, coordinate k minimizes
+        slope_k x - s_k gain log(1 + rate x) on [lower_k, upper_k]: the
+        stationary point (s_k gain rate / slope_k - 1) / rate clipped to the
+        box when slope_k > 0, and upper_k otherwise (the term is then
+        nonincreasing, as W >= 0 and mult >= 0)."""
+        scale = np.vecmat(mult, self.weights)
+        # a ratio or a stationary point past the float range is +inf, and
+        # its coordinate clips to the upper bound, as the limit does
+        with np.errstate(over="ignore"):
+            ratio = np.divide(scale, slope, out=np.full(slope.shape, np.inf), where=slope > 0.0)
+            stationary = (ratio * (self.gain * self.rate) - 1.0) / self.rate
+        return np.clip(stationary, box.lower, box.upper)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ needed to replay it (problem name, seed, parameters). Everything downstream
 works from records: metric summaries, the drift-plus-penalty audit, and the
 CSV/JSON exporters. `replay_record` is the one replay of a record: it draws
 each slot once and checks the objective, the multiplier norms and the
-sampled drift-plus-penalty residuals in the same walk; `compute_metrics` and
-`dpp_audit` are views of it. `COLUMNS` lays out the record's columns for
-`RecordCollector`, the exporters and the importers; in CSV they read
+drift-plus-penalty residual at each slot's worst comparator in the same
+walk; `compute_metrics` and `dpp_audit` are views of it. `COLUMNS` lays
+out the record's columns for `RecordCollector`, the exporters and the importers; in CSV they read
 t, mu_0..mu_{d-1}, f_realized, g_0..g_{L-1}, h_0..h_{M-1}, q_norm, h_norm, drift
 in repr precision, so import reproduces the record bit-exactly. Import
 rejects a NaN or infinite cell and a column row out of that layout.
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, ProblemError, ReplayMismatchError
 from .geometry import VARIANT_GEOMETRY, prox_base
-from .problems import ObservationBatch, ProblemInstance, slot_rng
+from .problems import ObservationBatch, ProblemInstance, SlotFunctions, slot_rng
 
 if TYPE_CHECKING:
     from .core import AlgorithmParams, SolverState, StepOutcome
@@ -36,6 +36,7 @@ Array = np.ndarray
 
 _REPLAY_TOL = 1e-9
 TABLE_ROWS = 500  # table rows held as Python values at a time
+SCORE_BLOCK = 64  # slots drawn and checked, or scored, together
 
 #: The record's per-slot columns in file order, as (RunRecord field, CSV name).
 #: A CSV name ending in "_" means a (T, k) field, one numbered column per entry.
@@ -197,7 +198,7 @@ def compute_metrics(
     Realized regret needs sum_t f^t(mu*) over the record's slots, which
     `replay_record` takes on its one walk over the stream; that walk refuses
     a record that does not belong to this problem/seed."""
-    comparator_total, _ = replay_record(record, problem, hindsight[0], n_samples=0)
+    comparator_total, _ = replay_record(record, problem, hindsight[0])
     return summarize_metrics(record, hindsight, problem, comparator_total)
 
 
@@ -276,11 +277,21 @@ def summarize_metrics(
 # drift-plus-penalty audit
 
 
-def _check_replay(slot: int, what: str, replayed: float, recorded: float) -> None:
-    """Refuse a replayed value that disagrees with the record; NaN disagrees."""
-    if not abs(replayed - recorded) <= _REPLAY_TOL * (1.0 + abs(recorded)):
+def _check_replay(checks) -> None:
+    """Refuse the record at the first slot whose replayed value disagrees
+    with the recorded one; NaN disagrees. `checks` lists (first slot, what,
+    replayed, recorded) over consecutive slots, in the order one slot's checks run."""
+    found = []
+    for order, (first, what, replayed, recorded) in enumerate(checks):
+        ok = np.abs(replayed - recorded) <= _REPLAY_TOL * (1.0 + np.abs(recorded))
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            k = bad[0]
+            found.append((first + k, order, what, float(replayed[k]), float(recorded[k])))
+    if found:
+        slot, _, what, replayed, recorded = min(found)
         raise ReplayMismatchError(
-            f"slot {slot}: replayed {what} {float(replayed)!r} != recorded {float(recorded)!r}"
+            f"slot {slot}: replayed {what} {replayed!r} != recorded {recorded!r}"
         )
 
 
@@ -288,23 +299,21 @@ def replay_record(
     record: RunRecord,
     problem: ProblemInstance,
     mu_star: Optional[Array],
-    n_samples: int,
-    audit_seed: int = 0,
-) -> Tuple[float, float]:
-    """Replay a record once: (sum_t f^t(mu_star), worst bound residual).
+) -> Tuple[float, Array]:
+    """Replay a record once: (sum_t f^t(mu_star), bound residuals).
 
     A record whose (dimension, n_ineq, n_eq) are not the problem's raises
     ProblemError; the divergence is the one `VARIANT_GEOMETRY` gives its variant.
-    Slot t is drawn once, through slot_rng(seed, t). The walk checks the
-    objective at decisions[t] and adds f^t(mu_star) unless mu_star is None;
-    evaluates the drift-plus-penalty residual of each sample of slot t+1,
-    whose step used slot t's functions and the running Q(t+1), H(t+1); then
-    advances Q and H with slot t and checks their norms against row t+1. A
-    disagreement, NaN included, raises ReplayMismatchError. Sampled slots lie
-    in 1..T-1, with comparators drawn from default_rng(audit_seed) in sample
-    order. The worst residual is 0.0 for T < 2 and -inf without samples;
-    positive or NaN means violated. The drift column is trusted as recorded,
-    so a corrupted value shows up as a violation, not a replay mismatch.
+    Slot t is drawn once, through slot_rng(seed, t), and SCORE_BLOCK slots
+    are checked at a time with stacked products. The walk checks the
+    objective at decisions[t] and takes f^t(mu_star) unless mu_star is None;
+    advances Q and H with slot t and checks their norms against row t+1;
+    and evaluates the drift-plus-penalty residual of slot t+1, whose step
+    used slot t's functions and Q(t+1), H(t+1), at its worst comparator:
+    entry t-1 of the (T-1,) residuals, where positive or NaN means violated.
+    A disagreement, NaN included, raises ReplayMismatchError at the first
+    slot that has one. The drift column is trusted as recorded, so a
+    corrupted value shows up as a violation, not a replay mismatch.
 
     The bound is the one `core.step` obeys on every slot, with that slot's
     own slack. Write mu, mu' for decisions t and t+1, f, g, h for slot t's
@@ -332,11 +341,15 @@ def replay_record(
             <= V (f(z) - f(mu)) + Q.g(z) + H.(h z - b)
                + alpha (D(z, base) - D(z, mu')) + M.
 
-    The residual is the left side less the right at each sampled z. On a
-    record the engine wrote it is at most rounding. The analyses (Yu, Neely
-    & Wei 2017; Wei, Yu & Neely, arXiv 1908.00305) bound M by its supremum;
-    the audit takes M from the record's own decisions instead, so a
-    decision or a drift the engine did not produce breaks the bound."""
+    The residual is the left side less the right. The right side is convex
+    in z, and D(z, base) - D(z, mu') = <grad phi(mu') - grad phi(base), z>
+    + const, so it is least, and the residual largest over the whole set,
+    at the row family's `minimizer` of Q.g(z) + <V c + H h + alpha
+    (grad phi(mu') - grad phi(base)), z>. On a record the engine wrote that
+    worst residual is at most rounding. The analyses (Yu, Neely & Wei 2017;
+    Wei, Yu & Neely, arXiv 1908.00305) bound M by its supremum; the audit
+    takes M from the record's own decisions instead, so a decision or a
+    drift the engine did not produce breaks the bound."""
     horizon = record.horizon
     shape = (record.dimension, record.n_ineq, record.n_eq)
     wanted = (problem.dimension, problem.n_ineq, problem.n_eq)
@@ -347,74 +360,75 @@ def replay_record(
         if mu_star.shape != (record.dimension,):
             raise ProblemError("hindsight point dimension mismatch")
     geometry = VARIANT_GEOMETRY[record.variant]
-    comparators = {}  # sampled slot -> its comparator points
-    if horizon >= 2 and n_samples > 0:
-        rng = np.random.default_rng(audit_seed)
-        for s in rng.integers(1, horizon, size=n_samples):
-            comparators.setdefault(int(s), []).append(problem.decision_set.sample(rng))
-    params = record.params
-    residuals = []
-    comparator_total = 0.0
-    q = np.zeros(record.n_ineq)
-    h = np.zeros(record.n_eq)
-    for t in range(horizon):
-        fns = problem.sample_slot(t, slot_rng(record.seed, t))
-        mu = record.decisions[t]
-        _check_replay(t, "objective", float(fns.objective @ mu), record.objective_realized[t])
+    weight, prox_weight = record.params.objective_weight, record.params.prox_weight
+    at_star = np.zeros(horizon)
+    residuals = np.empty(max(horizon - 1, 0))
+    q, h = np.zeros(record.n_ineq), np.zeros(record.n_eq)
+    for first in range(0, horizon, SCORE_BLOCK):
+        end = min(first + SCORE_BLOCK, horizon)
+        fns = SlotFunctions.stack(
+            [problem.sample_slot(t, slot_rng(record.seed, t)) for t in range(first, end)]
+        )
+        c, rows, eq = fns.objective, fns.inequalities, fns.eq_matrix
+        # slot t steps to decision t+1; the last slot, which steps nowhere, to itself
+        nxt = np.minimum(np.arange(first + 1, end + 1), horizon - 1)
+        steps, after = len(nxt) - (end == horizon), slice(first + 1, end + 1)
+        mu, mu_next = record.decisions[first:end], record.decisions[nxt]
         if mu_star is not None:
-            comparator_total += float(fns.objective @ mu_star)
-        if t + 1 == horizon:
-            break
-        mu_next = record.decisions[t + 1]
-        rows = fns.inequalities
-        surrogate = rows.values(mu) + rows.grads(mu) @ (mu_next - mu)  # s, as core.step
-        eq_residual = fns.eq_matrix @ mu_next - record.targets  # e
-        samples = comparators.get(t + 1, ())
-        if samples:
-            slack = 0.5 * float(surrogate @ surrogate) + 0.5 * float(eq_residual @ eq_residual)
-            base = prox_base(record.variant, mu, params.mixing_weight)
-            lhs = (
-                params.objective_weight * float(fns.objective @ (mu_next - mu))
-                + record.drift[t + 1]
-                + params.prox_weight * geometry.divergence(mu_next, base)
-            )
-        for comparator in samples:
-            rhs = params.objective_weight * (
-                float(fns.objective @ comparator) - float(fns.objective @ mu)
-            )
-            rhs += float(q @ rows.values(comparator))
-            rhs += float(h @ (fns.eq_matrix @ comparator - record.targets))
-            rhs += params.prox_weight * (
-                geometry.divergence(comparator, base)
-                - geometry.divergence(comparator, mu_next)
-            )
-            rhs += slack
-            residuals.append(lhs - rhs)
-        q = np.maximum(q + surrogate, 0.0)
-        h = h + eq_residual
-        # sqrt(v @ v) is the value np.linalg.norm computes, as DualState takes it
-        _check_replay(t + 1, "|Q|", math.sqrt(q @ q), record.ineq_dual_norm[t + 1])
-        _check_replay(t + 1, "|H|", math.sqrt(h @ h), record.eq_dual_norm[t + 1])
-    if horizon < 2:
-        return comparator_total, 0.0
-    return comparator_total, float(np.max(residuals, initial=-np.inf))  # NaN propagates
+            at_star[first:end] = np.vecdot(c, mu_star)
+        surrogate = rows.values(mu) + np.matvec(rows.grads(mu), mu_next - mu)  # s, as core.step
+        eq_residual = np.matvec(eq, mu_next) - record.targets  # e
+        # Q and H before each slot of the block and after its last; H adds
+        # in slot order, as core.step adds it
+        q_run = np.empty((len(nxt) + 1, record.n_ineq))
+        q_run[0] = q
+        for k in range(len(nxt)):
+            q_run[k + 1] = np.maximum(q_run[k] + surrogate[k], 0.0)
+        h_run = np.cumsum(np.concatenate([h[None], eq_residual]), axis=0)
+        q, h = q_run[steps], h_run[steps]
+        _check_replay([
+            (first + 1, "|Q|", np.linalg.norm(q_run[1:steps + 1], axis=1),
+             record.ineq_dual_norm[after]),
+            (first + 1, "|H|", np.linalg.norm(h_run[1:steps + 1], axis=1),
+             record.eq_dual_norm[after]),
+            (first, "objective", np.vecdot(c, mu), record.objective_realized[first:end]),
+        ])
+        q_run, h_run = q_run[:-1], h_run[:-1]
+        base = prox_base(record.variant, mu, record.params.mixing_weight)
+        # a decision off the entropy's domain fails its divergence below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pull = geometry.potential_grad(mu_next) - geometry.potential_grad(base)
+        slope = weight * c + np.vecmat(h_run, eq) + prox_weight * pull
+        z = rows.minimizer(q_run, slope, problem.decision_set)
+        lhs = (
+            weight * np.vecdot(c, mu_next - mu)
+            + record.drift[nxt]
+            + prox_weight * geometry.divergence(mu_next, base)
+        )
+        rhs = (
+            weight * (np.vecdot(c, z) - np.vecdot(c, mu))
+            + np.vecdot(q_run, rows.values(z))
+            + np.vecdot(h_run, np.matvec(eq, z) - record.targets)
+            + prox_weight * (geometry.divergence(z, base) - geometry.divergence(z, mu_next))
+            + 0.5 * np.vecdot(surrogate, surrogate) + 0.5 * np.vecdot(eq_residual, eq_residual)
+        )
+        residuals[first:first + steps] = (lhs - rhs)[:steps]
+    # cumsum adds in slot order, as a running total does
+    comparator_total = float(np.cumsum(at_star)[-1]) if horizon else 0.0
+    return comparator_total, residuals
 
 
-def dpp_audit(
-    record: RunRecord,
-    problem: ProblemInstance,
-    n_samples: int,
-    audit_seed: int = 0,
-) -> float:
-    """Check the per-slot drift-plus-penalty inequality on sampled pairs.
+def dpp_audit(record: RunRecord, problem: ProblemInstance) -> float:
+    """Check the per-slot drift-plus-penalty inequality at each slot's worst
+    comparator.
 
-    For sampled slots t >= 1 and sampled comparator points, the recorded
-    drift plus the objective-advance and prox-cost terms must not exceed the
-    comparator side plus the slot's own slack |s|^2/2 + |e|^2/2, the squared
-    multiplier increments. Returns the worst residual (positive or NaN means
-    violated), from the same single walk as `compute_metrics`: see
-    `replay_record`, which derives the bound."""
-    return replay_record(record, problem, None, n_samples, audit_seed)[1]
+    On every slot t >= 1, the recorded drift plus the objective-advance and
+    prox-cost terms must not exceed the comparator side plus the slot's own
+    slack |s|^2/2 + |e|^2/2 for any comparator in the set. Returns the
+    worst residual (positive or NaN means violated; -inf for T < 2), from
+    the same single walk as `compute_metrics`: see `replay_record`, which
+    derives the bound."""
+    return float(np.max(replay_record(record, problem, None)[1], initial=-np.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def test_geometry_battery():
 def test_engine_algebra():
     # Euclidean run on the stock synthetic instance at T=1600: multiplier
     # nonnegativity, the drift telescoping identity, the per-step penalty
-    # floor, and the sampled drift-plus-penalty audit.
+    # floor, and the drift-plus-penalty audit at every slot's worst comparator.
     started = time.perf_counter()
     problem = build_synthetic_problem(10, 2, 2, seed=0)
     horizon = 1600
@@ -198,7 +198,7 @@ def test_engine_algebra():
     total_drift = float(np.sum(record.drift))
     final = 0.5 * (record.ineq_dual_norm[-1] ** 2 + record.eq_dual_norm[-1] ** 2)
     telescope_err = abs(total_drift - final) / max(final, 1.0)
-    audit_residual = dpp_audit(record, problem, 100)
+    audit_residual = dpp_audit(record, problem)
     elapsed = time.perf_counter() - started
 
     ok = (

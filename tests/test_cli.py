@@ -1,7 +1,10 @@
+import ast
 import collections
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,9 @@ from pdomd.cli import (
 )
 from pdomd.errors import ConfigError
 from pdomd.telemetry import COLUMNS, compute_metrics, import_record
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(path, **entries):
@@ -487,6 +493,31 @@ class TestRunExperiment:
         assert "seed 4, slot 5: observation is not finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "records" / "run_seed3.csv").exists()
 
+    @pytest.mark.parametrize("seeds", [[4], [3, 4]], ids=["one seed", "lanes"])
+    def test_non_finite_last_slot_is_exit_3(self, tmp_path, monkeypatch, capsys, seeds):
+        # no step consumes the last slot's observation, so it is checked apart
+        build = cli.build_synthetic_problem
+
+        def poisoned_build(*args):
+            problem = build(*args)
+
+            def sample_slot(t, rng):
+                fns = problem.sample_slot(t, rng)
+                if t == 19:
+                    return dataclasses.replace(fns, objective=np.full_like(fns.objective, np.nan))
+                return fns
+
+            return dataclasses.replace(problem, sample_slot=sample_slot)
+
+        monkeypatch.setattr(cli, "build_synthetic_problem", poisoned_build)
+        config_path = write_config(
+            tmp_path / "c.json", scenario="synthetic", T=20, seeds=seeds,
+            synthetic={"d": 4, "n_ineq": 1, "n_eq": 1}, out_dir=str(tmp_path / "out"),
+        )
+        assert main(["run", "--config", str(config_path)]) == 3
+        assert f"seed {seeds[0]}, slot 19: observation is not finite" in capsys.readouterr().err
+        assert not list((tmp_path / "out" / "records").glob("*.csv"))
+
     def test_resolved_config_detects_tampering(self, tmp_path):
         config = small_config(tmp_path)
         result = run_experiment(config)
@@ -810,21 +841,41 @@ class TestMainExitCodes:
         assert main(["audit", "--config", str(config_path), "--record", str(record_path)]) == 0
         assert draws == {t: 1 for t in range(60)}
 
-    def test_audit_needs_samples(self, tmp_path, capsys):
-        for samples in ("0", "-1"):
-            argv = ["audit", "--config", "c.json", "--record", "r.csv", "--samples", samples]
-            assert main(argv) == 2
-            assert "--samples" in capsys.readouterr().err
+    def test_unknown_audit_flag_is_exit_2(self, capsys):
+        # the audit checks every slot at its worst comparator: it takes no
+        # sample count and no seed
+        for flag in ("--samples", "--audit-seed"):
+            argv = ["audit", "--config", "c.json", "--record", "r.csv", flag, "20"]
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag} 20" in capsys.readouterr().err
+
+    def test_audit_line_matches_the_bench_pattern(self, tmp_path, capsys):
+        # bench/run.py reads each audit's residual with this pattern; an
+        # audit line it cannot read counts as a failed operation there
+        tree = ast.parse((REPO / "bench" / "run.py").read_text())
+        pattern = next(
+            node.value.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["RESIDUAL"]
+        )
+        config_path = write_config(
+            tmp_path / "c.json", T=70, seeds=[0], synthetic={"d": 4, "n_ineq": 1, "n_eq": 1},
+            out_dir=str(tmp_path / "out"),
+        )
+        assert main(["run", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        record_path = tmp_path / "out" / "records" / "run_seed0.csv"
+        assert main(["audit", "--config", str(config_path), "--record", str(record_path)]) == 0
+        found = re.search(pattern, capsys.readouterr().out)
+        assert found is not None and float(found.group(1)) <= cli.AUDIT_TOL
+        assert "over 69 samples" in found.group(0)  # one worst comparator per slot 1..T-1
 
     def test_negative_seed_flags_are_exit_2(self, tmp_path, capsys):
-        for argv, flag in (
-            (["gen-trace", "--out", str(tmp_path / "t.csv"), "--seed", "-1"], "--seed"),
-            (["audit", "--config", "c.json", "--record", "r.csv", "--audit-seed", "-1"],
-             "--audit-seed"),
-        ):
-            assert main(argv) == 2
-            err = capsys.readouterr().err
-            assert flag in err and err.count("\n") == 1
+        argv = ["gen-trace", "--out", str(tmp_path / "t.csv"), "--seed", "-1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and err.count("\n") == 1
         assert not (tmp_path / "t.csv").exists()
 
     def test_unwritable_output_is_exit_3(self, tmp_path, capsys):

@@ -15,6 +15,7 @@ from pdomd import (
     assemble_dual_weighted_gradient,
     build_synthetic_problem,
     initial_state,
+    iterate_run,
     make_linear_problem,
     mix_toward_uniform,
     parameter_schedule,
@@ -191,6 +192,25 @@ class TestStep:
         for field, value in broken.items():
             with pytest.raises(ProblemError, match="slot 0"):
                 step(state, dataclasses.replace(obs, **{field: value}))
+
+    @pytest.mark.parametrize("slot", [5, 9])
+    def test_non_finite_slot_fails_the_run(self, slot):
+        # slot 9 is the last of 10: no step consumes its observation, so
+        # iterate_run checks it apart
+        problem = build_synthetic_problem(5, 2, 1, seed=3)
+
+        def sample_slot(t, rng):
+            fns = problem.sample_slot(t, rng)
+            if t == slot:
+                return dataclasses.replace(fns, objective=np.full_like(fns.objective, np.nan))
+            return fns
+
+        poisoned = dataclasses.replace(problem, sample_slot=sample_slot)
+        with pytest.raises(ProblemError, match=f"seed 2, slot {slot}: observation is not finite"):
+            run(poisoned, 10, seed=2)
+        params = parameter_schedule(10)
+        with pytest.raises(ProblemError, match=f"seed 2, slot {slot}: observation is not finite"):
+            list(iterate_run(poisoned, 10, params, (2, 6)))
 
     def test_equality_tracking_on_box(self):
         # One pinned coordinate: time-averaged <h, mu> should close in on b

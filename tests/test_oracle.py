@@ -372,7 +372,7 @@ def service_lagrangians(draw):
 def test_service_lagrangian_minimum_is_stationary(case):
     problem, lam, eta = case
     program = oracle._window_program(problem, 0, 1)
-    point, value = oracle._lagrangian_minimum(program, lam, eta)
+    point, value, _ = oracle._lagrangian_minimum(program, np.concatenate([lam, eta]))
     rows = program.inequalities
     grad = program.objective + lam @ rows.grads(point) + eta @ program.eq_matrix
     gap = float(grad @ (point - problem.decision_set.support_minimizer(grad)))
@@ -393,7 +393,7 @@ def test_service_dual_overflow_clips_silently():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        point, _, _ = oracle._service_dual(program, np.array([1e7]))
+        point, _, _ = oracle._lagrangian_minimum(program, np.array([1e7]))
     assert point.tolist() == [30.0, 30.0]
 
 

@@ -46,7 +46,7 @@ PINNED = {
         "records/run_seed1.csv": "47ae36e4e4b7a056ed09a38eeece894c1d1b8f56d581bdbbecfd82b97882f09f",
         "violation_eq.csv": "8797506d52134ad46b0a48af7ff8913c4a4c29c87fa7fc97217cb7e852957cdf",
         "violation_ineq.csv": "1397677d9610c4b9cbecc4651d8ecf339cdac948d2004a717d4d4497c438551b",
-        "audit_stdout": "2487ab046c2a5e541c9255c6798c424f2269cbf6fd8ec5d3687d0171a4e3e39d",
+        "audit_stdout": "3163f9264f5cc02da9e7e8336bb5e64d25de1587d660c30ad3c67aa3be6f9c5c",
     },
     "sweep": {
         "sweep_means.csv": "5a5708bcb30f766ba83055ff24d1f6208250a881100f028f10ff2fef4c2b85c9",
@@ -60,7 +60,7 @@ PINNED = {
         "records/run_seed1.csv": "b506b30d0ea1203fd2253dc488862145c46f69b0efd0b3b9ddf3c2da40821d9a",
         "violation_eq.csv": "8f0810e7af48ae3301334feaca19e6681c1cf429fa50ffc7d13dc8e3e7d75780",
         "violation_ineq.csv": "8ad9712304dedbf818b57fb2ed15cc6cdd500199b450dbeda7d9681d85817287",
-        "audit_stdout": "3798cf65b06d26477d3401cd71168cf1e1ad73336d3d6622c95bbff2a40d9cfa",
+        "audit_stdout": "9e1142f1e03eb4dba5ca1e962d0b5221d4d6aa642abfbcdfa8f8373e95342056",
     },
     "synthetic-simplex": {
         "config_resolved.json": "102221b2d40f5a16774c81dd36fdcb7bceed799bd1d9e14545feb1a38ae10b64",
@@ -70,7 +70,7 @@ PINNED = {
         "records/run_seed1.csv": "4f25302b87ea017590f014ae52902b411242ed3188541d1c2fe8ef5e5489f537",
         "violation_eq.csv": "160f1d62454d6cd83079ee82df5218bc2b7c3be4534ab93f1c0335fb75691feb",
         "violation_ineq.csv": "5a3c93bdcc8dd041ffe3417f98bd0336e931be423666d8dbde3d40f55fd52048",
-        "audit_stdout": "51e5a5f209905a93c3ca6b79e4e4519b65e78e220558c6525ba5a0dfd6ff9bed",
+        "audit_stdout": "77ff4edf0c789c89db804c29d0efb0b7bcebd2b31794c2247a982223a5bb1896",
     },
 }
 
@@ -105,7 +105,6 @@ def audit_stdout(out_dir) -> str:
             "audit",
             "--config", str(out_dir / "config_resolved.json"),
             "--record", str(out_dir / "records" / "run_seed0.csv"),
-            "--samples", "20",
         ])
     assert code == 0
     return printed.getvalue()

@@ -27,6 +27,8 @@ from pdomd import (
     run,
     slot_rng,
 )
+from pdomd import telemetry
+from pdomd.geometry import VARIANT_GEOMETRY, prox_base
 from pdomd.problems import ServiceRows
 from pdomd.telemetry import (
     TABLE_ROWS,
@@ -160,62 +162,175 @@ def replayed_record(record, problem, decisions):
     )
 
 
+def datacenter_run(horizon, seed=0):
+    problem = build_datacenter_problem(DatacenterConfig(), generate_price_trace(horizon, 0))
+    return problem, run(problem, horizon, seed=seed)
+
+
+def shifted_record(problem, record, slot):
+    """The record with decision `slot` moved 1% toward a corner of the set
+    (e_0 on the simplex, the lower corner of a box) and every other column
+    rebuilt from the decisions, so only the bound can tell."""
+    corner = np.zeros(record.dimension)
+    if isinstance(problem.decision_set, Simplex):
+        corner[0] = 1.0
+    else:
+        corner = problem.decision_set.lower
+    decisions = record.decisions.copy()
+    decisions[slot] = 0.99 * decisions[slot] + 0.01 * corner
+    return replayed_record(record, problem, decisions)
+
+
+def slot_residuals(record, problem, comparators=None):
+    """The bound residual of each slot t = 1..T-1, one slot at a time, and
+    the size of its terms: the right-hand side a sampled audit evaluates, at
+    comparators[t - 1], or without comparators at the slot's exact one from
+    the bound's linear form in z, the row family's minimizer of
+    <V c + H h + alpha (grad phi(mu') - grad phi(base)), z> + Q.g(z)."""
+    geometry = VARIANT_GEOMETRY[record.variant]
+    params = record.params
+    q, h = np.zeros(record.n_ineq), np.zeros(record.n_eq)
+    residuals = []
+    for t in range(record.horizon - 1):
+        fns = problem.sample_slot(t, slot_rng(record.seed, t))
+        mu, mu_next = record.decisions[t], record.decisions[t + 1]
+        rows = fns.inequalities
+        base = prox_base(record.variant, mu, params.mixing_weight)
+        if comparators is None:
+            slope = (
+                params.objective_weight * fns.objective + h @ fns.eq_matrix
+                + params.prox_weight
+                * (geometry.potential_grad(mu_next) - geometry.potential_grad(base))
+            )
+            z = rows.minimizer(q, slope, problem.decision_set)
+        else:
+            z = comparators[t]
+        surrogate = rows.values(mu) + rows.grads(mu) @ (mu_next - mu)
+        eq_residual = fns.eq_matrix @ mu_next - record.targets
+        lhs = (
+            params.objective_weight * float(fns.objective @ (mu_next - mu))
+            + record.drift[t + 1]
+            + params.prox_weight * geometry.divergence(mu_next, base)
+        )
+        rhs = params.objective_weight * (float(fns.objective @ z) - float(fns.objective @ mu))
+        rhs += float(q @ rows.values(z))
+        rhs += float(h @ (fns.eq_matrix @ z - record.targets))
+        rhs += params.prox_weight * (geometry.divergence(z, base) - geometry.divergence(z, mu_next))
+        rhs += 0.5 * float(surrogate @ surrogate) + 0.5 * float(eq_residual @ eq_residual)
+        residuals.append((lhs - rhs, abs(lhs) + abs(rhs)))
+        q = np.maximum(q + surrogate, 0.0)
+        h = h + eq_residual
+    return np.array(residuals).reshape(-1, 2)
+
+
+AUDIT_SCENARIOS = ("general", "simplex", "datacenter")
+STOCK_BLOCK = telemetry.SCORE_BLOCK
+
+
+def scenario_run(scenario, horizon, seed=9):
+    if scenario == "datacenter":
+        return datacenter_run(horizon, seed)
+    return synthetic_run(horizon=horizon, variant=scenario, seed=seed)
+
+
 class TestDppAudit:
     def test_euclidean_synthetic_run_conforms(self):
         problem, record = synthetic_run(horizon=300, variant="general")
-        worst = dpp_audit(record, problem, n_samples=60, audit_seed=3)
+        worst = dpp_audit(record, problem)
         assert worst <= 1e-6
         # The datacenter box, whose slot slack reaches 1e8-1e9: rounding on
         # that scale must keep clean records within the tolerance.
-        problem = build_datacenter_problem(DatacenterConfig(), generate_price_trace(300, 0))
         for seed in range(3):
-            record = run(problem, 300, seed=seed)
-            assert dpp_audit(record, problem, n_samples=300, audit_seed=seed) <= 1e-6
+            problem, record = datacenter_run(300, seed)
+            assert dpp_audit(record, problem) <= 1e-6
 
     def test_simplex_variant_conforms(self):
         problem, record = synthetic_run(horizon=300, variant="simplex")
-        worst = dpp_audit(record, problem, n_samples=60, audit_seed=4)
+        worst = dpp_audit(record, problem)
         assert worst <= 1e-6
 
     def test_corrupted_drift_flagged(self):
         problem, record = synthetic_run(horizon=120, variant="general")
         record.drift[60] += 1.0  # well under a sup-bound constant (about 25 here)
-        worst = dpp_audit(record, problem, n_samples=400, audit_seed=0)
+        worst = dpp_audit(record, problem)
         assert worst > 0.0
         record.drift[60] = np.nan
-        worst = dpp_audit(record, problem, n_samples=400, audit_seed=0)
+        worst = dpp_audit(record, problem)
         assert np.isnan(worst)  # a NaN residual is not dropped from the maximum
 
-    @pytest.mark.parametrize("variant", ["general", "simplex"])
+    @pytest.mark.parametrize("variant", AUDIT_SCENARIOS)
     def test_shifted_decision_flagged(self, variant):
-        # One decision moved 1% toward a vertex, every other column rebuilt
-        # from the decisions, so only the bound can tell.
-        problem, record = synthetic_run(horizon=120, variant=variant)
-        decisions = record.decisions.copy()
-        vertex = np.zeros(record.dimension)
-        vertex[0] = 1.0
-        decisions[60] = 0.99 * decisions[60] + 0.01 * vertex
-        shifted = replayed_record(record, problem, decisions)
-        assert dpp_audit(replayed_record(record, problem, record.decisions), problem, 400) <= 1e-6
-        assert dpp_audit(shifted, problem, 400, 0) > 1e-6
+        # One decision moved 1% toward a corner, every other column rebuilt
+        # from the decisions, so only the bound can tell; every slot is
+        # checked, so there is no audit seed to be lucky with. (Slots 63 and
+        # 64 sit on either side of a replay block's edge.)
+        problem, record = scenario_run(variant, 120)
+        assert dpp_audit(replayed_record(record, problem, record.decisions), problem) <= 1e-6
+        for slot in (1, 60, 63, 64):
+            assert dpp_audit(shifted_record(problem, record, slot), problem) > 1e-6, slot
 
     def test_foreign_seed_is_a_replay_mismatch(self):
         problem, record = synthetic_run(horizon=60)
         record.seed += 1
         with pytest.raises(ReplayMismatchError):
-            dpp_audit(record, problem, n_samples=10)
+            dpp_audit(record, problem)
 
     def test_tampered_dual_norms_rejected(self):
         problem, record = synthetic_run(horizon=60)
         record.ineq_dual_norm[30] += 0.5
-        with pytest.raises(ReplayMismatchError):
-            dpp_audit(record, problem, n_samples=10)
+        with pytest.raises(ReplayMismatchError, match="slot 30: replayed [|]Q[|]"):
+            dpp_audit(record, problem)
         # a NaN decision must not let a later tampered norm through
         problem, record = synthetic_run(horizon=300)
         record.decisions[70, 0] = np.nan
         record.ineq_dual_norm[150] += 0.5
-        with pytest.raises(ReplayMismatchError):
-            dpp_audit(record, problem, n_samples=10)
+        with pytest.raises(ReplayMismatchError, match="slot 70: replayed [|]Q[|] nan"):
+            dpp_audit(record, problem)
+
+    def test_first_mismatch_is_named(self):
+        # a tampered norm ahead of a tampered objective in the same block,
+        # and a slot's norms ahead of its own objective
+        problem, record = synthetic_run(horizon=100)
+        record.objective_realized[20] += 1.0
+        record.eq_dual_norm[12] += 1.0
+        with pytest.raises(ReplayMismatchError, match="slot 12: replayed [|]H[|]"):
+            dpp_audit(record, problem)
+        record.eq_dual_norm[12] -= 1.0
+        record.ineq_dual_norm[20] += 1.0
+        with pytest.raises(ReplayMismatchError, match="slot 20: replayed [|]Q[|]"):
+            dpp_audit(record, problem)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    scenario=st.sampled_from(AUDIT_SCENARIOS),
+    horizon=st.integers(2, 80),
+    seed=st.integers(0, 20),
+    tamper=st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_exact_comparator_is_each_slots_worst(scenario, horizon, seed, tamper):
+    """On every slot the replay's residual is the sampled right-hand side's
+    at the slot's exact comparator, and at least that at any sampled member
+    of the set (up to 1e-9 of the terms' size); the replay's results do not
+    depend on its block size."""
+    problem, record = scenario_run(scenario, horizon, seed)
+    if tamper is not None:
+        record = shifted_record(problem, record, round(tamper * (horizon - 1)))
+    hindsight = problem.decision_set.initial_point()
+    total, residuals = telemetry.replay_record(record, problem, hindsight)
+    exact = slot_residuals(record, problem)
+    assert np.all(np.abs(residuals - exact[:, 0]) <= 1e-9 * exact[:, 1])
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        points = [problem.decision_set.sample(rng) for _ in range(horizon - 1)]
+        sampled = slot_residuals(record, problem, points)
+        assert np.all(residuals >= sampled[:, 0] - 1e-9 * (exact[:, 1] + sampled[:, 1]))
+    telemetry.SCORE_BLOCK = 1
+    try:
+        one_by_one = telemetry.replay_record(record, problem, hindsight)
+    finally:
+        telemetry.SCORE_BLOCK = STOCK_BLOCK
+    assert one_by_one[0] == total and one_by_one[1].tobytes() == residuals.tobytes()
 
 
 class TestExport:
