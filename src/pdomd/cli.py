@@ -15,9 +15,9 @@ Subcommands:
 `run` and `sweep` walk all seeds of a horizon at once, as lanes of one
 engine walk (`core.iterate_run`), drawing each seed's slot functions once.
 Every policy (the algorithm, the hindsight fixed point, Reac) is scored on
-that one draw, in blocks of SCORE_BLOCK slots during the walk, so no slot
-functions are kept past their block. Replaying the draws from a record is
-`audit`'s path, and it too draws each slot once, in the same blocks
+that one draw, one block of slots at a time as the walk draws it, so no
+slot functions are kept past their block. Replaying the draws from a record
+is `audit`'s path, and it too draws each slot once, in blocks
 (`telemetry.replay_record`).
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.  All outputs
@@ -53,7 +53,6 @@ from .problems import (
     reac_schedule,
 )
 from .telemetry import (
-    SCORE_BLOCK,
     MetricsSummary,
     RecordCollector,
     RunRecord,
@@ -563,14 +562,13 @@ class _PolicyScores:
     """Each policy's (cost, inequality values, equality rows) on every slot
     of every lane of a walk, as (S, T), (S, T, L) and (S, T, M) arrays.
 
-    Slots are scored SCORE_BLOCK at a time while the walk goes on, so no
-    more than a block of slot functions is held. Every (slot, lane) takes
-    the products a single slot takes (`SlotFunctions.evaluate`), so the
-    columns equal a slot-by-slot scoring bit for bit. On the datacenter
-    scenario Reac is scored too: row t of its schedule reads only the
-    arrivals before t (and those of slot 0), so a block's rows, scheduled
-    from the arrivals drawn up to its end, are those of `reac_schedule`
-    over the whole horizon."""
+    Each block of slots is scored as the walk draws it, so no more than a
+    block of slot functions is held. Every (slot, lane) takes the products
+    a single slot takes (`SlotFunctions.evaluate`), so the columns equal a
+    slot-by-slot scoring bit for bit. On the datacenter scenario Reac is
+    scored too: row t of its schedule reads only the arrivals before t (and
+    those of slot 0), so a block's rows, scheduled from the arrivals drawn
+    up to its end, are those of `reac_schedule` over the whole horizon."""
 
     def __init__(self, problem: ProblemInstance, horizon: int, lanes: int, hindsight_point: Array,
                  reac: bool):
@@ -581,22 +579,11 @@ class _PolicyScores:
             name: tuple(np.empty((lanes, horizon, *width)) for width in widths)
             for name in (["hindsight", "reac"] if reac else ["hindsight"])
         }
-        self.pending: List[SlotFunctions] = []
-        self.scored = 0
 
-    def add(self, fns: SlotFunctions) -> None:
-        """Queue one slot's lane-stacked functions; score a full block."""
-        self.pending.append(fns)
-        if len(self.pending) == SCORE_BLOCK:
-            self.flush()
-
-    def flush(self) -> None:
-        """Score the queued slots."""
-        if not self.pending:
-            return
-        start, end = self.scored, self.scored + len(self.pending)
-        block = SlotFunctions.stack(self.pending)  # (B, S, ...)
-        self.pending = []
+    def score(self, block: SlotFunctions) -> None:
+        """Score a block of slots laid out (slot, lane, ...)."""
+        start = block.slot
+        end = start + block.objective.shape[0]
         points = {"hindsight": self.hindsight_point}
         if self.arrivals is not None:
             self.arrivals[:, start:end] = block.inequalities.levels[:, :, 0].T
@@ -606,7 +593,6 @@ class _PolicyScores:
         for name, point in points.items():
             for column, values in zip(self.columns[name], block.evaluate(point)):
                 column[:, start:end] = np.swapaxes(values, 0, 1)
-        self.scored = end
 
 
 def _scored_pass(
@@ -629,10 +615,10 @@ def _scored_pass(
         problem, horizon, len(seeds), np.asarray(hindsight[0], dtype=float),
         reac=config.scenario == "datacenter",
     )
-    for state, outcome, fns, obs in iterate_run(problem, horizon, params, seeds, variant):
+    walk = iterate_run(problem, horizon, params, seeds, variant, on_block=scores.score)
+    for state, outcome, _, obs in walk:
         collector.add(state, outcome, obs)
-        scores.add(fns)
-    scores.flush()
+    mean_objectives = None if problem.means is None else problem.means.objective_table(0, horizon)
     chash = config.config_hash()
     results = []
     for lane, seed in enumerate(seeds):
@@ -643,7 +629,7 @@ def _scored_pass(
         }
         # cumsum adds in slot order, as the running total of a slot loop does
         comparator_total = float(np.cumsum(columns["hindsight"][0])[-1])
-        summary = summarize_metrics(record, hindsight, problem, comparator_total)
+        summary = summarize_metrics(record, hindsight, problem, comparator_total, mean_objectives)
         results.append((record, summary, columns))
     return results
 

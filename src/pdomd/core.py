@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,12 +34,13 @@ from .errors import ConfigError, GeometryError, ProblemError
 from .geometry import (
     VARIANT_GEOMETRY, BregmanGeometry, Box, DecisionSet, Simplex, exponentiated_rows, prox_base
 )
-from .problems import ObservationBatch, ProblemInstance, SlotFunctions, slot_rng
+from .problems import SEED_BLOCK, ObservationBatch, ProblemInstance, SlotFunctions
 from .telemetry import RecordCollector, RunRecord
 
 Array = np.ndarray
 
 VARIANTS = tuple(VARIANT_GEOMETRY)
+BLOCK_LANE_SLOTS = SEED_BLOCK  # lane-slots a walk draws together at most
 
 
 @dataclass(frozen=True)
@@ -288,22 +288,26 @@ def iterate_run(
     params: AlgorithmParams,
     seed: Union[int, Sequence[int]],
     variant: str = "general",
+    on_block: Optional[Callable[[SlotFunctions], None]] = None,
 ) -> Iterator[Tuple[SolverState, StepOutcome, SlotFunctions, ObservationBatch]]:
     """Drive the engine against sampled slots, yielding per-slot results.
 
     Yields (state after the slot, outcome, the slot's sampled functions, the
-    observation of those functions at the played decision). The functions
-    are sampled after the decision is made, matching the play order; the
-    slot's generators are made first, so a bad seed fails before any step.
-    A non-finite observation is refused as `step` refuses one, the last
-    slot's too. The variant fixes the geometry, as in `initial_state`.
+    observation of those functions at the played decision). A slot's
+    functions are fixed by (seed, t), so drawing a block ahead of the
+    decisions changes nothing the engine sees: the walk draws
+    `_block_length` slots at a time with `problem.sample_block`, before it
+    steps into the block's first slot, so a bad seed fails before any step.
+    `on_block`, if given, receives each drawn block, laid out (slot, lane,
+    ...), before its slots are walked. A non-finite observation is refused
+    as `step` refuses one, the last slot's too. The variant fixes the
+    geometry, as in `initial_state`.
 
     A tuple or list of seeds walks one lane per seed in lockstep: each slot
-    draws every lane's functions from its own `slot_rng(seed, t)`, then
     steps and observes all lanes at once, so the yielded state, outcome and
-    observation carry a leading lane axis and the functions are the lanes'
-    `SlotFunctions.stack`. Each lane's numbers equal those of its seed's
-    own walk bit for bit."""
+    observation carry a leading lane axis and the functions are the slot's
+    view of the block, every lane's. Each lane's numbers equal those of its
+    seed's own walk bit for bit."""
     if problem.horizon_cap is not None and horizon > problem.horizon_cap:
         raise ProblemError(
             f"horizon {horizon} exceeds the problem's trace length "
@@ -312,16 +316,28 @@ def iterate_run(
     state = initial_state(problem, params, variant, seed)
     lanes = isinstance(state.seed, tuple)
     seeds = state.seed if lanes else (seed,)
-    gather = SlotFunctions.stack if lanes else operator.itemgetter(0)
+    length = _block_length(len(seeds))
     obs = None
-    for t in range(horizon):
-        rngs = [slot_rng(lane_seed, t) for lane_seed in seeds]
-        state, outcome = step(state, obs)
-        fns = gather([problem.sample_slot(t, rng) for rng in rngs])
-        obs = fns.observe(state.decision)
-        if t + 1 == horizon:  # no step consumes, and so checks, the last observation
-            _check_finite(state, obs)
-        yield state, outcome, fns, obs
+    for first in range(0, horizon, length):
+        block = problem.sample_block(seeds, first, min(first + length, horizon))
+        if on_block is not None:
+            on_block(block)
+        if not lanes:
+            block = block.lane(0)
+        for k in range(block.objective.shape[0]):
+            state, outcome = step(state, obs)
+            fns = block.at(k)
+            obs = fns.observe(state.decision)
+            if fns.slot + 1 == horizon:  # no step consumes, and so checks, the last observation
+                _check_finite(state, obs)
+            yield state, outcome, fns, obs
+
+
+def _block_length(lanes: int) -> int:
+    """Slots a walk of `lanes` seeds draws at a time: the largest power of
+    two whose lane-slots fit in BLOCK_LANE_SLOTS, and at least 1. Blocks
+    start on multiples of it, so none crosses a SEED_BLOCK edge."""
+    return 1 << (max(BLOCK_LANE_SLOTS // lanes, 1).bit_length() - 1)
 
 
 def run(

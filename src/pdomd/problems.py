@@ -22,10 +22,18 @@ shape is set per instance, through `DatacenterConfig`.
 
 Every slot of a run draws from its own generator, `slot_rng(seed, t)`, whose
 stream is exactly numpy's
-`default_rng(SeedSequence(entropy=seed, spawn_key=(t,)))`. So any slot can be
-replayed alone, which is what the record audit relies on. The SeedSequence
-hash is computed for blocks of `SEED_BLOCK` slots at once, and the
-`SEED_CACHE_BLOCKS` most recently used blocks (1 MiB) are kept.
+`default_rng(SeedSequence(entropy=seed, spawn_key=(t,)))`. So a slot's
+functions are fixed by (seed, t): any slot can be replayed alone, which is
+what the record audit relies on, and drawing a block of slots ahead of the
+decisions changes nothing the engine sees. The SeedSequence hash is computed
+for blocks of `SEED_BLOCK` slots at once, and the `SEED_CACHE_BLOCKS` most
+recently used blocks (1 MiB) are kept.
+
+Each scenario defines its distribution once, as a function from a slot's raw
+draws to its `SlotFunctions`, over any leading axes. `sample_slot(t, rng)`
+applies it to one generator's draws; `sample_block(seeds, first, end)` draws
+slots first..end-1 of every seed, each from its `slot_rng` stream, and
+applies it once to the whole block, laid out (slot, lane, ...).
 """
 
 from __future__ import annotations
@@ -90,13 +98,38 @@ def slot_rng(seed: int, slot: int) -> np.random.Generator:
 
     Raises ProblemError, naming the argument, unless seed and slot are
     nonnegative integers (Python or numpy; a bool counts as 0 or 1)."""
-    if not (isinstance(seed, _INTEGER) and seed >= 0):
-        raise ProblemError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not (isinstance(slot, _INTEGER) and slot >= 0):
-        raise ProblemError(f"slot must be a nonnegative integer, got {slot!r}")
-    slot = int(slot)
-    words = _seed_block(int(seed), slot // SEED_BLOCK)[slot % SEED_BLOCK]
-    return np.random.Generator(np.random.PCG64(_SlotSeed(words)))
+    _check_index("seed", seed)
+    _check_index("slot", slot)
+    return np.random.Generator(_block_bits((seed,), slot, slot + 1)[0])
+
+
+def _check_index(name: str, value) -> None:
+    if not (isinstance(value, _INTEGER) and value >= 0):
+        raise ProblemError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
+def _block_bits(seeds: Sequence[int], first: int, end: int) -> list:
+    """The PCG64 bit generators of slots first..end-1 of every seed, in
+    (slot, lane) order, seeded as `slot_rng` describes.
+
+    Raises ProblemError, naming the argument, unless every seed and the
+    first slot are nonnegative integers and the end an integer above it."""
+    for seed in seeds:
+        _check_index("seed", seed)
+    _check_index("slot", first)
+    if not (isinstance(end, _INTEGER) and end > first):
+        raise ProblemError(f"block end must be an integer above slot {first}, got {end!r}")
+    first, end = int(first), int(end)
+    words = np.empty((end - first, len(seeds), 4), dtype=np.uint64)
+    for lane, seed in enumerate(seeds):
+        t = first
+        while t < end:  # one piece per seed block the range touches
+            block, offset = divmod(t, SEED_BLOCK)
+            stop = min(end, (block + 1) * SEED_BLOCK)
+            piece = _seed_block(int(seed), block)[offset:offset + stop - t]
+            words[t - first:stop - first, lane] = piece
+            t = stop
+    return [np.random.PCG64(_SlotSeed(slot_words)) for slot_words in words.reshape(-1, 4)]
 
 
 class _SlotSeed(ISeedSequence):
@@ -243,6 +276,10 @@ class LinearRows:
     def grads(self, point: Array) -> Array:
         return self.coeffs
 
+    def select(self, index) -> "LinearRows":
+        """The rows at `index` of the leading axes of a stack."""
+        return LinearRows(self.coeffs[index], self.offsets[index])
+
     def minimizer(self, mult: Array, slope: Array, decision_set: DecisionSet) -> Array:
         """A minimizer over the set of <slope, x> + mult . g(x): its support
         point for slope + mult A. Row by row on stacks, as ServiceRows'."""
@@ -271,6 +308,10 @@ class ServiceRows:
     def grads(self, point: Array) -> Array:
         return -self.weights * (self.gain * self.rate) / (1.0 + self.rate * point[..., None, :])
 
+    def select(self, index) -> "ServiceRows":
+        """The rows at `index` of the leading axes of a stack."""
+        return ServiceRows(self.levels[index], self.weights[index], self.gain, self.rate)
+
     def minimizer(self, mult: Array, slope: Array, box: Box) -> Array:
         """The minimizer over a box of <slope, x> + mult . g(x), mult >= 0.
         It is separable: with s = mult W, coordinate k minimizes
@@ -291,12 +332,17 @@ class ServiceRows:
 class SlotFunctions:
     """The realized functions of one slot, evaluable anywhere on the set.
 
-    Every objective is linear, so it is its coefficient vector. `stack`
-    lays several slots' functions along a leading axis; every method then
-    evaluates each of them at its own point of a (..., d) stack, or all of
-    them at one (d,) point, with one product per slot of the same form a
-    single slot takes, so the values equal a slot-by-slot loop bit for bit.
-    Row families evaluate points of shape (..., d) the same way."""
+    Every objective is linear, so it is its coefficient vector. A block of
+    slots (`ProblemInstance.sample_block`) lays its slots and lanes along
+    leading axes, (slot, lane, ...), under its first slot's index, as
+    `stack` lays out a list of slots; every method then evaluates each of
+    them at its own point of a (..., d) stack, or all of them at one (d,)
+    point, with one product per slot of the same form a single slot takes,
+    so the values equal a slot-by-slot loop bit for bit. Row families
+    evaluate points of shape (..., d) the same way. A block's arrays are
+    C-contiguous, so each slot's view is laid out as `stack` lays it out:
+    numpy picks BLAS or a plain loop by stride, and the two round
+    differently."""
 
     slot: int
     objective: Array  # (d,), or (..., d)
@@ -306,7 +352,7 @@ class SlotFunctions:
     @staticmethod
     def stack(slots: Sequence["SlotFunctions"]) -> "SlotFunctions":
         """The functions of `slots` along a new leading axis, under the
-        first one's slot index."""
+        first one's slot index: the layout of a block."""
         first = slots[0]
         rows = first.inequalities
         # np.array stacks equal-shaped arrays as np.stack does, at a third of its cost
@@ -318,6 +364,19 @@ class SlotFunctions:
                 for name, value in vars(rows).items() if isinstance(value, np.ndarray)
             }),
             eq_matrix=np.array([fns.eq_matrix for fns in slots]),
+        )
+
+    def at(self, k: int) -> "SlotFunctions":
+        """Slot `slot + k` of a block, as a view (every lane of it, if any)."""
+        return self._select(k, self.slot + k)
+
+    def lane(self, j: int) -> "SlotFunctions":
+        """Lane j of a block, laid out (slot, ...): a view."""
+        return self._select((slice(None), j), self.slot)
+
+    def _select(self, index, slot: int) -> "SlotFunctions":
+        return SlotFunctions(
+            slot, self.objective[index], self.inequalities.select(index), self.eq_matrix[index]
         )
 
     def evaluate(self, point: Array) -> Tuple[Array, Array, Array]:
@@ -385,7 +444,13 @@ class MeanModel:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A decision set, its per-slot sampler and the exact means where known."""
+    """A decision set, its slot samplers and the exact means where known.
+
+    `sample_slot(t, rng)` draws slot t's functions from one generator.
+    `sample_block(seeds, first, end)` returns slots first..end-1 of every
+    seed as one `SlotFunctions` laid out (slot, lane, ...), each lane-slot
+    equal bit for bit to `sample_slot(t, slot_rng(seed, t))`, and raises
+    slot_rng's ProblemError for a bad seed or slot before it draws."""
 
     name: str
     decision_set: DecisionSet
@@ -393,6 +458,7 @@ class ProblemInstance:
     n_eq: int
     targets: Array  # (M,)
     sample_slot: Callable[[int, np.random.Generator], SlotFunctions]
+    sample_block: Callable[[Sequence[int], int, int], SlotFunctions]
     means: Optional[MeanModel] = None
     horizon_cap: Optional[int] = None
 
@@ -465,33 +531,65 @@ def make_linear_problem(
     if not drift_period >= 1:
         raise ProblemError(f"drift_period must be at least 1, got {drift_period!r}")
 
+    c_base = np.array(c_base)  # a read-only copy: the mean objective when nothing drifts
+    c_base.flags.writeable = False
     phases = 2.0 * np.pi * np.arange(d) / max(d, 1)
 
-    def drift(t: int) -> Array:
+    def mean_objective(t) -> Array:
+        """The mean objective of slot t, or the (..., d) mean objectives of
+        an integer array t of shape (..., 1). One expression serves both, so
+        a block's sines equal a slot's."""
         if drift_amplitude == 0.0:
-            return np.zeros(d)
-        return drift_amplitude * np.sin(2.0 * np.pi * t / drift_period + phases)
+            return c_base
+        return c_base + drift_amplitude * np.sin(2.0 * np.pi * t / drift_period + phases)
 
-    def mean_objective(t: int) -> Array:
-        return c_base + drift(t)
+    # The uniforms of each noisy component, in the order the slot's stream
+    # gives them: numpy's uniform(-s, s, shape) is -s + 2s * u, u its next
+    # double, so `functions` makes the numbers that call makes.
+    spans, n_draws = {}, 0
+    for part, size, level in (
+        ("objective", d, objective_noise),
+        ("ineq", n_ineq * d, ineq_noise),
+        ("eq", n_eq * d, eq_noise),
+    ):
+        if size and level > 0.0:
+            spans[part] = (slice(n_draws, n_draws + size), level)
+            n_draws += size
+
+    def functions(slot: int, t, u: Array) -> SlotFunctions:
+        """The functions of slot t from its uniforms u (n_draws,); or of a
+        block's slots t (B, 1, 1), the first being `slot`, from u (B, S, n_draws)."""
+        lead = u.shape[:-1]
+
+        def part(name: str, mean: Array, shape: tuple) -> Array:
+            out = np.empty((*lead, *shape))  # C-contiguous, as `SlotFunctions.stack` lays it out
+            if name in spans:
+                span, level = spans[name]
+                low = -level
+                np.add(mean, (low + (level - low) * u[..., span]).reshape(out.shape), out=out)
+            else:
+                out[...] = mean
+            return out
+
+        return SlotFunctions(
+            slot=slot,
+            objective=part("objective", mean_objective(t), (d,)),
+            inequalities=LinearRows(
+                part("ineq", a_rows, (n_ineq, d)), part("margins", margins, (n_ineq,))
+            ),
+            eq_matrix=part("eq", h_rows, (n_eq, d)),
+        )
 
     def sample_slot(t: int, rng: np.random.Generator) -> SlotFunctions:
-        c_t = mean_objective(t)
-        if objective_noise > 0.0:
-            c_t = c_t + rng.uniform(-objective_noise, objective_noise, size=d)
-        a_t = a_rows
-        if ineq_noise > 0.0:
-            # one (L, d) block draws the same numbers as L rows in turn
-            a_t = a_rows + rng.uniform(-ineq_noise, ineq_noise, size=(n_ineq, d))
-        h_t = h_rows
-        if n_eq and eq_noise > 0.0:
-            h_t = h_rows + rng.uniform(-eq_noise, eq_noise, size=(n_eq, d))
-        return SlotFunctions(
-            slot=t,
-            objective=c_t,
-            inequalities=LinearRows(a_t, margins),
-            eq_matrix=np.array(h_t, dtype=float),
-        )
+        return functions(t, t, rng.random(n_draws))
+
+    def sample_block(seeds: Sequence[int], first: int, end: int) -> SlotFunctions:
+        raw = np.array(
+            [lane_slot.random_raw(n_draws) for lane_slot in _block_bits(seeds, first, end)],
+            dtype=np.uint64,
+        ).reshape(end - first, len(seeds), n_draws)
+        uniforms = (raw >> 11) * 2.0**-53  # PCG64's next double, as `Generator.random` makes it
+        return functions(first, np.arange(first, end).reshape(-1, 1, 1), uniforms)
 
     means = MeanModel(
         objective_at=mean_objective,
@@ -505,6 +603,7 @@ def make_linear_problem(
         n_eq=n_eq,
         targets=b,
         sample_slot=sample_slot,
+        sample_block=sample_block,
         means=means,
     )
 
@@ -652,15 +751,44 @@ def build_datacenter_problem(
             raise ProblemError(f"slot {t} beyond trace length {objectives.shape[0]}")
         return objectives[t]
 
+    noise_scale = 1.0 * (shape - 1.0) / shape  # `pareto_sample`'s scale at mean 1
+    budget_scale = BUDGET_MEAN * (shape - 1.0) / shape
+
+    def functions(slot: int, rows: Array, arrivals, lomax: Array) -> SlotFunctions:
+        """The functions of a slot with objective `rows` (d,), from its
+        Poisson arrivals and its Lomax draws (2d,), service noise then
+        budgets; or of a block, first slot `slot`, from rows (B, 1, d),
+        arrivals (B, S) and draws (B, S, 2d). Every array is C-contiguous,
+        as `SlotFunctions.stack` lays it out."""
+        lead = np.shape(arrivals)
+        objective = np.empty((*lead, d))
+        objective[...] = rows
+        levels = np.empty((*lead, 1))
+        levels[..., 0] = arrivals
+        weights = np.empty((*lead, 1, d))
+        np.multiply(lomax[..., None, :d] + 1.0, noise_scale, out=weights)
+        budgets = (lomax[..., d:] + 1.0) * budget_scale
+        eq_matrix = np.empty((*lead, *structure.shape))
+        np.multiply(budgets[..., None, :], structure, out=eq_matrix)
+        return SlotFunctions(slot, objective, ServiceRows(levels, weights), eq_matrix)
+
     def sample_slot(t: int, rng: np.random.Generator) -> SlotFunctions:
-        arrivals = poisson_sample(ARRIVAL_MEAN, rng)
-        noise = pareto_sample(1.0, shape, rng, size=d)
-        budgets = pareto_sample(BUDGET_MEAN, shape, rng, size=d)
-        return SlotFunctions(
-            slot=t,
-            objective=objective_at(t),
-            inequalities=ServiceRows(np.array([float(arrivals)]), noise[None, :]),
-            eq_matrix=budgets * structure,
+        arrivals = rng.poisson(ARRIVAL_MEAN)
+        return functions(t, objective_at(t), arrivals, rng.pareto(shape, 2 * d))
+
+    def sample_block(seeds: Sequence[int], first: int, end: int) -> SlotFunctions:
+        bits = _block_bits(seeds, first, end)
+        objective_at(end - 1)  # refuses a block past the trace
+        arrivals = np.empty(len(bits))
+        lomax = np.empty((len(bits), 2 * d))
+        for k, lane_slot in enumerate(bits):  # one generator per lane-slot, as slot_rng's
+            rng = np.random.Generator(lane_slot)
+            arrivals[k] = rng.poisson(ARRIVAL_MEAN)
+            lomax[k] = rng.pareto(shape, 2 * d)
+        lanes = (end - first, len(seeds))
+        return functions(
+            first, objectives[first:end, None, :], arrivals.reshape(lanes),
+            lomax.reshape(*lanes, 2 * d),
         )
 
     means = MeanModel(
@@ -675,6 +803,7 @@ def build_datacenter_problem(
         n_eq=4,
         targets=np.zeros(4),
         sample_slot=sample_slot,
+        sample_block=sample_block,
         means=means,
         horizon_cap=len(prices),
     )

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, ProblemError, ReplayMismatchError
 from .geometry import VARIANT_GEOMETRY, prox_base
-from .problems import ObservationBatch, ProblemInstance, SlotFunctions, slot_rng
+from .problems import ObservationBatch, ProblemInstance
 
 if TYPE_CHECKING:
     from .core import AlgorithmParams, SolverState, StepOutcome
@@ -36,7 +36,7 @@ Array = np.ndarray
 
 _REPLAY_TOL = 1e-9
 TABLE_ROWS = 500  # table rows held as Python values at a time
-SCORE_BLOCK = 64  # slots drawn and checked, or scored, together
+SCORE_BLOCK = 64  # slots the audit draws and checks together
 
 #: The record's per-slot columns in file order, as (RunRecord field, CSV name).
 #: A CSV name ending in "_" means a (T, k) field, one numbered column per entry.
@@ -207,12 +207,15 @@ def summarize_metrics(
     hindsight: tuple,
     problem: ProblemInstance,
     comparator_total: float,
+    mean_objectives: Optional[Array] = None,
 ) -> MetricsSummary:
     """The summary of a record whose slot functions are not replayed.
 
     comparator_total is sum_t f^t(mu*) over the record's realized slots; the
     caller vouches that it and the record come from the same draws, as they
-    do when both are taken in one pass over the stream."""
+    do when both are taken in one pass over the stream. mean_objectives is
+    the problem's `means.objective_table(0, T)`, built here when not given;
+    a caller summarizing several records of one horizon builds it once."""
     mu_star, hindsight_value = hindsight
     mu_star = np.asarray(mu_star, dtype=float)
     horizon = record.horizon
@@ -240,7 +243,9 @@ def summarize_metrics(
         # One product per slot, each the one a slot-by-slot loop takes, with
         # cumsum adding in slot order as its running total does: the sums
         # equal the loop's bit for bit.
-        objectives = means.objective_table(0, horizon)[:, None, :]  # (T, 1, d)
+        if mean_objectives is None:
+            mean_objectives = means.objective_table(0, horizon)
+        objectives = mean_objectives[:, None, :]  # (T, 1, d)
         decisions = record.decisions[:, :, None]  # (T, d, 1)
         gap = (objectives @ decisions)[:, 0, 0] - (objectives @ mu_star[:, None])[:, 0, 0]
         expected_regret = float(np.cumsum(gap)[-1])
@@ -304,10 +309,11 @@ def replay_record(
 
     A record whose (dimension, n_ineq, n_eq) are not the problem's raises
     ProblemError; the divergence is the one `VARIANT_GEOMETRY` gives its variant.
-    Slot t is drawn once, through slot_rng(seed, t), and SCORE_BLOCK slots
-    are checked at a time with stacked products. The walk checks the
-    objective at decisions[t] and takes f^t(mu_star) unless mu_star is None;
-    advances Q and H with slot t and checks their norms against row t+1;
+    Slot t is drawn once, SCORE_BLOCK slots at a time by
+    `problem.sample_block`, and each block is checked with stacked
+    products. The walk checks the objective at decisions[t] and takes
+    f^t(mu_star) unless mu_star is None; advances Q and H with slot t and
+    checks their norms against row t+1;
     and evaluates the drift-plus-penalty residual of slot t+1, whose step
     used slot t's functions and Q(t+1), H(t+1), at its worst comparator:
     entry t-1 of the (T-1,) residuals, where positive or NaN means violated.
@@ -366,9 +372,7 @@ def replay_record(
     q, h = np.zeros(record.n_ineq), np.zeros(record.n_eq)
     for first in range(0, horizon, SCORE_BLOCK):
         end = min(first + SCORE_BLOCK, horizon)
-        fns = SlotFunctions.stack(
-            [problem.sample_slot(t, slot_rng(record.seed, t)) for t in range(first, end)]
-        )
+        fns = problem.sample_block((record.seed,), first, end).lane(0)
         c, rows, eq = fns.objective, fns.inequalities, fns.eq_matrix
         # slot t steps to decision t+1; the last slot, which steps nowhere, to itself
         nxt = np.minimum(np.arange(first + 1, end + 1), horizon - 1)

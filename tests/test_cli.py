@@ -1,6 +1,7 @@
 import ast
 import collections
 import dataclasses
+import importlib.util
 import json
 import math
 import re
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdomd import cli, hindsight_optimum, iterate_run, run
+from pdomd import cli, core, hindsight_optimum, iterate_run, run
 from pdomd.problems import reac_schedule
 from pdomd.cli import (
     ExperimentConfig,
@@ -464,23 +465,10 @@ class TestRunExperiment:
         assert summary.realized_regret == float(np.sum(columns["algorithm"][0])) - running
 
     def test_non_finite_lane_is_exit_3(self, tmp_path, monkeypatch, capsys):
-        # Slot 5's second draw is seed 4's: the lanes draw in seed order.
         build = cli.build_synthetic_problem
-
-        def poisoned_build(*args):
-            problem = build(*args)
-            draws = collections.Counter()
-
-            def sample_slot(t, rng):
-                fns = problem.sample_slot(t, rng)
-                draws[t] += 1
-                if (t, draws[t]) == (5, 2):
-                    return dataclasses.replace(fns, objective=np.full_like(fns.objective, np.nan))
-                return fns
-
-            return dataclasses.replace(problem, sample_slot=sample_slot)
-
-        monkeypatch.setattr(cli, "build_synthetic_problem", poisoned_build)
+        monkeypatch.setattr(
+            cli, "build_synthetic_problem", lambda *args: poisoned(build(*args), 4, 5)
+        )
         config_path = write_config(
             tmp_path / "c.json",
             scenario="synthetic",
@@ -497,19 +485,9 @@ class TestRunExperiment:
     def test_non_finite_last_slot_is_exit_3(self, tmp_path, monkeypatch, capsys, seeds):
         # no step consumes the last slot's observation, so it is checked apart
         build = cli.build_synthetic_problem
-
-        def poisoned_build(*args):
-            problem = build(*args)
-
-            def sample_slot(t, rng):
-                fns = problem.sample_slot(t, rng)
-                if t == 19:
-                    return dataclasses.replace(fns, objective=np.full_like(fns.objective, np.nan))
-                return fns
-
-            return dataclasses.replace(problem, sample_slot=sample_slot)
-
-        monkeypatch.setattr(cli, "build_synthetic_problem", poisoned_build)
+        monkeypatch.setattr(
+            cli, "build_synthetic_problem", lambda *args: poisoned(build(*args), seeds[0], 19)
+        )
         config_path = write_config(
             tmp_path / "c.json", scenario="synthetic", T=20, seeds=seeds,
             synthetic={"d": 4, "n_ineq": 1, "n_eq": 1}, out_dir=str(tmp_path / "out"),
@@ -547,19 +525,19 @@ def test_lane_pass_matches_one_seed_runs(scenario, seeds, horizon, block):
     """The lane pass's records equal each seed's own `core.run` bit for
     bit, and its hindsight and Reac columns equal each slot's own functions
     scored at the point and at `reac_schedule` over the whole horizon, at
-    any scoring block size."""
+    any size of the blocks the walk draws and scores."""
     config = config_from_mapping({
         **LANE_SCENARIOS[scenario], "T": horizon, "seeds": seeds, "out_dir": "unused"
     })
     problem = cli._build_problem(config)
     params, variant = config.params_for(horizon), config.resolved_variant
     point = problem.decision_set.sample(np.random.default_rng(horizon))
-    stock = cli.SCORE_BLOCK
-    cli.SCORE_BLOCK = block
+    stock = core.BLOCK_LANE_SLOTS
+    core.BLOCK_LANE_SLOTS = block
     try:
         passes = cli._scored_pass(problem, config, horizon, seeds, (point, 0.0))
     finally:
-        cli.SCORE_BLOCK = stock
+        core.BLOCK_LANE_SLOTS = stock
     assert [record.seed for record, _, _ in passes] == seeds
     for seed, (record, _, columns) in zip(seeds, passes):
         alone = run(problem, horizon, params, seed, variant)
@@ -577,6 +555,46 @@ def test_lane_pass_matches_one_seed_runs(scenario, seeds, horizon, block):
             ))
             for got, want in zip(columns[name], expected):
                 assert got.tobytes() == np.array(want).tobytes(), name
+
+
+def test_datacenter_lanes_cross_a_block_edge_as_one_seed_runs(tmp_path):
+    """Six lanes draw 64 slots at a time and one seed 512, so at T=600 the
+    two walks cut their blocks apart and both cross a seed-block edge; each
+    exported record still equals its seed's own run bit for bit, and the
+    equality rows equal the live walk's `eq_matrix @ decision`, as the
+    bench compares them."""
+    config = small_config(tmp_path, scenario="datacenter", T=600, seeds=[0, 1, 2, 3, 4, 5])
+    result = run_experiment(config)
+    problem = cli._build_problem(config)
+    params, variant = config.params_for(600), config.resolved_variant
+    for seed in config.seeds:
+        record = import_record(result["out_dir"] / "records" / f"run_seed{seed}.csv")
+        alone = run(problem, 600, params, seed, variant)
+        for field, _ in COLUMNS:
+            assert getattr(record, field).tobytes() == getattr(alone, field).tobytes(), field
+        live = np.array([obs.eq_matrix @ state.decision for state, _, _, obs in iterate_run(
+            problem, 600, params, seed, variant)])
+        assert live.tobytes() == record.eq_realized.tobytes()
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{"scenario": "synthetic", "variant": "general"}, {"scenario": "datacenter"}],
+    ids=["synthetic", "datacenter"],
+)
+def test_bench_tracer_still_runs(tmp_path, entries):
+    # bench/run.py --trace 1 wraps the package's entry points with this
+    # tracer; a name it patches that no longer fits would crash every traced run
+    spec = importlib.util.spec_from_file_location("bench_tracer", REPO / "bench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    config = small_config(tmp_path, T=70, **entries)
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        cli.run_experiment(config)
+    metrics, shares = tracer.summarize(70 * len(config.seeds))
+    assert metrics and all(math.isfinite(value) for value in metrics.values()), metrics
+    assert shares
 
 
 class TestSweep:
@@ -645,21 +663,34 @@ class TestSweep:
 
 
 def count_draws(monkeypatch):
-    """Count the slot draws of every synthetic problem cli builds, by slot."""
+    """Count the lane-slot draws of every synthetic problem cli builds, by slot."""
     draws = collections.Counter()
     build = cli.build_synthetic_problem
 
     def counting_build(*args):
         problem = build(*args)
 
-        def sample_slot(t, rng):
-            draws[t] += 1
-            return problem.sample_slot(t, rng)
+        def sample_block(seeds, first, end):
+            for t in range(first, end):
+                draws[t] += len(seeds)
+            return problem.sample_block(seeds, first, end)
 
-        return dataclasses.replace(problem, sample_slot=sample_slot)
+        return dataclasses.replace(problem, sample_block=sample_block)
 
     monkeypatch.setattr(cli, "build_synthetic_problem", counting_build)
     return draws
+
+
+def poisoned(problem, seed, slot):
+    """The problem, with a NaN objective drawn at (seed, slot)."""
+
+    def sample_block(seeds, first, end):
+        block = problem.sample_block(seeds, first, end)
+        if first <= slot < end and seed in seeds:
+            block.objective[slot - first, list(seeds).index(seed)] = np.nan
+        return block
+
+    return dataclasses.replace(problem, sample_block=sample_block)
 
 
 def dataclasses_replace_synthetic(config, **synth):

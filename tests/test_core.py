@@ -199,13 +199,13 @@ class TestStep:
         # iterate_run checks it apart
         problem = build_synthetic_problem(5, 2, 1, seed=3)
 
-        def sample_slot(t, rng):
-            fns = problem.sample_slot(t, rng)
-            if t == slot:
-                return dataclasses.replace(fns, objective=np.full_like(fns.objective, np.nan))
-            return fns
+        def sample_block(seeds, first, end):
+            block = problem.sample_block(seeds, first, end)
+            if first <= slot < end:
+                block.objective[slot - first, list(seeds).index(2)] = np.nan
+            return block
 
-        poisoned = dataclasses.replace(problem, sample_slot=sample_slot)
+        poisoned = dataclasses.replace(problem, sample_block=sample_block)
         with pytest.raises(ProblemError, match=f"seed 2, slot {slot}: observation is not finite"):
             run(poisoned, 10, seed=2)
         params = parameter_schedule(10)

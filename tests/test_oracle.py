@@ -112,6 +112,7 @@ def service_instance(objective, rows, eq_matrix, targets, decision_set):
         n_eq=eq_matrix.shape[0],
         targets=targets,
         sample_slot=lambda t, rng: None,
+        sample_block=lambda seeds, first, end: None,
         means=means,
     )
 

@@ -22,12 +22,16 @@ from pdomd import (
     slot_rng,
 )
 from pdomd.problems import (
+    BUDGET_MEAN,
     CLUSTER_SIZE,
     N_CLUSTERS,
     PACING_RATIOS,
     POWER_CAP,
+    SEED_BLOCK,
     SERVICE_GAIN,
     SERVICE_RATE,
+    SlotFunctions,
+    _pacing_structure,
 )
 
 # Frozen reference: (e^(5/8) - 1)/4
@@ -113,6 +117,133 @@ class TestSlotRng:
     def test_run_rejects_a_negative_seed(self):
         with pytest.raises(ProblemError, match="^seed must be a nonnegative integer, got -1"):
             run(build_synthetic_problem(10, 2, 2, 0), 5, seed=-1)
+
+
+def drifting_problem():
+    """Noisy objective and equality rows over a drifting mean; noiseless
+    inequality rows, which make no draws."""
+    rng = np.random.default_rng(11)
+    return make_linear_problem(
+        Simplex(5),
+        rng.uniform(0.0, 1.0, 5),
+        ineq_rows=rng.standard_normal((2, 5)),
+        ineq_margins=np.full(2, 0.3),
+        eq_rows=rng.standard_normal((1, 5)),
+        targets=np.array([0.1]),
+        objective_noise=0.2,
+        ineq_noise=0.0,
+        eq_noise=0.05,
+        drift_amplitude=0.4,
+        drift_period=13,
+    )
+
+
+DC_TRACE_SLOTS = 2 * SEED_BLOCK + 40  # crosses two seed-block edges
+BLOCK_PROBLEMS = {
+    "synthetic": lambda: build_synthetic_problem(6, 2, 2, seed=0),
+    "drifting": drifting_problem,
+    "datacenter": lambda: build_datacenter_problem(
+        DatacenterConfig(pareto_shape=2.2),
+        PriceTrace(
+            tuple(f"Z{i}" for i in range(5)),
+            np.random.default_rng(5).uniform(10.0, 50.0, (DC_TRACE_SLOTS, 5)),
+        ),
+    ),
+}
+BLOCK_FIRSTS = [0, SEED_BLOCK - 5, 2 * SEED_BLOCK - 1, 2**32 - 7, 2**32 + SEED_BLOCK - 2]
+
+
+def block_arrays(fns):
+    rows = fns.inequalities
+    return {
+        "objective": fns.objective,
+        "eq_matrix": fns.eq_matrix,
+        **{name: value for name, value in vars(rows).items() if isinstance(value, np.ndarray)},
+    }
+
+
+class TestSampleBlock:
+    """A block of lane-slots is each lane-slot's own draw, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(BLOCK_PROBLEMS)),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+        first=st.sampled_from(BLOCK_FIRSTS) | st.integers(0, 2**33),
+        length=st.integers(1, 12),
+    )
+    @example(name="datacenter", seeds=[0, 2**64 - 1], first=SEED_BLOCK - 5, length=12)
+    @example(name="drifting", seeds=[3], first=2**32 - 7, length=12)
+    def test_block_equals_stacked_slots(self, name, seeds, first, length):
+        problem = BLOCK_PROBLEMS[name]()
+        if name == "datacenter":  # its slots end with the price trace
+            first %= DC_TRACE_SLOTS - length
+        end = first + length
+        block = problem.sample_block(seeds, first, end)
+        expected = SlotFunctions.stack([
+            SlotFunctions.stack([problem.sample_slot(t, slot_rng(seed, t)) for seed in seeds])
+            for t in range(first, end)
+        ])
+        assert block.slot == first
+        assert type(block.inequalities) is type(expected.inequalities)
+        got, want = block_arrays(block), block_arrays(expected)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key].shape == value.shape, key
+            assert got[key].tobytes() == value.tobytes(), key
+            # each slot's view is laid out as the stack lays it out
+            assert got[key].strides == value.strides, key
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        slot=st.sampled_from(BLOCK_FIRSTS) | st.integers(0, 4000),
+    )
+    def test_slot_draws_numpys_numbers(self, seed, slot):
+        # the one-slot form makes the numbers numpy's own samplers make
+        synthetic = build_synthetic_problem(6, 2, 2, seed=0)
+        fns = synthetic.sample_slot(slot, slot_rng(seed, slot))
+        rng, means = slot_rng(seed, slot), synthetic.means
+        assert fns.objective.tobytes() == (
+            means.objective_at(slot) + rng.uniform(-0.2, 0.2, 6)).tobytes()
+        assert fns.inequalities.coeffs.tobytes() == (
+            means.inequalities.coeffs + rng.uniform(-0.2, 0.2, (2, 6))).tobytes()
+        assert fns.eq_matrix.tobytes() == (
+            means.eq_matrix + rng.uniform(-0.1, 0.1, (2, 6))).tobytes()
+
+        datacenter = BLOCK_PROBLEMS["datacenter"]()
+        slot %= DC_TRACE_SLOTS
+        fns = datacenter.sample_slot(slot, slot_rng(seed, slot))
+        rng = slot_rng(seed, slot)
+        arrivals = poisson_sample(1000.0, rng)
+        noise = pareto_sample(1.0, 2.2, rng, size=50)
+        budgets = pareto_sample(BUDGET_MEAN, 2.2, rng, size=50)
+        assert fns.inequalities.levels.tobytes() == np.array([float(arrivals)]).tobytes()
+        assert fns.inequalities.weights.tobytes() == noise[None, :].tobytes()
+        assert fns.eq_matrix.tobytes() == (budgets * _pacing_structure()).tobytes()
+
+    @pytest.mark.parametrize(
+        "seeds, first, end, message",
+        [
+            ((0, -1), 0, 4, "^seed must be a nonnegative integer, got -1"),
+            ((1.5,), 0, 4, "^seed must be a nonnegative integer, got 1.5"),
+            (("3",), 0, 4, "^seed must be a nonnegative integer, got '3'"),
+            ((0,), -1, 4, "^slot must be a nonnegative integer, got -1"),
+            ((0,), 2.0, 4, "^slot must be a nonnegative integer, got 2.0"),
+            ((0,), 3, 3, "^block end must be an integer above slot 3, got 3"),
+            ((0,), 3, 4.5, "^block end must be an integer above slot 3, got 4.5"),
+        ],
+    )
+    @pytest.mark.parametrize("name", sorted(BLOCK_PROBLEMS))
+    def test_bad_seed_or_slot_is_named(self, name, seeds, first, end, message):
+        with pytest.raises(ProblemError, match=message):
+            BLOCK_PROBLEMS[name]().sample_block(seeds, first, end)
+
+    def test_block_past_the_trace_refused(self):
+        prob = build_datacenter_problem(DatacenterConfig(), constant_trace(3))
+        prob.sample_block((0, 1), 1, 3)
+        with pytest.raises(ProblemError, match="slot 3 beyond trace length 3"):
+            prob.sample_block((0, 1), 2, 4)
 
 
 class TestServiceCurve:
