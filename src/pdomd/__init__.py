@@ -38,8 +38,6 @@ from .problems import (
     build_datacenter_problem,
     build_synthetic_problem,
     make_linear_problem,
-    pareto_sample,
-    poisson_sample,
     reac_schedule,
     service_curve,
     service_curve_inverse,

@@ -12,17 +12,13 @@ multipliers, and with them the dual iterates of the online solver, bounded.
 
 Every Lagrangian minimum has a closed form: linear rows take the decision
 set's support point, and service rows on a box (the only curved family)
-take a clipped stationary point per coordinate.  Linear window programs go
-to the HiGHS LP solver, whose row marginals are the multipliers; service
-window programs are solved through their dual, a concave function of a
-handful of multipliers, by a safeguarded Newton method.  Either way one
-solve yields the minimizer and the multipliers, certified together by the
-feasibility residuals and the primal-dual gap, each at or below 1e-6.
-
-scipy stays a dependency, but HiGHS is imported at the first linear window
-solve (the synthetic scenario, :func:`estimate_multipliers` and
-:func:`weak_ebc_probe` on linear rows), not with this module: ``import
-pdomd`` and datacenter runs never load scipy.
+take a clipped stationary point per coordinate.  Linear window programs
+(a handful of rows) go to a dense two-phase simplex method with Bland's
+rule, whose final basis gives the multipliers; service window programs are
+solved through their dual, a concave function of a handful of multipliers,
+by a safeguarded Newton method.  Either way one solve yields the minimizer
+and the multipliers, certified together by the feasibility residuals and
+the primal-dual gap, each at or below 1e-6.  Both solvers are numpy alone.
 """
 
 from __future__ import annotations
@@ -44,6 +40,9 @@ _DIVERGENCE_NORM = 1e6
 _NEWTON_TOL = 1e-10  # constraint residual at which the dual Newton method stops
 _NEWTON_MAX_ITER = 200
 _Q_SLACK = 1e-15  # relative rounding allowance in its Armijo test
+_PIVOT_TOL = 1e-9  # smallest simplex pivot; ratio ties; phase-I infeasibility
+_COST_TOL = 1e-12  # a reduced cost, or multiplier, below minus this is negative
+_MAX_PIVOTS = 10_000  # per simplex phase
 
 
 @dataclass(frozen=True)
@@ -120,39 +119,115 @@ def _feasibility_residuals(program: _WindowProgram, point: Array) -> Tuple[float
     return ineq_res, eq_res
 
 
+def _pivot(tableau: Array, basis: Array, row: int, col: int) -> None:
+    """Make `col` basic in `row` by Gauss-Jordan elimination."""
+    pivot_row = tableau[row] / tableau[row, col]
+    tableau -= np.outer(tableau[:, col], pivot_row)
+    tableau[row] = pivot_row
+    basis[row] = col
+
+
+def _bland(tableau: Array, basis: Array, n_enter: int) -> None:
+    """Pivot the tableau (rows of constraints over a reduced-cost row, the
+    right-hand side last) to an optimal basis by Bland's rule: the lowest
+    eligible column among the first `n_enter` enters and, among the rows
+    tied in the ratio test, the one with the lowest basic column leaves, so
+    no basis repeats and the walk terminates (Bland 1977)."""
+    for _ in range(_MAX_PIVOTS):
+        entering = np.flatnonzero(tableau[-1, :n_enter] < -_COST_TOL)
+        if not entering.size:
+            return
+        col = entering[0]
+        column = tableau[:-1, col]
+        rows = np.flatnonzero(column > _PIVOT_TOL)
+        if not rows.size:
+            raise OracleError("linear window program is unbounded")
+        ratios = tableau[rows, -1] / column[rows]
+        tied = rows[ratios <= ratios.min() + _PIVOT_TOL]
+        _pivot(tableau, basis, tied[np.argmin(basis[tied])], col)
+    raise OracleError(f"simplex method passed {_MAX_PIVOTS} pivots")
+
+
 def _solve_linear(program: _WindowProgram) -> Tuple[Array, Array, Array]:
-    """Solve a linear window program with HiGHS.  Returns the minimizer and
-    the multipliers of the inequality and equality rows: the negated row
-    marginals, less the simplex's own sum-to-one row."""
-    dset = program.decision_set
-    d = dset.dim
-    c = program.objective
-    a_ub = b_ub = None
-    if len(program.inequalities):
-        a_ub = program.inequalities.coeffs
-        b_ub = program.inequalities.offsets
-    a_eq, b_eq = program.eq_matrix, program.targets
+    """Solve a linear window program by the two-phase simplex method.
+
+    Standard form shifts the decision to z = mu - lower >= 0 and stacks the
+    inequality rows (each with a slack), a box's upper bounds (each with a
+    slack) and the equality rows, a simplex's sum-to-one row last.  Rows
+    with a negative right-hand side are negated.  Phase I starts from the
+    slacks that fit and an artificial variable on every other row; a
+    positive phase-I optimum means the window is infeasible.  An artificial
+    left basic at zero is pivoted out, or its row, which the others span,
+    is dropped with multiplier 0.  Phase II then minimizes the objective.
+    The basic solution and the multipliers y = B^-T c_B are solved afresh
+    from the original rows, free of the tableau's accumulated rounding.
+    Returns the minimizer and the multipliers of the inequality and
+    equality rows (the negated y).
+    """
+    dset, rows = program.decision_set, program.inequalities
+    d, n_ineq, n_eq = dset.dim, len(rows), program.eq_matrix.shape[0]
     if isinstance(dset, Simplex):
-        a_eq = np.vstack([np.ones(d), a_eq])
-        b_eq = np.concatenate([[1.0], b_eq])
-        bounds = [(0.0, 1.0)] * d
+        lower, bounds, caps = np.zeros(d), np.zeros((0, d)), np.zeros(0)
+        eq_rows = np.vstack([program.eq_matrix, np.ones(d)])
+        targets = np.append(program.targets, 1.0)
     elif isinstance(dset, Box):
-        bounds = list(zip(dset.lower, dset.upper))
+        lower, bounds, caps = dset.lower, np.eye(d), dset.upper
+        eq_rows, targets = program.eq_matrix, program.targets
     else:
         raise OracleError(f"unsupported decision set {type(dset).__name__}")
-    if not b_eq.size:
-        a_eq = b_eq = None
-    import scipy.optimize  # deferred: it costs more than the rest of `import pdomd`
+    n_slack = n_ineq + bounds.shape[0]
+    a = np.block([
+        [np.vstack([rows.coeffs, bounds]), np.eye(n_slack)],
+        [eq_rows, np.zeros((eq_rows.shape[0], n_slack))],
+    ])
+    b = np.concatenate([rows.offsets, caps, targets])
+    b -= a[:, :d] @ lower
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    a *= sign[:, None]
+    b *= sign
+    m, n = a.shape
+    cost = np.concatenate([program.objective, np.zeros(n - d)])
 
-    res = scipy.optimize.linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
-    )
-    if res.status == 2:
+    # phase I: a slack with coefficient +1 starts basic, an artificial elsewhere
+    artificial = np.flatnonzero((sign < 0.0) | (np.arange(m) >= n_slack))
+    basis = d + np.arange(m)
+    basis[artificial] = n + np.arange(artificial.size)
+    tableau = np.zeros((m + 1, n + artificial.size + 1))
+    tableau[:m, :n] = a
+    tableau[artificial, basis[artificial]] = 1.0
+    tableau[:m, -1] = b
+    tableau[-1, n:-1] = 1.0
+    tableau[-1] -= tableau[artificial].sum(axis=0)
+    _bland(tableau, basis, tableau.shape[1] - 1)
+    if -tableau[-1, -1] > _PIVOT_TOL * (1.0 + float(np.max(b, initial=0.0))):
         raise InfeasibleProblemError("window program is infeasible")
-    if res.status != 0:
-        raise OracleError(f"linear solve failed: {res.message}")
-    eq_mult = -res.eqlin.marginals[1:] if isinstance(dset, Simplex) else -res.eqlin.marginals
-    return np.asarray(res.x, dtype=float), -res.ineqlin.marginals, eq_mult
+    for row in np.flatnonzero(basis >= n):
+        found = np.flatnonzero(np.abs(tableau[row, :n]) > _PIVOT_TOL)
+        if found.size:
+            _pivot(tableau, basis, row, found[0])
+    # an artificial still basic has a zero tableau row: the other rows span
+    # its own row, which is dropped
+    spanned = basis >= n
+    keep = np.ones(m, dtype=bool)
+    keep[artificial[basis[spanned] - n]] = False
+
+    # phase II without them, artificials barred from entering
+    tableau = np.vstack([tableau[:m][~spanned], np.zeros(tableau.shape[1])])
+    basis = basis[~spanned]
+    tableau[-1, :n] = cost
+    tableau[-1] -= cost[basis] @ tableau[:-1]
+    _bland(tableau, basis, n)
+
+    square = a[keep][:, basis]
+    x = np.zeros(n)
+    x[basis] = np.linalg.solve(square, b[keep])
+    y = np.zeros(m)
+    y[keep] = np.linalg.solve(square.T, cost[basis])
+    mult = -sign * y
+    worst = float(np.min(mult[:n_ineq], initial=0.0))
+    if worst < -_COST_TOL:
+        raise OracleError(f"simplex inequality multiplier {worst:.3e} is negative")
+    return lower + x[:d], np.maximum(mult[:n_ineq], 0.0), mult[n_slack : n_slack + n_eq]
 
 
 def _lagrangian_minimum(program: _WindowProgram, mult: Array) -> Tuple[Array, float, Array]:
@@ -268,13 +343,14 @@ def hindsight_optimum(
     Solves min f(mu) over the decision set subject to the mean inequality
     and equality constraints, where f averages the mean objectives of slots
     ``start ... start+length-1``.  Returns the minimizer and its objective
-    value.  Linear programs go to HiGHS; service-row programs on a box are
-    solved through their dual.  Either solve also yields the optimal
-    multipliers, and the pair is verified: clipped inequality and equality
-    residuals and the primal-dual gap ``value - q(lam, eta)`` must all come
-    in at or below 1e-6, otherwise this raises :class:`OracleError` instead
-    of returning a bad reference point.  An infeasible program (on the dual
-    path, an unbounded dual) is reported as :class:`InfeasibleProblemError`.
+    value.  Linear programs go to the simplex method; service-row programs
+    on a box are solved through their dual.  Either solve also yields the
+    optimal multipliers, and the pair is verified: clipped inequality and
+    equality residuals and the primal-dual gap ``value - q(lam, eta)`` must
+    all come in at or below 1e-6, otherwise this raises :class:`OracleError`
+    instead of returning a bad reference point.  An infeasible program (on
+    the dual path, an unbounded dual) is reported as
+    :class:`InfeasibleProblemError`.
     """
     _, point, value, _ = _solve_window(problem, start, length)
     return point, value
@@ -311,8 +387,8 @@ def estimate_multipliers(
     """The optimal multipliers of the window program and their norm.
 
     The multipliers come from the certified solve behind
-    :func:`hindsight_optimum` (HiGHS's row marginals, or the dual Newton
-    point of a service program), so the dual function there meets the
+    :func:`hindsight_optimum` (y = B^-T c_B of the simplex's final basis,
+    or the dual Newton point of a service program), so the dual function there meets the
     hindsight value within 1e-6.  Their Euclidean norm is the empirical
     stand-in for a uniform multiplier bound.  An infeasible program has no
     finite maximizer, reported as :class:`MultiplierDivergenceError`.

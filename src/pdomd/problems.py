@@ -220,27 +220,6 @@ def _seed_block(seed: int, block: int) -> Array:
     return words
 
 
-def pareto_sample(mean, shape, rng, size=None):
-    """Pareto draw(s) with the given mean; scale is mean*(shape-1)/shape.
-
-    numpy's generator exposes the Lomax form, so we shift and rescale.
-    Requires shape > 1, otherwise the mean does not exist.
-    """
-    if shape <= 1.0:
-        raise ProblemError(f"pareto shape must exceed 1 for a finite mean, got {shape}")
-    if mean <= 0.0:
-        raise ProblemError(f"pareto mean must be positive, got {mean}")
-    scale = mean * (shape - 1.0) / shape
-    return (rng.pareto(shape, size=size) + 1.0) * scale
-
-
-def poisson_sample(mean, rng):
-    """Single Poisson draw (mean > 0)."""
-    if mean <= 0.0:
-        raise ProblemError(f"poisson mean must be positive, got {mean}")
-    return int(rng.poisson(mean))
-
-
 def service_curve(power, gain=SERVICE_GAIN, rate=SERVICE_RATE):
     """Mean jobs served by one server at the given power draw."""
     served = gain * np.log1p(rate * np.asarray(power, dtype=float))
@@ -751,7 +730,7 @@ def build_datacenter_problem(
             raise ProblemError(f"slot {t} beyond trace length {objectives.shape[0]}")
         return objectives[t]
 
-    noise_scale = 1.0 * (shape - 1.0) / shape  # `pareto_sample`'s scale at mean 1
+    noise_scale = 1.0 * (shape - 1.0) / shape  # Lomax + 1 times this has mean 1
     budget_scale = BUDGET_MEAN * (shape - 1.0) / shape
 
     def functions(slot: int, rows: Array, arrivals, lomax: Array) -> SlotFunctions:

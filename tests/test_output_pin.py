@@ -49,27 +49,27 @@ PINNED = {
         "audit_stdout": "3163f9264f5cc02da9e7e8336bb5e64d25de1587d660c30ad3c67aa3be6f9c5c",
     },
     "sweep": {
-        "sweep_means.csv": "5a5708bcb30f766ba83055ff24d1f6208250a881100f028f10ff2fef4c2b85c9",
-        "sweep_report.json": "c39afa8ef17564b09b96659c0a4debb05588a7c779b6b2a7f7327d8f9a33749f",
+        "sweep_means.csv": "bb40d4b454b69ebe191755e3826e8a55c50b9f5261dc0b778e46a8bc51f5e91b",
+        "sweep_report.json": "61360dd4c67d14a435417b4a50b0ac1fe6f60a86b495a50a57aad173e910903a",
     },
     "synthetic": {
         "config_resolved.json": "2c709f8769debf064d5d6f2e0b345c62cd5d7c6e5ee2e05432f6d1fffceae71a",
-        "cost_cumulative.csv": "040e44a11679141e37848e148b1feb949de288dc5bcc315f9bb255da2caf8704",
-        "metrics.csv": "6e75af310632fccd1f50c56166d634166a6edb3601647c9ae0e3b97dd29fde95",
+        "cost_cumulative.csv": "9d30fc05ea30816710a6bbad79009337e2a0a6532e23c467f1d06bfacbacec76",
+        "metrics.csv": "7b240e7b3f50572b3a201799ba598bd0c1dd7492d1d91ffcd8d9c9011e2c8707",
         "records/run_seed0.csv": "c9ee7537556dcb89c5f0d977834c2654a71f23128085b1e229e68a9b4fde3738",
         "records/run_seed1.csv": "b506b30d0ea1203fd2253dc488862145c46f69b0efd0b3b9ddf3c2da40821d9a",
-        "violation_eq.csv": "8f0810e7af48ae3301334feaca19e6681c1cf429fa50ffc7d13dc8e3e7d75780",
-        "violation_ineq.csv": "8ad9712304dedbf818b57fb2ed15cc6cdd500199b450dbeda7d9681d85817287",
+        "violation_eq.csv": "ac814f765346ab814c6b83d478f9275c4143074598911fb8eb4035837dea2d7a",
+        "violation_ineq.csv": "dd43a8abc8af0e48faf295fa301b29adba911bccd8d60f8e7578d5136850132e",
         "audit_stdout": "9e1142f1e03eb4dba5ca1e962d0b5221d4d6aa642abfbcdfa8f8373e95342056",
     },
     "synthetic-simplex": {
         "config_resolved.json": "102221b2d40f5a16774c81dd36fdcb7bceed799bd1d9e14545feb1a38ae10b64",
-        "cost_cumulative.csv": "4b808415a1ecdcbcefbd72a30cfc8467f5191a32839328c52eb389ff8ba0178e",
-        "metrics.csv": "b9d22fe179d3c5d39413beb60c4eb207ffde572e168ff703d87d72ddd132fe80",
+        "cost_cumulative.csv": "b508fcd0a68104e5153756b017944dd40521c90da68ab3cf5d4a686292cfd249",
+        "metrics.csv": "7975933c3237182f6299c38bf443b2b3871753b528e51b446c0d6a59bfb41eb0",
         "records/run_seed0.csv": "55e5a96b23f5b21839da87f14eb10eb538f7b3a1dd56362f59aaae7f163687f0",
         "records/run_seed1.csv": "4f25302b87ea017590f014ae52902b411242ed3188541d1c2fe8ef5e5489f537",
-        "violation_eq.csv": "160f1d62454d6cd83079ee82df5218bc2b7c3be4534ab93f1c0335fb75691feb",
-        "violation_ineq.csv": "5a3c93bdcc8dd041ffe3417f98bd0336e931be423666d8dbde3d40f55fd52048",
+        "violation_eq.csv": "d007e1af9d939472237e3c4d98ec8c04a093deb66022e5d8bab07c92f5e57f7d",
+        "violation_ineq.csv": "45032e37ba917f58c8b4faf31f72df7d9b76a13f6fcdef2b03dd066a124371e6",
         "audit_stdout": "77ff4edf0c789c89db804c29d0efb0b7bcebd2b31794c2247a982223a5bb1896",
     },
 }

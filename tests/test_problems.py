@@ -13,8 +13,6 @@ from pdomd import (
     build_datacenter_problem,
     build_synthetic_problem,
     make_linear_problem,
-    pareto_sample,
-    poisson_sample,
     reac_schedule,
     run,
     service_curve,
@@ -36,6 +34,28 @@ from pdomd.problems import (
 
 # Frozen reference: (e^(5/8) - 1)/4
 INVERSE_AT_FIVE = 0.2170614893580556
+
+
+def pareto_sample(mean, shape, rng, size=None):
+    """Pareto draw(s) with the given mean; scale is mean*(shape-1)/shape.
+
+    numpy's generator exposes the Lomax form, so we shift and rescale.
+    Requires shape > 1, otherwise the mean does not exist. The reference
+    for the datacenter's service noise and budgets.
+    """
+    if shape <= 1.0:
+        raise ProblemError(f"pareto shape must exceed 1 for a finite mean, got {shape}")
+    if mean <= 0.0:
+        raise ProblemError(f"pareto mean must be positive, got {mean}")
+    scale = mean * (shape - 1.0) / shape
+    return (rng.pareto(shape, size=size) + 1.0) * scale
+
+
+def poisson_sample(mean, rng):
+    """Single Poisson draw (mean > 0): the reference for datacenter arrivals."""
+    if mean <= 0.0:
+        raise ProblemError(f"poisson mean must be positive, got {mean}")
+    return int(rng.poisson(mean))
 
 
 def constant_trace(n_slots, price=20.0, zones=5):
