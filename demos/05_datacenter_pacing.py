@@ -13,7 +13,7 @@ import dataclasses
 import tempfile
 
 from pdomd import ExperimentConfig, run_experiment
-from pdomd.cli import DatacenterSettings
+from pdomd.config import DatacenterSettings
 
 
 def main():

@@ -70,14 +70,14 @@ from .core import (
     run,
     step,
 )
-from .cli import (
+from .config import (
     ExperimentConfig,
     generate_price_trace,
     ingest_price_trace,
     parse_config,
-    run_experiment,
-    sweep_rates,
     write_price_trace,
 )
+from .experiment import run_experiment, sweep_rates
+from . import cli  # bench/run.py reads pdomd.cli after a bare `import pdomd`
 
 __version__ = "0.1.0"

@@ -315,7 +315,8 @@ def _solve_window(
     program = _window_program(problem, start, length)
     if program.all_linear:
         point, ineq_mult, eq_mult = _solve_linear(program)
-        point = program.decision_set.project(point)
+        if not program.decision_set.contains(point):
+            point = program.decision_set.project(point)
     else:
         point, mult, _ = _solve_service(program)
         ineq_mult, eq_mult = np.split(mult, [len(program.inequalities)])

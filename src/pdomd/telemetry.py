@@ -592,7 +592,7 @@ def import_record(path) -> RunRecord:
         return _import_record_csv(path)
     except OSError as exc:
         raise ProblemError(f"cannot read record {path}: {exc.strerror}") from None
-    except (LookupError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (LookupError, TypeError, ValueError, RecursionError) as exc:  # JSON errors: ValueError
         raise ProblemError(f"{path}: malformed record ({type(exc).__name__}: {exc})") from None
 
 

@@ -36,7 +36,7 @@ from pdomd import (
     run_experiment,
     sweep_rates,
 )
-from pdomd.cli import SyntheticSettings
+from pdomd.config import SyntheticSettings
 from test_core import penalty_terms
 from test_oracle import zoom_grid_minimum
 

@@ -12,21 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdomd import cli, core, hindsight_optimum, iterate_run, run
+from pdomd import (
+    build_synthetic_problem, cli, core, experiment, hindsight_optimum, iterate_run, run,
+)
 from pdomd.problems import reac_schedule
-from pdomd.cli import (
+from pdomd.cli import main
+from pdomd.config import (
     ExperimentConfig,
+    build_problem,
     config_from_mapping,
     config_to_mapping,
     generate_price_trace,
     ingest_price_trace,
-    main,
     parse_config,
     parse_seed_range,
-    run_experiment,
-    sweep_rates,
     write_price_trace,
 )
+from pdomd.experiment import run_experiment, sweep_rates
 from pdomd.errors import ConfigError
 from pdomd.telemetry import COLUMNS, compute_metrics, import_record
 
@@ -110,8 +112,16 @@ class TestConfigParsing:
 
     def test_invalid_json_named(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError, match="not valid JSON"):
+        # the second text nests too deep for the decoder's recursion limit
+        for text in ("{not json", "[" * 200_000 + "]" * 200_000):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match="not valid JSON"):
+                parse_config(path)
+
+    def test_non_utf8_named(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{bad")
+        with pytest.raises(ConfigError, match="cannot read config .*latin.json"):
             parse_config(path)
 
     def test_missing_file_named(self, tmp_path):
@@ -329,6 +339,12 @@ class TestPriceTraces:
             with pytest.raises(ConfigError, match="inf.csv:3: non-finite price"):
                 ingest_price_trace(path)
 
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"slot,zone,price\n0,z\xe9,1.0\n")
+        with pytest.raises(ConfigError, match="cannot read trace .*latin.csv"):
+            ingest_price_trace(path)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("slot,zone,price\n")
@@ -425,7 +441,7 @@ class TestRunExperiment:
         # the exported record. Both must give the same numbers exactly.
         config = small_config(tmp_path, **entries)
         result = run_experiment(config)
-        problem = cli._build_problem(config)
+        problem = build_problem(config)
         for seed, summary in result["metrics"]:
             record = import_record(result["out_dir"] / "records" / f"run_seed{seed}.csv")
             assert compute_metrics(record, result["hindsight"], problem) == summary
@@ -442,10 +458,10 @@ class TestRunExperiment:
     def test_batched_scoring_matches_a_slot_loop(self, tmp_path, entries):
         # Reference: each policy's point scored on each slot's own functions.
         config = small_config(tmp_path, **entries)
-        problem = cli._build_problem(config)
+        problem = build_problem(config)
         horizon = config.horizon
         hindsight = hindsight_optimum(problem, 0, horizon)
-        [(_, summary, columns)] = cli._scored_pass(problem, config, horizon, (1,), hindsight)
+        [(_, summary, columns)] = experiment._scored_pass(problem, config, horizon, (1,), hindsight)
         slots = [fns for _, _, fns, _ in iterate_run(
             problem, horizon, config.params_for(horizon), 1, config.resolved_variant
         )]
@@ -465,9 +481,9 @@ class TestRunExperiment:
         assert summary.realized_regret == float(np.sum(columns["algorithm"][0])) - running
 
     def test_non_finite_lane_is_exit_3(self, tmp_path, monkeypatch, capsys):
-        build = cli.build_synthetic_problem
+        build = build_synthetic_problem
         monkeypatch.setattr(
-            cli, "build_synthetic_problem", lambda *args: poisoned(build(*args), 4, 5)
+            "pdomd.config.build_synthetic_problem", lambda *args: poisoned(build(*args), 4, 5)
         )
         config_path = write_config(
             tmp_path / "c.json",
@@ -484,9 +500,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("seeds", [[4], [3, 4]], ids=["one seed", "lanes"])
     def test_non_finite_last_slot_is_exit_3(self, tmp_path, monkeypatch, capsys, seeds):
         # no step consumes the last slot's observation, so it is checked apart
-        build = cli.build_synthetic_problem
+        build = build_synthetic_problem
         monkeypatch.setattr(
-            cli, "build_synthetic_problem", lambda *args: poisoned(build(*args), seeds[0], 19)
+            "pdomd.config.build_synthetic_problem", lambda *args: poisoned(build(*args), seeds[0], 19)
         )
         config_path = write_config(
             tmp_path / "c.json", scenario="synthetic", T=20, seeds=seeds,
@@ -529,13 +545,13 @@ def test_lane_pass_matches_one_seed_runs(scenario, seeds, horizon, block):
     config = config_from_mapping({
         **LANE_SCENARIOS[scenario], "T": horizon, "seeds": seeds, "out_dir": "unused"
     })
-    problem = cli._build_problem(config)
+    problem = build_problem(config)
     params, variant = config.params_for(horizon), config.resolved_variant
     point = problem.decision_set.sample(np.random.default_rng(horizon))
     stock = core.BLOCK_LANE_SLOTS
     core.BLOCK_LANE_SLOTS = block
     try:
-        passes = cli._scored_pass(problem, config, horizon, seeds, (point, 0.0))
+        passes = experiment._scored_pass(problem, config, horizon, seeds, (point, 0.0))
     finally:
         core.BLOCK_LANE_SLOTS = stock
     assert [record.seed for record, _, _ in passes] == seeds
@@ -565,7 +581,7 @@ def test_datacenter_lanes_cross_a_block_edge_as_one_seed_runs(tmp_path):
     bench compares them."""
     config = small_config(tmp_path, scenario="datacenter", T=600, seeds=[0, 1, 2, 3, 4, 5])
     result = run_experiment(config)
-    problem = cli._build_problem(config)
+    problem = build_problem(config)
     params, variant = config.params_for(600), config.resolved_variant
     for seed in config.seeds:
         record = import_record(result["out_dir"] / "records" / f"run_seed{seed}.csv")
@@ -663,9 +679,9 @@ class TestSweep:
 
 
 def count_draws(monkeypatch):
-    """Count the lane-slot draws of every synthetic problem cli builds, by slot."""
+    """Count the lane-slot draws of every synthetic problem `build_problem` builds, by slot."""
     draws = collections.Counter()
-    build = cli.build_synthetic_problem
+    build = build_synthetic_problem
 
     def counting_build(*args):
         problem = build(*args)
@@ -677,7 +693,7 @@ def count_draws(monkeypatch):
 
         return dataclasses.replace(problem, sample_block=sample_block)
 
-    monkeypatch.setattr(cli, "build_synthetic_problem", counting_build)
+    monkeypatch.setattr("pdomd.config.build_synthetic_problem", counting_build)
     return draws
 
 
@@ -736,6 +752,17 @@ class TestMainExitCodes:
         bad = write_config(tmp_path / "bad.json", alpha_beta=1)
         assert main(["run", "--config", str(bad)]) == 2
         assert "alpha_beta" in capsys.readouterr().err
+
+    def test_unreadable_config_is_exit_2(self, tmp_path, capsys):
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b"\xff\xfe{bad")
+        deep = tmp_path / "deep.json"
+        deep.write_text("{\"T\": " + "[" * 200_000 + "]" * 200_000 + "}")
+        for path in (latin, deep):
+            for argv in (["run"], ["sweep"], ["audit", "--record", "r.csv"]):
+                assert main([*argv, "--config", str(path)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("config error:") and path.name in err
 
     def test_audit_hash_mismatch_is_exit_2(self, tmp_path, capsys):
         config_path = write_config(
@@ -828,6 +855,9 @@ class TestMainExitCodes:
         ]
         no_column_row = lines[:1]
         json_without_columns = [lines[0].removeprefix("# pdomd-run v1 ")]
+        deep = "[" * 200_000 + "]" * 200_000
+        deep_json = ['{"columns": ' + deep + "}"]
+        deep_header = ["# pdomd-run v1 " + deep] + lines[1:]
         cases = [
             (truncated, "run_seed0.csv:6:"),
             (with_cell("abc"), "run_seed0.csv:4:"),
@@ -850,6 +880,8 @@ class TestMainExitCodes:
             (without_g, "record shape (d, L, M) = (4, 0, 1) is not the problem's (4, 1, 1)"),
             (no_column_row, "run_seed0.csv"),
             (json_without_columns, "run_seed0.csv"),
+            (deep_json, "run_seed0.csv: malformed record (RecursionError"),
+            (deep_header, "run_seed0.csv: malformed record (RecursionError"),
             (None, "missing.csv"),
         ]
         for rows, named in cases:

@@ -195,6 +195,17 @@ class TestHindsight:
         assert np.linalg.norm(means.eq_matrix @ point - problem.targets) <= 1e-6
         assert problem.decision_set.contains(point, tol=1e-8)
 
+    @pytest.mark.parametrize("d", [4, 10, 32])
+    def test_point_keeps_the_vertex_zeros(self, d):
+        # the simplex vertex is projected only when `contains` refuses it,
+        # so every exact zero of the solve stays an exact zero
+        for seed in range(10):
+            problem = build_synthetic_problem(d, 2, 2, seed)
+            raw, _, _ = oracle._solve_linear(oracle._window_program(problem, 0, 1600))
+            point, _ = hindsight_optimum(problem, 0, 1600)
+            assert np.array_equal(point == 0.0, raw == 0.0), seed
+            assert problem.decision_set.contains(point), seed
+
     def test_grid_agreement_d4(self):
         problem = build_synthetic_problem(4, 2, 1, seed=11)
         point, value = hindsight_optimum(problem, 0, 64)

@@ -14,7 +14,9 @@ import json
 
 import pytest
 
-from pdomd.cli import config_from_mapping, main, run_experiment, sweep_rates
+from pdomd.cli import main
+from pdomd.config import config_from_mapping
+from pdomd.experiment import run_experiment, sweep_rates
 
 RECORD_PREFIX = "# pdomd-run v1 "
 
