@@ -6,20 +6,27 @@ Both walk all seeds of a horizon at once, as lanes of one engine walk
 one block of slots at a time as the walk draws it, so no slot functions are
 kept past their block. Replaying the draws from a record is `audit`'s path,
 and it too draws each slot once, in blocks (`telemetry.replay_record`).
+
+`run_experiment` writes the record CSVs only after every lane's walk has
+succeeded, and spreads them across the process's CPUs: a forked child per
+extra CPU writes a share of them while this process writes the rest and the
+series, metrics and config files (`_records_written`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import ExperimentConfig, build_problem, config_to_mapping
 from .core import AlgorithmParams, iterate_run
-from .errors import ConfigError
+from .errors import ConfigError, PdomdError
 from .oracle import hindsight_optimum
 from .problems import ProblemInstance, SlotFunctions, reac_schedule
 from .telemetry import (
@@ -169,6 +176,87 @@ def _scored_pass(
     return results
 
 
+def _write_share(
+    records: Sequence[RunRecord], paths: Sequence[Path]
+) -> Optional[Tuple[int, Exception]]:
+    """Write the records in order; return the first failure as (seed,
+    exception), or None."""
+    for record, path in zip(records, paths):
+        try:
+            export(record, "csv", path)
+        except Exception as exc:  # raised by `_records_written`, unless a lower seed failed too
+            return record.seed, exc
+    return None
+
+
+def _report_share(records: Sequence[RunRecord], paths: Sequence[Path], report) -> None:
+    """A forked record writer: write the share, then send None, or the first
+    failure as (seed, exception type, message), through `report`."""
+    with report:
+        failure = _write_share(records, paths)
+        if failure is not None:
+            seed, exc = failure
+            failure = seed, type(exc), str(exc)
+        report.send(failure)
+
+
+@contextlib.contextmanager
+def _records_written(records: Sequence[RunRecord], records_dir: Path):
+    """Write each record to records_dir/run_seed<seed>.csv across the
+    process's CPUs, while the block writes the other outputs.
+
+    One child per extra CPU, up to one per record, writes a share of the
+    records. It is forked, so it inherits the records rather than receiving
+    them pickled; with one CPU, one record or no `fork` start method, this
+    process writes them all. This process writes its own share after the
+    block, the smallest one, since the block's writes are on it too. Every
+    child is joined before this returns or raises. A failed write is raised
+    with its type and message, the lowest seed's when several fail, and a
+    child that dies without reporting raises PdomdError naming its exit code."""
+    paths = [records_dir / f"run_seed{record.seed}.csv" for record in records]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(records))
+    if workers > 1:
+        import multiprocessing  # loaded only here: it costs import time
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+        else:
+            workers = 1
+    children = []
+    failures: List[Tuple[int, Exception]] = []
+    try:
+        for k in range(workers - 1):
+            reader, writer = context.Pipe(duplex=False)
+            child = context.Process(
+                target=_report_share, args=(records[k::workers], paths[k::workers], writer)
+            )
+            with writer:
+                child.start()
+            children.append((child, reader, records[k].seed))
+        yield
+        own = slice(workers - 1, None, workers)
+        failure = _write_share(records[own], paths[own])
+        if failure is not None:
+            failures.append(failure)
+    finally:
+        for child, reader, first_seed in children:
+            with reader:
+                try:
+                    report = reader.recv()
+                except EOFError:  # the child died before it could report
+                    report = (first_seed, PdomdError, None)
+            child.join()
+            if report is not None:
+                seed, kind, message = report
+                if message is None:
+                    message = (f"the record writer of seed {first_seed} exited with code "
+                               f"{child.exitcode} without reporting")
+                failures.append((seed, kind(message)))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run the configured scenario across seeds and write all outputs.
 
@@ -196,10 +284,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     eq = {name: np.zeros(horizon) for name in policies}
     metrics_rows: List[Tuple[int, MetricsSummary]] = []
 
-    for record, summary, columns in _scored_pass(problem, config, horizon, config.seeds, hindsight):
-        seed = record.seed
-        export(record, "csv", records_dir / f"run_seed{seed}.csv")
-        metrics_rows.append((seed, summary))
+    passes = _scored_pass(problem, config, horizon, config.seeds, hindsight)
+    for record, summary, columns in passes:
+        metrics_rows.append((record.seed, summary))
         for name in policies:
             policy_cost, policy_ineq, policy_eq = columns[name]
             cost[name] += np.cumsum(policy_cost)
@@ -219,20 +306,21 @@ def run_experiment(config: ExperimentConfig) -> dict:
         _write_series(path, header, {"t": t_column, **table})
         paths[stem] = path
 
-    emit("cost_cumulative", cost)
-    if problem.n_ineq:
-        emit("violation_ineq", ineq)
-    if problem.n_eq:
-        emit("violation_eq", eq)
+    with _records_written([record for record, _, _ in passes], records_dir):
+        emit("cost_cumulative", cost)
+        if problem.n_ineq:
+            emit("violation_ineq", ineq)
+        if problem.n_eq:
+            emit("violation_eq", eq)
 
-    metrics_path = out_dir / "metrics.csv"
-    _write_metrics_table(metrics_path, header, metrics_rows)
-    paths["metrics"] = metrics_path
+        metrics_path = out_dir / "metrics.csv"
+        _write_metrics_table(metrics_path, header, metrics_rows)
+        paths["metrics"] = metrics_path
 
-    resolved = {"config_hash": chash, **config_to_mapping(config)}
-    config_path = out_dir / "config_resolved.json"
-    config_path.write_text(json.dumps(resolved, sort_keys=True, indent=2) + "\n")
-    paths["config"] = config_path
+        resolved = {"config_hash": chash, **config_to_mapping(config)}
+        config_path = out_dir / "config_resolved.json"
+        config_path.write_text(json.dumps(resolved, sort_keys=True, indent=2) + "\n")
+        paths["config"] = config_path
 
     return {
         "out_dir": out_dir,

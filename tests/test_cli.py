@@ -4,6 +4,8 @@ import dataclasses
 import importlib.util
 import json
 import math
+import multiprocessing
+import os
 import re
 from pathlib import Path
 
@@ -511,6 +513,44 @@ class TestRunExperiment:
         assert main(["run", "--config", str(config_path)]) == 3
         assert f"seed {seeds[0]}, slot 19: observation is not finite" in capsys.readouterr().err
         assert not list((tmp_path / "out" / "records").glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "blocked, named",
+        [([2], 2), ([1, 2], 1), ([0, 1], 0)],
+        ids=["child fails", "both fail, parent's seed lower", "both fail, child's seed lower"],
+    )
+    def test_unwritable_record_is_exit_3(self, tmp_path, monkeypatch, capsys, blocked, named):
+        # on two CPUs a forked child writes seeds 0 and 2, this process seed 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        config_path = write_config(
+            tmp_path / "c.json", scenario="synthetic", T=20, seeds=[0, 1, 2],
+            synthetic={"d": 4, "n_ineq": 1, "n_eq": 1}, out_dir=str(tmp_path / "out"),
+        )
+        records = tmp_path / "out" / "records"
+        for seed in blocked:
+            (records / f"run_seed{seed}.csv").mkdir(parents=True)
+        assert main(["run", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(records / f"run_seed{named}.csv") in err
+        assert multiprocessing.active_children() == []
+
+    def test_record_writer_death_is_exit_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent, export = os.getpid(), experiment.export
+
+        def export_or_die(*args):
+            if os.getpid() != parent:
+                os._exit(7)
+            export(*args)
+
+        monkeypatch.setattr(experiment, "export", export_or_die)
+        config_path = write_config(
+            tmp_path / "c.json", scenario="synthetic", T=20, seeds=[0, 1],
+            synthetic={"d": 4, "n_ineq": 1, "n_eq": 1}, out_dir=str(tmp_path / "out"),
+        )
+        assert main(["run", "--config", str(config_path)]) == 3
+        assert "record writer of seed 0 exited with code 7" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     def test_resolved_config_detects_tampering(self, tmp_path):
         config = small_config(tmp_path)

@@ -1,6 +1,8 @@
 """Cold-start cost: pdomd never imports scipy. Neither `import pdomd`, nor a
 `run` and `audit` of either scenario, nor the multiplier estimate and the
-error-bound probe on a linear window load a scipy module.
+error-bound probe on a linear window load a scipy module. Nor does
+`import pdomd` load `multiprocessing` or `concurrent`: only a `run` that
+writes its records across several CPUs imports them.
 
 Each check runs in a fresh interpreter, since this test process may have
 scipy loaded already."""
@@ -22,7 +24,12 @@ def scipy_modules():
     return sorted(name for name in sys.modules if name.startswith("scipy"))
 
 import pdomd
-loaded = {"import": scipy_modules()}
+loaded = {
+    "import": scipy_modules(),
+    "import-processes": sorted(
+        name for name in sys.modules if name.split(".")[0] in ("multiprocessing", "concurrent")
+    ),
+}
 config, record = "config.json", "out/records/run_seed0.csv"
 for argv in (["run", "--config", config], ["audit", "--config", config, "--record", record]):
     if pdomd.cli.main(argv) != 0:
@@ -39,7 +46,8 @@ print(json.dumps(loaded))
 
 def scipy_loaded(tmp_path, config, *stages):
     """The scipy modules loaded by a fresh `import pdomd`, then after a T=50
-    `run` and `audit` of `config`, then after each extra stage."""
+    `run` and `audit` of `config`, then after each extra stage; and the
+    process-pool modules the import loads, as "import-processes"."""
     (tmp_path / "config.json").write_text(
         json.dumps({**config, "T": 50, "seeds": [0], "out_dir": str(tmp_path / "out")})
     )
@@ -59,11 +67,11 @@ def scipy_loaded(tmp_path, config, *stages):
 
 def test_import_and_datacenter_run_leave_scipy_unloaded(tmp_path):
     loaded = scipy_loaded(tmp_path, {"scenario": "datacenter"})
-    assert loaded == {"import": [], "run": []}
+    assert loaded == {"import": [], "import-processes": [], "run": []}
 
 
 @pytest.mark.parametrize("variant", ["general", "simplex"])
 def test_synthetic_run_and_linear_oracle_leave_scipy_unloaded(tmp_path, variant):
     config = {"scenario": "synthetic", "variant": variant, "synthetic": {"d": 4}}
     loaded = scipy_loaded(tmp_path, config, "linear-window")
-    assert loaded == {"import": [], "run": [], "linear-window": []}
+    assert loaded == {"import": [], "import-processes": [], "run": [], "linear-window": []}

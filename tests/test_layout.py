@@ -5,7 +5,7 @@ live in `config.py`, the harness and the sweep in `experiment.py`, and
 neither of those imports `cli`. A bare `import pdomd` still loads
 `pdomd.cli`, because bench/run.py reads `pdomd.cli.run_experiment`, `main`
 and `AUDIT_TOL` right after it, and the `pdomd` console script resolves to
-a working `main`."""
+a working `main`, as does `python -m pdomd`."""
 
 import ast
 import importlib
@@ -39,19 +39,32 @@ slot_rng step sweep_rates weak_ebc_probe write_price_trace
 """.split()
 
 
+def fresh_python(*args):
+    """Run a fresh interpreter on the checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 def test_bare_import_loads_the_cli():
     # a fresh interpreter, since this test process has imported pdomd.cli already
     probe = (
         "import sys, pdomd; cli = sys.modules['pdomd.cli']; "
         "print(callable(cli.run_experiment), callable(cli.main), cli.AUDIT_TOL)"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = fresh_python("-c", probe)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == ["True", "True", "1e-06"]
+
+
+def test_python_m_pdomd_runs_the_cli():
+    # runpy warns when the module it runs is already imported, which
+    # `python -m pdomd.cli` is, by the package's own __init__
+    proc = fresh_python("-W", "error::RuntimeWarning", "-m", "pdomd", "--help")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "{run,sweep,gen-trace,audit}" in proc.stdout
 
 
 def test_public_names_unchanged():

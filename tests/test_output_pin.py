@@ -5,12 +5,16 @@ rewritten for speed, but what they write must not change by a bit. Each
 file's bytes are hashed after two run-specific fields are removed: the
 record header's `wall_time_s` and the resolved config's `out_dir`. The
 `audit` stdout of one record per scenario is hashed too.
+
+`run` writes its records across the process's CPUs, so the bytes are pinned
+both when one process writes them all and when a forked child writes a share.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 
 import pytest
 
@@ -125,4 +129,11 @@ def produce(name: str, out_dir) -> dict:
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_match_pinned_digests(tmp_path, name):
+    assert produce(name, tmp_path / "out") == PINNED[name]
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
+@pytest.mark.parametrize("name", ["datacenter", "synthetic", "synthetic-simplex"])
+def test_record_splits_match_pinned_digests(tmp_path, monkeypatch, name, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     assert produce(name, tmp_path / "out") == PINNED[name]
