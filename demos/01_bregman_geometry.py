@@ -14,8 +14,6 @@ from pdomd import (
     EuclideanGeometry,
     NegativeEntropyGeometry,
     Simplex,
-    bregman_divergence,
-    exponentiated_gradient_step,
     mirror_step,
     mix_toward_uniform,
     pushback_check,
@@ -28,18 +26,19 @@ rng = np.random.default_rng(7)
 print("== divergences ==")
 p = np.array([0.5, 0.3, 0.2])
 q = np.array([0.2, 0.5, 0.3])
-kl = bregman_divergence(entropy, p, q)
+kl = entropy.divergence(p, q)
 l1 = np.abs(p - q).sum()
 print(f"KL(p, q)          = {kl:.6f}")
 print(f"0.5 * ||p-q||_1^2 = {0.5 * l1 ** 2:.6f}   (Pinsker floor)")
-print(f"euclid D(p, q)    = {bregman_divergence(euclid, p, q):.6f}")
+print(f"euclid D(p, q)    = {euclid.divergence(p, q):.6f}")
 
 print()
 print("== proximal step on the simplex ==")
 grad = np.array([1.0, -0.5, 0.2])
 alpha = 4.0
 stepped = mirror_step(entropy, Simplex(3), p, grad, alpha)
-closed = exponentiated_gradient_step(p, grad / alpha)
+weights = p * np.exp(-grad / alpha)  # exponentiated gradient, spelled in numpy
+closed = weights / weights.sum()
 print(f"start    {np.round(p, 4)}")
 print(f"gradient {np.round(grad, 4)}  weight {alpha}")
 print(f"step     {np.round(stepped, 6)}")
@@ -70,7 +69,7 @@ corner = np.array([0.98, 0.01, 0.01])
 for theta in (0.1, 0.01):
     mixed = mix_toward_uniform(corner, theta)
     cap = np.log(3.0 / theta)
-    div = bregman_divergence(entropy, np.array([1.0, 0.0, 0.0]), mixed)
+    div = entropy.divergence(np.array([1.0, 0.0, 0.0]), mixed)
     print(
         f"theta={theta:<5} floor {mixed.min():.4f} "
         f"divergence from a vertex {div:.4f} <= log(d/theta) = {cap:.4f}"

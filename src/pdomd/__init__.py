@@ -1,5 +1,7 @@
 """Primal-dual online mirror descent under stochastic constraints."""
 
+import importlib
+
 from .errors import (
     ConfigError,
     GeometryError,
@@ -19,9 +21,6 @@ from .geometry import (
     NegativeEntropyGeometry,
     PushbackResult,
     Simplex,
-    bregman_divergence,
-    euclidean_box_step,
-    exponentiated_gradient_step,
     mirror_step,
     mix_toward_uniform,
     pushback_check,
@@ -78,6 +77,13 @@ from .config import (
     write_price_trace,
 )
 from .experiment import run_experiment, sweep_rates
-from . import cli  # bench/run.py reads pdomd.cli after a bare `import pdomd`
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # bench/run.py reads pdomd.cli after a bare `import pdomd`. Loading it
+    # only then keeps `python -m pdomd.cli` from finding it imported already.
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

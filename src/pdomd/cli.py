@@ -163,3 +163,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
+
+if __name__ == "__main__":
+    sys.exit(main())

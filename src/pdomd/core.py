@@ -4,7 +4,9 @@ Each slot plays a decision from a proximal mirror step whose linear term
 mixes the previous slot's objective subgradient with multiplier-weighted
 constraint subgradients, then pushes the multipliers by the linearized
 constraint residuals. The simplex variant first blends the previous decision
-toward uniform, which keeps KL divergences finite.
+toward uniform, which keeps KL divergences finite. The step itself is the
+geometry's closed form on the decision set, from `geometry.closed_form_prox`,
+which `mirror_step` calls too; `initial_state` refuses a pair without one.
 
 The engine never samples anything itself: it consumes observation batches
 (values and subgradients evaluated at the previous decision) and is oblivious
@@ -24,16 +26,13 @@ equal its own run's bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigError, GeometryError, ProblemError
-from .geometry import (
-    VARIANT_GEOMETRY, BregmanGeometry, Box, DecisionSet, Simplex, exponentiated_rows, prox_base
-)
+from .geometry import VARIANT_GEOMETRY, BregmanGeometry, DecisionSet, closed_form_prox, prox_base
 from .problems import SEED_BLOCK, ObservationBatch, ProblemInstance, SlotFunctions
 from .telemetry import RecordCollector, RunRecord
 
@@ -45,14 +44,11 @@ BLOCK_LANE_SLOTS = SEED_BLOCK  # lane-slots a walk draws together at most
 
 @dataclass(frozen=True)
 class AlgorithmParams:
-    """Engine weights: V, alpha, theta, the horizon, and a window length
-    used only by multiplier diagnostics."""
+    """Engine weights: V, alpha and theta."""
 
     objective_weight: float  # V
     prox_weight: float  # alpha
     mixing_weight: float  # theta, simplex variant only
-    horizon: int
-    drift_window: int
 
     def __post_init__(self):
         for name in ("objective_weight", "prox_weight"):
@@ -61,12 +57,6 @@ class AlgorithmParams:
                 raise ConfigError(f"{name} must be finite and positive, got {weight!r}")
         if not 0.0 <= self.mixing_weight < 1.0:  # NaN fails too
             raise ConfigError(f"mixing_weight must lie in [0, 1), got {self.mixing_weight!r}")
-        for name in ("horizon", "drift_window"):
-            count = getattr(self, name)
-            if not (isinstance(count, numbers.Real) and float(count).is_integer()):  # NaN fails too
-                raise ConfigError(f"{name} must be an integer, got {count!r}")
-        if self.drift_window < 1 or self.drift_window > max(self.horizon, 1):
-            raise ConfigError("drift window must lie in [1, horizon]")
 
 
 def parameter_schedule(horizon: int, variant: str = "general") -> AlgorithmParams:
@@ -79,8 +69,6 @@ def parameter_schedule(horizon: int, variant: str = "general") -> AlgorithmParam
         objective_weight=float(np.sqrt(horizon)),
         prox_weight=float(horizon),
         mixing_weight=1.0 / horizon if variant == "simplex" else 0.0,
-        horizon=horizon,
-        drift_window=int(round(np.sqrt(horizon))),
     )
 
 
@@ -157,13 +145,16 @@ def initial_state(
     """Slot 0: the decision set's initial point with zero multipliers.
 
     The variant fixes the geometry: negative entropy for `simplex`,
-    Euclidean for `general`. A tuple or list of seeds gives one lane per
-    seed."""
+    Euclidean for `general`. A variant whose geometry has no closed-form
+    prox step on the problem's decision set is refused here, before any
+    step. A tuple or list of seeds gives one lane per seed."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     decision_set = problem.decision_set
-    if variant == "simplex" and not isinstance(decision_set, Simplex):
-        raise ConfigError("the simplex variant needs a simplex decision set")
+    if closed_form_prox(VARIANT_GEOMETRY[variant], decision_set) is None:
+        if variant == "simplex":
+            raise ConfigError("the simplex variant needs a simplex decision set")
+        raise GeometryError(f"no closed-form prox for a {type(decision_set).__name__} decision set")
     lanes = ()
     if isinstance(seed, (tuple, list)):
         if not seed:
@@ -192,22 +183,6 @@ def assemble_dual_weighted_gradient(state: SolverState, obs: ObservationBatch) -
     if duals.eq.shape[-1]:
         coeffs = coeffs + np.vecmat(duals.eq, obs.eq_matrix)
     return coeffs
-
-
-def _prox(state: SolverState, base: Array, coeffs: Array) -> Array:
-    """The variant's closed-form prox step from `base`, lane by lane.
-
-    Unchecked: `step` has validated the observation, and the base is the
-    engine's own decision, so `mirror_step`'s argument checks are left to
-    library callers."""
-    decision_set, prox_weight = state.decision_set, state.params.prox_weight
-    if state.variant == "simplex":
-        return exponentiated_rows(base, coeffs / prox_weight)
-    if isinstance(decision_set, Simplex):
-        return decision_set.project_rows(base - coeffs / prox_weight)
-    if isinstance(decision_set, Box):
-        return decision_set.project(base - coeffs / prox_weight)
-    raise GeometryError(f"no closed-form prox for a {type(decision_set).__name__} decision set")
 
 
 def _check_finite(state: SolverState, obs: ObservationBatch) -> None:
@@ -261,7 +236,8 @@ def step(
 
     mu_prev = state.decision
     base = prox_base(state.variant, mu_prev, params.mixing_weight)
-    mu_new = _prox(state, base, assemble_dual_weighted_gradient(state, obs))
+    prox = closed_form_prox(state.geometry, state.decision_set)  # unchecked: obs is finite
+    mu_new = prox(base, assemble_dual_weighted_gradient(state, obs), params.prox_weight)
 
     # The grouping is the record's: Q + (g + grad g . move) and H + (h mu' - b).
     if duals.ineq.shape[-1]:

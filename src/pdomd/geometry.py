@@ -10,15 +10,16 @@ and negative entropy), and the proximal update
     x^+ = \\operatorname*{argmin}_{x \\in \\Delta}
         \\; \\langle p, x \\rangle + \\alpha D(x, y),
 
-together with three closed forms: an exponentiated-gradient step for the
-simplex under negative entropy, a clipped gradient step for a box under the
-Euclidean potential, and the sort-based Euclidean projection for the simplex
-under the Euclidean potential.  Every other combination, and every call with
-``force_numeric``, runs a certified solve: each coordinate is closed form
-given the multiplier of the simplex's normalisation constraint, which is
-found by bisection, and the result is certified through a Frank-Wolfe
-optimality gap.  Being a different algorithm, it also cross-checks the
-closed forms.
+together with its three closed forms: an exponentiated-gradient step for
+the simplex under negative entropy, a clipped gradient step for a box under
+the Euclidean potential, and the sort-based Euclidean projection for the
+simplex under the Euclidean potential.  `closed_form_prox` is the one table
+of them, and the engine's step and `mirror_step` both call it.  Every other
+combination, and every `mirror_step` call with ``force_numeric``, runs a
+certified solve: each coordinate is closed form given the multiplier of the
+simplex's normalisation constraint, which is found by bisection, and the
+result is certified through a Frank-Wolfe optimality gap.  Being a
+different algorithm, it also cross-checks the closed forms.
 
 Both geometries have strong-convexity modulus 1 with respect to their
 natural norm pair (Euclidean: l2/l2; negative entropy on the simplex: l1
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -304,78 +306,50 @@ class NegativeEntropyGeometry(BregmanGeometry):
         return float(np.max(np.abs(v))) if np.size(v) else 0.0
 
 
-def bregman_divergence(geometry: BregmanGeometry, x: Array, y: Array) -> float:
-    """Evaluate ``D(x, y)`` for the given geometry.
-
-    Examples
-    --------
-    >>> g = NegativeEntropyGeometry()
-    >>> round(bregman_divergence(g, np.array([0.5, 0.5]), np.array([0.25, 0.75])), 6)
-    0.143841
-    """
-    return geometry.divergence(x, y)
-
-
 # ---------------------------------------------------------------------------
 # Proximal steps
 # ---------------------------------------------------------------------------
 
 
-def exponentiated_gradient_step(base: Array, coeffs: Array) -> Array:
-    """Multiplicative-weights update ``x_i = base_i * exp(-coeffs_i) / Z``.
+def closed_form_prox(
+    geometry: BregmanGeometry, decision_set: DecisionSet
+) -> Optional[Callable[[Array, Array, float], Array]]:
+    """The pair's closed-form prox step, or None for a pair without one.
 
-    ``coeffs`` is the linear coefficient vector already divided by the
-    proximal weight.  The exponent is normalized by subtracting the largest
-    entry of ``-coeffs`` (equivalently the smallest coefficient) before
-    exponentiation, so the computation cannot overflow and the result is
-    exactly invariant under a common shift of the coefficients whenever the
-    shifted coefficients are themselves exact.
-
-    Parameters
-    ----------
-    base : ndarray
-        Strictly positive reference point (typically on the simplex).
-    coeffs : ndarray
-        Finite linear coefficients.
-
-    Returns
-    -------
-    ndarray
-        The updated point, normalized to sum to one.
+    The step maps ``(base, coeffs, prox_weight)`` to ``argmin_x <coeffs, x>
+    + prox_weight * D(x, base)`` row by row on (..., d) stacks: the
+    exponentiated-gradient step on (simplex, negative entropy), and
+    ``base - coeffs / prox_weight`` projected on (simplex, Euclidean) or
+    clipped on (box, Euclidean).  It is unchecked: `mirror_step` validates
+    its arguments first, and the engine steps from its own decisions with
+    finite observations.
     """
-    base = _as_vector(base, "base")
-    coeffs = _as_vector(coeffs, "coeffs")
-    if base.shape != coeffs.shape:
-        raise GeometryError("base and coeffs must share a shape")
-    if np.any(base <= 0.0):
-        raise GeometryError("exponentiated-gradient base must be strictly positive")
-    if not np.isfinite(coeffs).all():
-        raise GeometryError("coefficients must be finite")
-    return exponentiated_rows(base, coeffs)
+    # A failed isinstance costs about four times a passed one, and the
+    # engine looks its step up every slot: the likeliest test comes first.
+    if isinstance(geometry, EuclideanGeometry):
+        if isinstance(decision_set, Simplex):
+            return lambda base, coeffs, weight: decision_set.project_rows(base - coeffs / weight)
+        if isinstance(decision_set, Box):
+            return lambda base, coeffs, weight: decision_set.project(base - coeffs / weight)
+    elif isinstance(geometry, NegativeEntropyGeometry) and isinstance(decision_set, Simplex):
+        return _exponentiated_step
+    return None
 
 
-def exponentiated_rows(base: Array, coeffs: Array) -> Array:
-    """The exponentiated-gradient step of each (d,) row of (..., d) stacks,
-    unchecked but for a row whose weights are not a finite positive sum."""
-    shifted = coeffs - np.minimum.reduce(coeffs, axis=-1, keepdims=True)
+def _exponentiated_step(base: Array, coeffs: Array, prox_weight: float) -> Array:
+    """Multiplicative weights ``x_i = base_i * exp(-coeffs_i / prox_weight) / Z``.
+
+    The smallest scaled coefficient is subtracted before exponentiation, so
+    the exponent cannot overflow, and a common shift of the coefficients
+    that is exact in floating point leaves the result bit for bit the same.
+    """
+    scaled = coeffs / prox_weight
+    shifted = scaled - np.minimum.reduce(scaled, axis=-1, keepdims=True)
     weights = base * np.exp(-shifted)
     total = np.add.reduce(weights, axis=-1, keepdims=True)
     if not np.logical_and.reduce((total > 0.0) & (total < np.inf), None):  # a NaN fails both
         raise GeometryError("exponentiated-gradient weights degenerated to zero")
     return weights / total
-
-
-def euclidean_box_step(base: Array, coeffs: Array, prox_weight: float, box: Box) -> Array:
-    """Closed-form proximal step on a box: clip ``base - coeffs / prox_weight``."""
-    base = _as_vector(base, "base")
-    coeffs = _as_vector(coeffs, "coeffs")
-    if prox_weight <= 0.0:
-        raise GeometryError("prox_weight must be positive")
-    target = base - coeffs / prox_weight
-    # One reduction: the sum is finite exactly when every entry is, short of overflow.
-    if not np.isfinite(np.add.reduce(target)):
-        raise GeometryError("coefficients must be finite")
-    return box.project(target)
 
 
 def mix_toward_uniform(point: Array, mixing_weight: float) -> Array:
@@ -417,22 +391,22 @@ def mirror_step(
 ) -> Array:
     """Solve ``argmin_x <coeffs, x> + prox_weight * D(x, base)`` over the set.
 
-    Dispatches to three closed forms: the exponentiated-gradient step on
-    (simplex, negative entropy), the clipped gradient step on (box,
-    Euclidean) and the projection of ``base - coeffs / prox_weight`` on
-    (simplex, Euclidean).  Any other pair runs the certified solve: a
-    bisection on the simplex's normalisation multiplier, uncapped since it
-    stops once its bracket no longer splits (see ``_bisect_normalisation``),
-    whose result must clear a Frank-Wolfe gap of 1e-10; a NaN gap fails.
-    ``force_numeric`` routes even the closed-form pairs through the certified
-    solve, which is how the closed forms are cross-validated.
+    Validates its arguments once, then takes the pair's closed form from
+    `closed_form_prox`, the same step the engine takes.  A pair without one
+    runs the certified solve: a bisection on the simplex's normalisation
+    multiplier, uncapped since it stops once its bracket no longer splits
+    (see ``_bisect_normalisation``), whose result must clear a Frank-Wolfe
+    gap of 1e-10.  ``force_numeric`` routes even the closed-form pairs
+    through the certified solve, which is how the closed forms are
+    cross-validated.
 
     Raises
     ------
     GeometryError
-        On malformed inputs (dimension mismatch, base outside the set,
-        nonpositive prox weight), or when the certified solve meets a
-        decision set other than a box or a simplex.
+        On malformed inputs (dimension mismatch, base outside the set, an
+        entropy base with a zero entry, nonpositive prox weight, coefficients
+        that are not finite once divided by it), or when the certified solve
+        meets a decision set other than a box or a simplex.
     ProxConvergenceError
         When the certified solve misses its gap tolerance.
     """
@@ -444,23 +418,21 @@ def mirror_step(
         raise GeometryError("prox_weight must be positive")
     if not decision_set.contains(base, tol=1e-9):
         raise GeometryError("base point must belong to the decision set")
-
-    if not force_numeric:
-        if isinstance(decision_set, Simplex):
-            if isinstance(geometry, NegativeEntropyGeometry):
-                return exponentiated_gradient_step(base, coeffs / prox_weight)
-            if isinstance(geometry, EuclideanGeometry):
-                return decision_set.project(base - coeffs / prox_weight)
-        if isinstance(decision_set, Box) and isinstance(geometry, EuclideanGeometry):
-            return euclidean_box_step(base, coeffs, prox_weight, decision_set)
-
     if isinstance(geometry, NegativeEntropyGeometry) and np.any(base <= 0.0):
         raise GeometryError("entropy prox needs a strictly positive base point")
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        scaled = coeffs / prox_weight
+    if not np.isfinite(scaled).all():
+        raise GeometryError("coefficients must be finite")
+
+    closed_form = None if force_numeric else closed_form_prox(geometry, decision_set)
+    if closed_form is not None:
+        return closed_form(base, coeffs, prox_weight)
 
     # Coordinate i of the minimiser is clip(grad_phi^-1(shifted_i - nu / prox_weight)),
     # where nu is the multiplier of sum(x) = 1: zero on a box, bisected on a simplex.
     grad_base = geometry.potential_grad(base)
-    shifted = grad_base - coeffs / prox_weight
+    shifted = grad_base - scaled
     if isinstance(decision_set, Box):
         with np.errstate(over="ignore"):  # an overflow clips to the upper bound
             point = decision_set.project(geometry.potential_grad_inverse(shifted))

@@ -532,8 +532,13 @@ def _export_record_json(record: RunRecord, path) -> None:
 def _record_from_header_and_columns(path, header: dict, columns: dict) -> RunRecord:
     from .core import AlgorithmParams
 
+    # records written before V, alpha and theta were the only params also
+    # carry a horizon and a drift window, which nothing reads
+    fields = dict(header["params"])
+    for unread in ("horizon", "drift_window"):
+        fields.pop(unread, None)
     try:
-        params = AlgorithmParams(**header["params"])
+        params = AlgorithmParams(**fields)
     except ConfigError as exc:
         raise ProblemError(f"{path}: bad params header: {exc}") from None
     seed = header["seed"]

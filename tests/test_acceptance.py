@@ -22,7 +22,6 @@ from pdomd import (
     ExperimentConfig,
     NegativeEntropyGeometry,
     Simplex,
-    bregman_divergence,
     build_synthetic_problem,
     dpp_audit,
     dual_function,
@@ -85,7 +84,7 @@ def test_geometry_battery():
         d = int(rng.integers(2, 11))
         p = rng.dirichlet(np.ones(d))
         q = rng.dirichlet(np.ones(d))
-        kl = bregman_divergence(ENTROPY, p, q)
+        kl = ENTROPY.divergence(p, q)
         l1 = float(np.abs(p - q).sum())
         pinsker_slack = min(pinsker_slack, kl - 0.5 * l1 * l1)
 
@@ -95,11 +94,11 @@ def test_geometry_battery():
         d = int(rng.integers(2, 11))
         x = rng.normal(size=d)
         y = rng.normal(size=d)
-        gap = bregman_divergence(EUCLID, x, y) - 0.5 * np.linalg.norm(x - y) ** 2
+        gap = EUCLID.divergence(x, y) - 0.5 * np.linalg.norm(x - y) ** 2
         convexity_slack = min(convexity_slack, gap)
         p = rng.dirichlet(np.ones(d))
         q = rng.dirichlet(np.ones(d))
-        gap = bregman_divergence(ENTROPY, p, q) - 0.5 * np.abs(p - q).sum() ** 2
+        gap = ENTROPY.divergence(p, q) - 0.5 * np.abs(p - q).sum() ** 2
         convexity_slack = min(convexity_slack, gap)
 
     rng = np.random.default_rng(103)
@@ -127,8 +126,8 @@ def test_geometry_battery():
         m1 = rng.dirichlet(np.ones(d))
         m2 = rng.dirichlet(np.ones(d))
         mixed = mix_toward_uniform(m2, theta)
-        d_mixed = bregman_divergence(ENTROPY, m1, mixed)
-        d_plain = bregman_divergence(ENTROPY, m1, m2)
+        d_mixed = ENTROPY.divergence(m1, mixed)
+        d_plain = ENTROPY.divergence(m1, m2)
         mixing_ok &= d_mixed - d_plain <= theta * np.log(d) + 1e-9
         mixing_ok &= d_mixed <= np.log(d / theta) + 1e-9
 

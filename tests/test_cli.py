@@ -908,9 +908,6 @@ class TestMainExitCodes:
             (broken_header, "run_seed0.csv"),
             (with_param("prox_weight", float("nan")), "run_seed0.csv: bad params header: prox_weight"),
             (with_param("prox_weight", -1.0), "run_seed0.csv: bad params header: prox_weight"),
-            (with_param("horizon", float("nan")), "run_seed0.csv: bad params header: horizon"),
-            (with_param("drift_window", float("nan")), "run_seed0.csv: bad params header: drift_window"),
-            (with_param("drift_window", 2.5), "run_seed0.csv: bad params header: drift_window"),
             (with_header("seed", -1), "run_seed0.csv: bad seed header"),
             (with_header("seed", 2.5), "run_seed0.csv: bad seed header"),
             (with_header("geometry", "euclidean"), "run_seed0.csv: bad geometry header"),

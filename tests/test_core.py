@@ -8,15 +8,21 @@ from hypothesis import strategies as st
 from pdomd import (
     Box,
     ConfigError,
+    DatacenterConfig,
+    DecisionSet,
     EuclideanGeometry,
+    GeometryError,
     NegativeEntropyGeometry,
     ProblemError,
     Simplex,
     assemble_dual_weighted_gradient,
+    build_datacenter_problem,
     build_synthetic_problem,
+    generate_price_trace,
     initial_state,
     iterate_run,
     make_linear_problem,
+    mirror_step,
     mix_toward_uniform,
     parameter_schedule,
     run,
@@ -49,8 +55,6 @@ def small_params(horizon, theta=0.0):
         objective_weight=float(np.sqrt(horizon)),
         prox_weight=float(horizon),
         mixing_weight=theta,
-        horizon=horizon,
-        drift_window=max(1, int(round(np.sqrt(horizon)))),
     )
 
 
@@ -60,13 +64,11 @@ class TestSchedule:
         assert p.objective_weight == 100.0
         assert p.prox_weight == 10_000.0
         assert p.mixing_weight == 1e-4
-        assert p.drift_window == 100
 
     def test_small_horizon(self):
         p = parameter_schedule(4, "simplex")
         assert (p.objective_weight, p.prox_weight) == (2.0, 4.0)
         assert p.mixing_weight == 0.25
-        assert p.drift_window == 2
 
     def test_general_variant_has_no_mixing(self):
         assert parameter_schedule(100, "general").mixing_weight == 0.0
@@ -87,10 +89,6 @@ class TestSchedule:
             ("prox_weight", float("nan")),
             ("prox_weight", -1.0),
             ("mixing_weight", float("nan")),
-            ("horizon", float("nan")),
-            ("horizon", 100.5),
-            ("drift_window", float("nan")),
-            ("drift_window", 2.5),
         ):
             with pytest.raises(ConfigError, match=field):
                 AlgorithmParams(**{**base, field: value})
@@ -109,8 +107,6 @@ class TestAssembly:
             objective_weight=1.0,
             prox_weight=params.prox_weight,
             mixing_weight=0.0,
-            horizon=4,
-            drift_window=2,
         )
         state = initial_state(problem, params)
         state = SolverState(
@@ -315,8 +311,43 @@ class TestRunInvariants:
         box_problem = make_linear_problem(
             Box(np.zeros(2), np.ones(2)), np.array([1.0, 0.0])
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="needs a simplex decision set"):
             initial_state(box_problem, small_params(16), variant="simplex")
+
+    def test_set_without_closed_form_refused_before_a_step(self):
+        class Ball(DecisionSet):  # neither a box nor a simplex
+            dim = 2
+            contains = project = support_minimizer = sample = None
+
+            def initial_point(self):
+                return np.zeros(2)
+
+        box_problem = make_linear_problem(Box(np.zeros(2), np.ones(2)), np.array([1.0, 0.0]))
+        problem = dataclasses.replace(box_problem, decision_set=Ball())
+        with pytest.raises(GeometryError, match="no closed-form prox for a Ball decision set"):
+            initial_state(problem, small_params(16))
+
+    @pytest.mark.parametrize("scenario", ["synthetic-general", "synthetic-simplex", "datacenter"])
+    def test_step_is_mirror_step_bit_for_bit(self, scenario):
+        # each lane's next decision is the checked library step's answer
+        # from the lane's own prox base and coefficients
+        horizon, variant = 40, scenario.removeprefix("synthetic-")
+        if scenario == "datacenter":
+            problem = build_datacenter_problem(DatacenterConfig(), generate_price_trace(horizon, 0))
+            variant = "general"
+        else:
+            problem = build_synthetic_problem(6, 2, 2, seed=0)
+        params = parameter_schedule(horizon, variant)
+        slots = list(iterate_run(problem, horizon, params, (3, 4, 5), variant))
+        for (before, _, _, obs), (after, _, _, _) in zip(slots, slots[1:]):
+            base = prox_base(variant, before.decision, params.mixing_weight)
+            coeffs = assemble_dual_weighted_gradient(before, obs)
+            for lane in range(3):
+                expected = mirror_step(
+                    before.geometry, before.decision_set, base[lane], coeffs[lane],
+                    params.prox_weight,
+                )
+                assert np.array_equal(after.decision[lane], expected), (after.slot, lane)
 
 
 _ENTRY = st.floats(-10.0, 10.0)
@@ -398,7 +429,7 @@ def _start(case):
         targets=case["targets"],
     )
     v, alpha = case["weights"]
-    params = AlgorithmParams(v, alpha, 0.1 if variant == "simplex" else 0.0, 10, 1)
+    params = AlgorithmParams(v, alpha, 0.1 if variant == "simplex" else 0.0)
     state = initial_state(problem, params, variant)
     return dataclasses.replace(state, duals=DualState(case["q0"], case["h0"]))
 

@@ -10,9 +10,6 @@ from pdomd.geometry import (
     EuclideanGeometry,
     NegativeEntropyGeometry,
     Simplex,
-    bregman_divergence,
-    euclidean_box_step,
-    exponentiated_gradient_step,
     mirror_step,
     mix_toward_uniform,
     pushback_check,
@@ -34,31 +31,31 @@ class TestDivergence:
     def test_kl_frozen_values(self):
         x = np.array([0.5, 0.5])
         y = np.array([0.25, 0.75])
-        assert abs(bregman_divergence(ENTROPY, x, y) - KL_HALF_QUARTER) < 1e-12
+        assert abs(ENTROPY.divergence(x, y) - KL_HALF_QUARTER) < 1e-12
         x = np.array([1.0, 0.0])
         y = np.array([0.5, 0.5])
-        assert abs(bregman_divergence(ENTROPY, x, y) - LN2) < 1e-12
+        assert abs(ENTROPY.divergence(x, y) - LN2) < 1e-12
 
     def test_euclidean_value(self):
         x = np.array([1.0, 2.0])
         y = np.zeros(2)
-        assert bregman_divergence(EUCLID, x, y) == 2.5
+        assert EUCLID.divergence(x, y) == 2.5
 
     def test_self_divergence_zero(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = rng.dirichlet(np.ones(5))
-            assert bregman_divergence(ENTROPY, p, p) == 0.0
+            assert ENTROPY.divergence(p, p) == 0.0
             v = rng.normal(size=5)
-            assert bregman_divergence(EUCLID, v, v) == 0.0
+            assert EUCLID.divergence(v, v) == 0.0
 
     def test_errors(self):
         with pytest.raises(GeometryError):
-            bregman_divergence(EUCLID, np.zeros(2), np.zeros(3))
+            EUCLID.divergence(np.zeros(2), np.zeros(3))
         with pytest.raises(GeometryError):
-            bregman_divergence(ENTROPY, np.array([0.5, 0.5]), np.array([0.5, 0.0]))
+            ENTROPY.divergence(np.array([0.5, 0.5]), np.array([0.5, 0.0]))
         with pytest.raises(GeometryError):
-            bregman_divergence(ENTROPY, np.array([-0.1, 1.1]), np.array([0.5, 0.5]))
+            ENTROPY.divergence(np.array([-0.1, 1.1]), np.array([0.5, 0.5]))
 
     def test_pinsker(self):
         rng = np.random.default_rng(1)
@@ -66,7 +63,7 @@ class TestDivergence:
             d = int(rng.integers(2, 11))
             p = rng.dirichlet(np.ones(d))
             q = rng.dirichlet(np.ones(d))
-            kl = bregman_divergence(ENTROPY, p, q)
+            kl = ENTROPY.divergence(p, q)
             l1 = np.abs(p - q).sum()
             assert kl >= 0.5 * l1 * l1 - 1e-12
 
@@ -76,18 +73,21 @@ class TestDivergence:
             d = int(rng.integers(1, 8))
             x = rng.normal(size=d)
             y = rng.normal(size=d)
-            div = bregman_divergence(EUCLID, x, y)
+            div = EUCLID.divergence(x, y)
             assert div >= 0.5 * np.linalg.norm(x - y) ** 2 - 1e-12
 
 
 class TestExponentiatedGradient:
+    """The (simplex, negative entropy) closed form, through `mirror_step`
+    with prox weight 1, so the coefficients reach it unscaled."""
+
     def test_frozen_example(self):
-        out = exponentiated_gradient_step(np.array([0.5, 0.5]), np.array([np.log(2.0), 0.0]))
+        out = mirror_step(ENTROPY, Simplex(2), np.array([0.5, 0.5]), np.array([np.log(2.0), 0.0]), 1.0)
         assert np.max(np.abs(out - np.array([1.0 / 3.0, 2.0 / 3.0]))) < 1e-12
 
     def test_zero_coeffs_identity(self):
         base = np.array([0.5, 0.5])
-        out = exponentiated_gradient_step(base, np.zeros(2))
+        out = mirror_step(ENTROPY, Simplex(2), base, np.zeros(2), 1.0)
         assert np.array_equal(out, base)
 
     def test_shift_invariance_exact(self):
@@ -100,23 +100,23 @@ class TestExponentiatedGradient:
             base = rng.dirichlet(np.ones(d))
             p = np.round(rng.uniform(-8, 8, size=d) / scale) * scale
             c = float(np.round(rng.uniform(-8, 8) / scale) * scale)
-            a = exponentiated_gradient_step(base, p)
-            b = exponentiated_gradient_step(base, p + c)
+            a = mirror_step(ENTROPY, Simplex(d), base, p, 1.0)
+            b = mirror_step(ENTROPY, Simplex(d), base, p + c, 1.0)
             assert np.array_equal(a, b)
 
     def test_overflow_safe(self):
         base = np.array([0.5, 0.5])
         with np.errstate(over="raise"):
-            out = exponentiated_gradient_step(base, np.array([0.0, 1e6]))
+            out = mirror_step(ENTROPY, Simplex(2), base, np.array([0.0, 1e6]), 1.0)
         assert np.all(np.isfinite(out))
         assert abs(out.sum() - 1.0) < 1e-12
         assert out[0] > 0.999
 
     def test_errors(self):
-        with pytest.raises(GeometryError):
-            exponentiated_gradient_step(np.array([0.5, 0.0]), np.zeros(2))
-        with pytest.raises(GeometryError):
-            exponentiated_gradient_step(np.array([0.5, 0.5]), np.array([np.inf, 0.0]))
+        with pytest.raises(GeometryError, match="strictly positive base"):
+            mirror_step(ENTROPY, Simplex(2), np.array([1.0, 0.0]), np.zeros(2), 1.0)
+        with pytest.raises(GeometryError, match="coefficients must be finite"):
+            mirror_step(ENTROPY, Simplex(2), np.array([0.5, 0.5]), np.array([np.inf, 0.0]), 1.0)
 
 
 class TestMirrorStep:
@@ -203,8 +203,11 @@ class TestMirrorStep:
         for decision_set, bad in ((Simplex(2), np.nan), (box, np.nan), (box, np.inf)):
             with pytest.raises(GeometryError):
                 mirror_step(EUCLID, decision_set, np.array([0.5, 0.5]), np.array([bad, 0.0]), 1.0)
-        # A NaN coefficient makes the certificate's gap NaN, which it refuses.
-        with pytest.raises(ProxConvergenceError):
+        # finite coefficients that overflow once divided by the prox weight
+        with pytest.raises(GeometryError, match="coefficients must be finite"):
+            mirror_step(EUCLID, box, np.array([0.5, 0.5]), np.array([1e308, 0.0]), 1e-10)
+        # A NaN coefficient is refused before any solve, the certified one too.
+        with pytest.raises(GeometryError, match="coefficients must be finite"):
             mirror_step(
                 ENTROPY,
                 Simplex(4),
@@ -223,6 +226,15 @@ class TestMirrorStep:
 
         with pytest.raises(GeometryError):
             mirror_step(EUCLID, Ball(), np.array([0.5, 0.5]), np.ones(2), 1.0)
+
+    def test_certificate_refuses_a_wrong_point(self, monkeypatch):
+        # The certified solve checks its own answer: a bisection that ended
+        # off the minimizer, or on NaNs (a NaN gap), fails the gap test.
+        coeffs = np.array([1.0, -1.0, 2.0, 0.5])
+        for wrong in (np.full(4, 0.25), np.full(4, np.nan)):
+            monkeypatch.setattr("pdomd.geometry._bisect_normalisation", lambda g, s: (wrong.copy(), 0))
+            with pytest.raises(ProxConvergenceError):
+                mirror_step(ENTROPY, Simplex(4), np.full(4, 0.25), coeffs, 1.0, force_numeric=True)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -284,8 +296,8 @@ class TestMixing:
             m1 = rng.dirichlet(np.ones(d))
             m2 = rng.dirichlet(np.ones(d))
             mixed = mix_toward_uniform(m2, theta)
-            d_mixed = bregman_divergence(ENTROPY, m1, mixed)
-            d_plain = bregman_divergence(ENTROPY, m1, m2)
+            d_mixed = ENTROPY.divergence(m1, mixed)
+            d_plain = ENTROPY.divergence(m1, m2)
             assert d_mixed - d_plain <= theta * np.log(d) + 1e-9
             assert d_mixed <= np.log(d / theta) + 1e-9
 

@@ -2,10 +2,12 @@
 
 `cli.py` is the command line alone: the config schema and the trace files
 live in `config.py`, the harness and the sweep in `experiment.py`, and
-neither of those imports `cli`. A bare `import pdomd` still loads
-`pdomd.cli`, because bench/run.py reads `pdomd.cli.run_experiment`, `main`
-and `AUDIT_TOL` right after it, and the `pdomd` console script resolves to
-a working `main`, as does `python -m pdomd`."""
+neither of those imports `cli`. `pdomd.cli` is an attribute of a bare
+`import pdomd`, loaded on first use, because bench/run.py reads
+`pdomd.cli.run_experiment`, `main` and `AUDIT_TOL` right after it; the
+`pdomd` console script resolves to a working `main`, as do `python -m pdomd`
+and `python -m pdomd.cli`. The engine, `core.py`, takes its prox step from
+`geometry` and names no decision set and no closed form itself."""
 
 import ast
 import importlib
@@ -29,9 +31,9 @@ InfeasibleProblemError LinearRows MeanModel MetricsSummary MultiplierDivergenceE
 NegativeEntropyGeometry ObservationBatch OracleError PdomdError PriceTrace
 ProblemError ProblemInstance ProxConvergenceError PushbackResult ReplayMismatchError
 RunRecord ServiceRows Simplex SlotFunctions SolverState StepOutcome
-assemble_dual_weighted_gradient bregman_divergence build_datacenter_problem
+assemble_dual_weighted_gradient build_datacenter_problem
 build_synthetic_problem compute_metrics dpp_audit dual_function estimate_multipliers
-euclidean_box_step exponentiated_gradient_step export generate_price_trace
+export generate_price_trace
 hindsight_optimum import_record ingest_price_trace initial_state iterate_run
 make_linear_problem mirror_step mix_toward_uniform parameter_schedule parse_config
 pushback_check reac_schedule run run_experiment service_curve service_curve_inverse
@@ -49,9 +51,10 @@ def fresh_python(*args):
 
 
 def test_bare_import_loads_the_cli():
-    # a fresh interpreter, since this test process has imported pdomd.cli already
+    # a fresh interpreter, since this test process has imported pdomd.cli
+    # already; the attribute is read as bench/run.py reads it
     probe = (
-        "import sys, pdomd; cli = sys.modules['pdomd.cli']; "
+        "import pdomd; cli = pdomd.cli; "
         "print(callable(cli.run_experiment), callable(cli.main), cli.AUDIT_TOL)"
     )
     proc = fresh_python("-c", probe)
@@ -60,9 +63,15 @@ def test_bare_import_loads_the_cli():
 
 
 def test_python_m_pdomd_runs_the_cli():
-    # runpy warns when the module it runs is already imported, which
-    # `python -m pdomd.cli` is, by the package's own __init__
     proc = fresh_python("-W", "error::RuntimeWarning", "-m", "pdomd", "--help")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "{run,sweep,gen-trace,audit}" in proc.stdout
+
+
+def test_python_m_pdomd_cli_runs_the_cli():
+    # runpy warns, and runs nothing, when the module it runs as __main__ is
+    # imported already, as it would be if the package's __init__ imported it
+    proc = fresh_python("-W", "error::RuntimeWarning", "-m", "pdomd.cli", "--help")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "{run,sweep,gen-trace,audit}" in proc.stdout
 
@@ -96,6 +105,19 @@ def imported_modules(path):
 )
 def test_layering(module, above):
     assert not imported_modules(PACKAGE / f"{module}.py") & above
+
+
+def test_engine_names_no_closed_form():
+    # the (geometry, set) -> closed-form table lives in geometry alone
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / "core.py").read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not names & {"Box", "Simplex", "exponentiated_rows", "project_rows"}
 
 
 def test_console_script_resolves_to_main(capsys):

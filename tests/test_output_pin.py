@@ -48,8 +48,8 @@ PINNED = {
         "config_resolved.json": "380f7243dc2eae71e3d2fdf6dc8b1c5f1f24bdf0a17189a2b6565a74256eeb56",
         "cost_cumulative.csv": "0f75ccacbbfd3e70b017665f5f63d4aa9eb1ba3f34e64dc35c63287114e7417f",
         "metrics.csv": "e04323477acd664eda8f936b2944ed75eed3430842bfb68f1238ab83fb238653",
-        "records/run_seed0.csv": "e7ec39302bb5d831a6b37ec4cca0ddfc34b017eded1ef823f4976c0c2446b6b6",
-        "records/run_seed1.csv": "47ae36e4e4b7a056ed09a38eeece894c1d1b8f56d581bdbbecfd82b97882f09f",
+        "records/run_seed0.csv": "9c83f4cb1e47cdacc28bfc99228ffa3fd77bb0485f37dc362b7b74b1b07383a2",
+        "records/run_seed1.csv": "95d9b442949f3224824cd0bac263451d4a50a58641cc3904ee0690fc98ba7464",
         "violation_eq.csv": "8797506d52134ad46b0a48af7ff8913c4a4c29c87fa7fc97217cb7e852957cdf",
         "violation_ineq.csv": "1397677d9610c4b9cbecc4651d8ecf339cdac948d2004a717d4d4497c438551b",
         "audit_stdout": "3163f9264f5cc02da9e7e8336bb5e64d25de1587d660c30ad3c67aa3be6f9c5c",
@@ -62,8 +62,8 @@ PINNED = {
         "config_resolved.json": "2c709f8769debf064d5d6f2e0b345c62cd5d7c6e5ee2e05432f6d1fffceae71a",
         "cost_cumulative.csv": "9d30fc05ea30816710a6bbad79009337e2a0a6532e23c467f1d06bfacbacec76",
         "metrics.csv": "7b240e7b3f50572b3a201799ba598bd0c1dd7492d1d91ffcd8d9c9011e2c8707",
-        "records/run_seed0.csv": "c9ee7537556dcb89c5f0d977834c2654a71f23128085b1e229e68a9b4fde3738",
-        "records/run_seed1.csv": "b506b30d0ea1203fd2253dc488862145c46f69b0efd0b3b9ddf3c2da40821d9a",
+        "records/run_seed0.csv": "ad51d0376ea3332ffbde8ba69587b41a9c5cb34da5ebe5d3314c43caa8f6b706",
+        "records/run_seed1.csv": "4e34ae4ce5331ea7fd175a9bfc2cc0fe954e8fb04b7a2073d2e31ebd40ba8ab8",
         "violation_eq.csv": "ac814f765346ab814c6b83d478f9275c4143074598911fb8eb4035837dea2d7a",
         "violation_ineq.csv": "dd43a8abc8af0e48faf295fa301b29adba911bccd8d60f8e7578d5136850132e",
         "audit_stdout": "9e1142f1e03eb4dba5ca1e962d0b5221d4d6aa642abfbcdfa8f8373e95342056",
@@ -72,8 +72,8 @@ PINNED = {
         "config_resolved.json": "102221b2d40f5a16774c81dd36fdcb7bceed799bd1d9e14545feb1a38ae10b64",
         "cost_cumulative.csv": "b508fcd0a68104e5153756b017944dd40521c90da68ab3cf5d4a686292cfd249",
         "metrics.csv": "7975933c3237182f6299c38bf443b2b3871753b528e51b446c0d6a59bfb41eb0",
-        "records/run_seed0.csv": "55e5a96b23f5b21839da87f14eb10eb538f7b3a1dd56362f59aaae7f163687f0",
-        "records/run_seed1.csv": "4f25302b87ea017590f014ae52902b411242ed3188541d1c2fe8ef5e5489f537",
+        "records/run_seed0.csv": "2eed3aa022fb849588f9fd208c8b5a05851ff195799f33ff5fb95fc5b6e9075b",
+        "records/run_seed1.csv": "fd7da7c47b4a620777a1db7716d9c198636800f5462e3263005606f1ba208b1a",
         "violation_eq.csv": "d007e1af9d939472237e3c4d98ec8c04a093deb66022e5d8bab07c92f5e57f7d",
         "violation_ineq.csv": "45032e37ba917f58c8b4faf31f72df7d9b76a13f6fcdef2b03dd066a124371e6",
         "audit_stdout": "77ff4edf0c789c89db804c29d0efb0b7bcebd2b31794c2247a982223a5bb1896",

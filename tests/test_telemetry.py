@@ -403,6 +403,23 @@ class TestExport:
         path.write_text(json.dumps(payload))
         assert np.array_equal(import_record(path).decisions, record.decisions)
 
+    def test_older_params_header_loads(self, tmp_path):
+        # records written while the params carried a horizon and a drift
+        # window, which nothing read, still import, in both formats
+        _, record = synthetic_run(horizon=5)
+        prefix = "# pdomd-run v1 "
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"old.{fmt}"
+            export(record, fmt, path)
+            first, rest = path.read_text().split("\n", 1)
+            payload = json.loads(first.removeprefix(prefix))
+            payload["params"].update(horizon=5, drift_window=2)
+            head = prefix if fmt == "csv" else ""
+            path.write_text(head + json.dumps(payload) + "\n" + rest)
+            loaded = import_record(path)
+            assert loaded.params == record.params
+            assert np.array_equal(loaded.decisions, record.decisions)
+
     def test_summary_export(self, tmp_path):
         problem, record = synthetic_run(horizon=20)
         summary = compute_metrics(record, (record.decisions[0], 0.0), problem)
@@ -462,8 +479,6 @@ def records(draw):
             objective_weight=draw(st.floats(min_value=1e-6, max_value=1e6)),
             prox_weight=draw(st.floats(min_value=1e-6, max_value=1e6)),
             mixing_weight=draw(st.floats(min_value=0.0, max_value=0.99)),
-            horizon=max(horizon, 1),
-            drift_window=1,
         ),
         targets=column(n_eq),
         decisions=column(horizon, d),
