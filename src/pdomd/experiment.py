@@ -7,10 +7,11 @@ one block of slots at a time as the walk draws it, so no slot functions are
 kept past their block. Replaying the draws from a record is `audit`'s path,
 and it too draws each slot once, in blocks (`telemetry.replay_record`).
 
-`run_experiment` writes the record CSVs only after every lane's walk has
-succeeded, and spreads them across the process's CPUs: a forked child per
-extra CPU writes a share of them while this process writes the rest and the
-series, metrics and config files (`_records_written`).
+`run_experiment` forks its record writers before the walk, one per extra
+CPU, and tells them as each block's rows become final, so they format the
+record CSVs while the walk runs. They make the files only once every lane's
+walk and summary has succeeded, while this process writes the series,
+metrics and config files (`_records_written`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import dataclasses
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,10 +31,13 @@ from .errors import ConfigError, PdomdError
 from .oracle import hindsight_optimum
 from .problems import ProblemInstance, SlotFunctions, reac_schedule
 from .telemetry import (
+    COLUMNS,
     MetricsSummary,
     RecordCollector,
     RunRecord,
     export,
+    record_head,
+    record_rows,
     summarize_metrics,
     summary_cell,
     write_table,
@@ -143,23 +147,32 @@ def _scored_pass(
     horizon: int,
     seeds: Sequence[int],
     hindsight: Tuple[Array, float],
+    collector: Optional[RecordCollector] = None,
+    tell: Callable[[int], None] = lambda slot: None,
 ) -> List[Tuple[RunRecord, MetricsSummary, dict]]:
-    """Walk the seeds' streams once, as lanes in lockstep, and score every
-    policy on their draws as the walk goes.
+    """Walk the seeds' streams once, as lanes in lockstep, into `collector`
+    (a new one if None), and score every policy on their draws as the walk
+    goes; tell(slot) is called once the rows before the slot are final.
 
     Returns, per seed in order: the algorithm's record, its metrics summary,
     and (cost, inequality values, equality rows) per policy: the algorithm,
     the hindsight fixed point, and Reac on the datacenter scenario."""
     params, variant = config.params_for(horizon), config.resolved_variant
     seeds = tuple(seeds)
-    collector = RecordCollector(problem, horizon, lanes=len(seeds))
+    collector = collector or RecordCollector(problem, horizon, lanes=len(seeds))
     scores = _PolicyScores(
         problem, horizon, len(seeds), np.asarray(hindsight[0], dtype=float),
         reac=config.scenario == "datacenter",
     )
-    walk = iterate_run(problem, horizon, params, seeds, variant, on_block=scores.score)
+
+    def on_block(block: SlotFunctions) -> None:
+        scores.score(block)
+        tell(block.slot)  # the walk has added every row before the block
+
+    walk = iterate_run(problem, horizon, params, seeds, variant, on_block=on_block)
     for state, outcome, _, obs in walk:
         collector.add(state, outcome, obs)
+    tell(horizon)
     mean_objectives = None if problem.means is None else problem.means.objective_table(0, horizon)
     chash = config.config_hash()
     results = []
@@ -176,81 +189,98 @@ def _scored_pass(
     return results
 
 
-def _write_share(
-    records: Sequence[RunRecord], paths: Sequence[Path]
-) -> Optional[Tuple[int, Exception]]:
-    """Write the records in order; return the first failure as (seed,
-    exception), or None."""
-    for record, path in zip(records, paths):
+def _write_records(columns, lanes, seeds, paths, parent_ends, connection) -> None:
+    """A forked record writer: format its lanes' rows of the shared columns
+    up to each slot index that `connection` brings. Once it brings the
+    lanes' record heads instead, write the files and send back None, or the
+    first failure as (seed, exception type, message). If the input ends
+    first, the walk failed, and it writes nothing."""
+    for end in parent_ends:  # inherited copies would hide the end of the input
+        end.close()
+    texts, done = [[] for _ in lanes], 0
+    with connection:
         try:
-            export(record, "csv", path)
-        except Exception as exc:  # raised by `_records_written`, unless a lower seed failed too
-            return record.seed, exc
-    return None
-
-
-def _report_share(records: Sequence[RunRecord], paths: Sequence[Path], report) -> None:
-    """A forked record writer: write the share, then send None, or the first
-    failure as (seed, exception type, message), through `report`."""
-    with report:
-        failure = _write_share(records, paths)
-        if failure is not None:
-            seed, exc = failure
-            failure = seed, type(exc), str(exc)
-        report.send(failure)
+            while isinstance(message := connection.recv(), int):
+                for lane, text in zip(lanes, texts):
+                    rows = [columns[field][lane, done:message] for field, _ in COLUMNS]
+                    text.append(record_rows(np.column_stack(rows), done))
+                done = message
+        except EOFError:
+            return
+        failure = None
+        for seed, path, head, text in zip(seeds, paths, message, texts):
+            try:
+                with open(path, "w", newline="") as fh:
+                    fh.writelines([head, *text])
+            except Exception as exc:  # raised by `_records_written`, unless a lower seed failed too
+                failure = seed, type(exc), str(exc)
+                break
+        connection.send(failure)
 
 
 @contextlib.contextmanager
-def _records_written(records: Sequence[RunRecord], records_dir: Path):
-    """Write each record to records_dir/run_seed<seed>.csv across the
-    process's CPUs, while the block writes the other outputs.
+def _records_written(problem: ProblemInstance, horizon: int, seeds: Sequence[int],
+                     paths: Sequence[Path]):
+    """Collect a lane walk's records and write each to its path, formatting
+    the rows in forked children while the walk runs.
 
-    One child per extra CPU, up to one per record, writes a share of the
-    records. It is forked, so it inherits the records rather than receiving
-    them pickled; with one CPU, one record or no `fork` start method, this
-    process writes them all. This process writes its own share after the
-    block, the smallest one, since the block's writes are on it too. Every
-    child is joined before this returns or raises. A failed write is raised
-    with its type and message, the lowest seed's when several fail, and a
-    child that dies without reporting raises PdomdError naming its exit code."""
-    paths = [records_dir / f"run_seed{record.seed}.csv" for record in records]
+    One child per extra CPU, up to one per lane, takes the lanes dealt round
+    robin. The block gets (collector, tell): the collector's columns are
+    shared with the children; the block calls tell(slot) once the rows
+    before the slot are final, which the children then format, and
+    tell(records) with the finished records, whose heads hold their wall
+    times. No file is made before that, so a failed walk leaves none. With
+    one CPU, one lane or no `os.fork`, this process writes the records
+    after the block. Every child is joined before this returns or raises.
+    A failed write is raised with its type and message, the lowest seed's
+    when several fail, and a child that dies without reporting raises
+    PdomdError naming its exit code."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(records))
-    if workers > 1:
+    workers = min(cpus - 1, len(seeds)) if len(seeds) > 1 and hasattr(os, "fork") else 0
+    collector = RecordCollector(problem, horizon, lanes=len(seeds), shared=workers > 0)
+    children, records, failures = [], [], []
+    if workers:
         import multiprocessing  # loaded only here: it costs import time
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-        else:
-            workers = 1
-    children = []
-    failures: List[Tuple[int, Exception]] = []
+        context = multiprocessing.get_context("fork")
+
+    def tell(message) -> None:
+        if isinstance(message, int):
+            sent = [message] * len(children)
+        else:  # every head is made before any is sent, so each child gets its heads
+            sent = [[record_head(message[lane]) for lane in lanes] for _, _, lanes in children]
+            records.extend(message)
+        for (_, connection, _), lane_message in zip(children, sent):
+            with contextlib.suppress(OSError):  # a dead child is reported when joined
+                connection.send(lane_message)
+
     try:
-        for k in range(workers - 1):
-            reader, writer = context.Pipe(duplex=False)
-            child = context.Process(
-                target=_report_share, args=(records[k::workers], paths[k::workers], writer)
-            )
-            with writer:
+        for k in range(workers):
+            ours, theirs = context.Pipe()
+            lanes = range(k, len(seeds), workers)
+            parent_ends = [connection for _, connection, _ in children] + [ours]
+            child = context.Process(target=_write_records, args=(
+                collector.columns, lanes, seeds[k::workers], paths[k::workers], parent_ends,
+                theirs))
+            with theirs:
                 child.start()
-            children.append((child, reader, records[k].seed))
-        yield
-        own = slice(workers - 1, None, workers)
-        failure = _write_share(records[own], paths[own])
-        if failure is not None:
-            failures.append(failure)
+            children.append((child, ours, lanes))
+        yield collector, tell
+        if not children:
+            for record, path in zip(records, paths):
+                export(record, "csv", path)
     finally:
-        for child, reader, first_seed in children:
-            with reader:
+        for child, connection, lanes in children:
+            with connection:  # closing it ends the input of a child still waiting for rows
                 try:
-                    report = reader.recv()
-                except EOFError:  # the child died before it could report
-                    report = (first_seed, PdomdError, None)
+                    report = connection.recv() if records else None
+                except (EOFError, OSError):  # the child died before it could report
+                    report = seeds[lanes[0]], PdomdError, None
             child.join()
             if report is not None:
                 seed, kind, message = report
                 if message is None:
-                    message = (f"the record writer of seed {first_seed} exited with code "
+                    message = (f"the record writer of seed {seed} exited with code "
                                f"{child.exitcode} without reporting")
                 failures.append((seed, kind(message)))
     if failures:
@@ -283,21 +313,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     ineq = {name: np.zeros(horizon) for name in policies}
     eq = {name: np.zeros(horizon) for name in policies}
     metrics_rows: List[Tuple[int, MetricsSummary]] = []
-
-    passes = _scored_pass(problem, config, horizon, config.seeds, hindsight)
-    for record, summary, columns in passes:
-        metrics_rows.append((record.seed, summary))
-        for name in policies:
-            policy_cost, policy_ineq, policy_eq = columns[name]
-            cost[name] += np.cumsum(policy_cost)
-            i_series, e_series = _policy_series(policy_ineq, policy_eq, record.targets)
-            ineq[name] += i_series
-            eq[name] += e_series
-
-    for table in (cost, ineq, eq):
-        for name in table:
-            table[name] /= n_seeds
-
     t_column = np.arange(1, horizon + 1)
     paths = {}
 
@@ -306,7 +321,23 @@ def run_experiment(config: ExperimentConfig) -> dict:
         _write_series(path, header, {"t": t_column, **table})
         paths[stem] = path
 
-    with _records_written([record for record, _, _ in passes], records_dir):
+    record_paths = [records_dir / f"run_seed{seed}.csv" for seed in config.seeds]
+    with _records_written(problem, horizon, config.seeds, record_paths) as (collector, tell):
+        passes = _scored_pass(problem, config, horizon, config.seeds, hindsight, collector, tell)
+        tell([record for record, _, _ in passes])
+        for record, summary, columns in passes:
+            metrics_rows.append((record.seed, summary))
+            for name in policies:
+                policy_cost, policy_ineq, policy_eq = columns[name]
+                cost[name] += np.cumsum(policy_cost)
+                i_series, e_series = _policy_series(policy_ineq, policy_eq, record.targets)
+                ineq[name] += i_series
+                eq[name] += e_series
+
+        for table in (cost, ineq, eq):
+            for name in table:
+                table[name] /= n_seeds
+
         emit("cost_cumulative", cost)
         if problem.n_ineq:
             emit("violation_ineq", ineq)

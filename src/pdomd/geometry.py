@@ -414,7 +414,7 @@ def mirror_step(
     coeffs = _as_vector(coeffs, "coeffs")
     if base.shape[0] != decision_set.dim or coeffs.shape != base.shape:
         raise GeometryError("base/coeffs dimensions must match the decision set")
-    if prox_weight <= 0.0:
+    if not prox_weight > 0.0:  # a NaN weight is refused here too
         raise GeometryError("prox_weight must be positive")
     if not decision_set.contains(base, tol=1e-9):
         raise GeometryError("base point must belong to the decision set")

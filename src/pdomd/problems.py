@@ -27,7 +27,7 @@ functions are fixed by (seed, t): any slot can be replayed alone, which is
 what the record audit relies on, and drawing a block of slots ahead of the
 decisions changes nothing the engine sees. The SeedSequence hash is computed
 for blocks of `SEED_BLOCK` slots at once, and the `SEED_CACHE_BLOCKS` most
-recently used blocks (1 MiB) are kept.
+recently used blocks (1 MiB), or one per lane of a wider walk, are kept.
 
 Each scenario defines its distribution once, as a function from a slot's raw
 draws to its `SlotFunctions`, over any leading axes. `sample_slot(t, rng)`
@@ -39,7 +39,6 @@ applies it once to the whole block, laid out (slot, lane, ...).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -92,9 +91,9 @@ def slot_rng(seed: int, slot: int) -> np.random.Generator:
     off the slot index means any single slot's draws can be reproduced
     without replaying the slots before it, which is what the record audits
     rely on. The SeedSequence words come from `_seed_block`, which hashes
-    SEED_BLOCK slots at once and keeps the SEED_CACHE_BLOCKS most recently
-    used blocks (1 MiB); numpy seeds the PCG64 from them. The returned
-    generator cannot `spawn`.
+    SEED_BLOCK slots at once; the SEED_CACHE_BLOCKS most recently used
+    blocks (1 MiB), or one per lane of a wider walk, are kept. numpy seeds
+    the PCG64 from them. The returned generator cannot `spawn`.
 
     Raises ProblemError, naming the argument, unless seed and slot are
     nonnegative integers (Python or numpy; a bool counts as 0 or 1)."""
@@ -126,7 +125,7 @@ def _block_bits(seeds: Sequence[int], first: int, end: int) -> list:
         while t < end:  # one piece per seed block the range touches
             block, offset = divmod(t, SEED_BLOCK)
             stop = min(end, (block + 1) * SEED_BLOCK)
-            piece = _seed_block(int(seed), block)[offset:offset + stop - t]
+            piece = _cached_seed_block(int(seed), block, len(seeds))[offset:offset + stop - t]
             words[t - first:stop - first, lane] = piece
             t = stop
     return [np.random.PCG64(_SlotSeed(slot_words)) for slot_words in words.reshape(-1, 4)]
@@ -173,7 +172,22 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-@functools.lru_cache(maxsize=SEED_CACHE_BLOCKS)
+_seed_blocks: dict = {}  # (seed, block) -> words, least recently used first
+
+
+def _cached_seed_block(seed: int, block: int, lanes: int) -> Array:
+    """`_seed_block(seed, block)`, kept among the SEED_CACHE_BLOCKS most
+    recently used blocks, or the `lanes` most recent if more: a walk asks
+    for each lane's block in turn, so a smaller cache would miss them all."""
+    words = _seed_blocks.pop((seed, block), None)
+    if words is None:
+        words = _seed_block(seed, block)
+    _seed_blocks[seed, block] = words
+    while len(_seed_blocks) > max(SEED_CACHE_BLOCKS, lanes):
+        del _seed_blocks[next(iter(_seed_blocks))]
+    return words
+
+
 def _seed_block(seed: int, block: int) -> Array:
     """`SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(4, np.uint64)`
     for the SEED_BLOCK slots t of a block, as a read-only (SEED_BLOCK, 4) array.

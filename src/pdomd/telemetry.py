@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import json
 import math
+import mmap
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, TYPE_CHECKING
@@ -117,9 +118,12 @@ class RecordCollector:
 
     `core.run` and the experiment harness both build their records here, so
     a record means the same thing whichever of them wrote it. Given `lanes`,
-    it collects a lane walk of that many seeds, one record per lane."""
+    it collects a lane walk of that many seeds, one record per lane. With
+    `shared`, the columns live in anonymous shared mappings, so processes
+    forked after construction read the rows as they are added."""
 
-    def __init__(self, problem: ProblemInstance, horizon: int, lanes: Optional[int] = None):
+    def __init__(self, problem: ProblemInstance, horizon: int, lanes: Optional[int] = None,
+                 shared: bool = False):
         self.problem = problem
         lead = () if lanes is None else (lanes,)
         wide = {
@@ -127,8 +131,9 @@ class RecordCollector:
             "ineq_realized": problem.n_ineq,
             "eq_realized": problem.n_eq,
         }
+        zeros = _shared_zeros if shared else np.zeros
         self.columns = {
-            field: np.zeros((*lead, horizon, wide[field]) if field in wide else (*lead, horizon))
+            field: zeros((*lead, horizon, wide[field]) if field in wide else (*lead, horizon))
             for field, _ in COLUMNS
         }
         self.started = time.perf_counter()
@@ -166,6 +171,12 @@ class RecordCollector:
             wall_time_s=time.perf_counter() - self.started,
             **columns,
         )
+
+
+def _shared_zeros(shape: Tuple[int, ...]) -> Array:
+    size = math.prod(shape)
+    # an anonymous mapping starts zeroed, and mmap refuses an empty one
+    return np.frombuffer(mmap.mmap(-1, 8 * size or 1), float, size).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -511,11 +522,27 @@ def export(obj, fmt: str, path) -> None:
 
 
 def _export_record_csv(record: RunRecord, path) -> None:
-    blocks = [getattr(record, field) for field, _ in COLUMNS]
-    names = _column_names([block.shape[-1] for block in blocks])
+    table = np.column_stack([getattr(record, field) for field, _ in COLUMNS])
     with open(path, "w", newline="") as fh:
-        fh.write("# pdomd-run v1 " + json.dumps(_header_dict(record)) + "\n")
-        write_table(fh, names, [np.arange(record.horizon).astype(object), *blocks])
+        fh.write(record_head(record))
+        for lo in range(0, record.horizon, TABLE_ROWS):
+            fh.write(record_rows(table[lo:lo + TABLE_ROWS], lo))
+
+
+def record_head(record: RunRecord) -> str:
+    """A record CSV's header line and column row."""
+    names = _column_names([getattr(record, field).shape[-1] for field, _ in COLUMNS])
+    return "# pdomd-run v1 " + json.dumps(_header_dict(record)) + "\n" + ",".join(names) + "\r\n"
+
+
+def record_rows(table: Array, first: int) -> str:
+    """The record CSV rows of slots first, first + 1, ...: `table` holds each
+    slot's COLUMNS cells side by side, a (rows, width) float array. The
+    bytes are those `write_table` writes with the slot index as an integer
+    column."""
+    return "".join(
+        f"{t},{','.join(map(repr, row))}\r\n" for t, row in enumerate(table.tolist(), first)
+    )
 
 
 def _export_record_json(record: RunRecord, path) -> None:

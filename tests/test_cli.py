@@ -31,7 +31,7 @@ from pdomd.config import (
     write_price_trace,
 )
 from pdomd.experiment import run_experiment, sweep_rates
-from pdomd.errors import ConfigError
+from pdomd.errors import ConfigError, PdomdError
 from pdomd.telemetry import COLUMNS, compute_metrics, import_record
 
 
@@ -514,14 +514,39 @@ class TestRunExperiment:
         assert f"seed {seeds[0]}, slot 19: observation is not finite" in capsys.readouterr().err
         assert not list((tmp_path / "out" / "records").glob("*.csv"))
 
+    def test_failed_walk_leaves_nothing_behind(self, tmp_path, monkeypatch):
+        # a forked writer has had rows of the first blocks when the last slot fails
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        build = build_synthetic_problem
+        monkeypatch.setattr(
+            "pdomd.config.build_synthetic_problem", lambda *args: poisoned(build(*args), 3, 599)
+        )
+        entries = dict(
+            scenario="synthetic", T=600, seeds=[3, 4],
+            synthetic={"d": 4, "n_ineq": 1, "n_eq": 1}, out_dir=str(tmp_path / "out"),
+        )
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(PdomdError, match="seed 3, slot 599: observation is not finite"):
+            run_experiment(config_from_mapping(entries))
+        assert not list((tmp_path / "out" / "records").glob("*.csv"))
+        assert multiprocessing.active_children() == []
+        assert len(os.listdir("/proc/self/fd")) == fds
+        monkeypatch.undo()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        run_experiment(config_from_mapping(entries))
+        assert len(list((tmp_path / "out" / "records").glob("*.csv"))) == 2
+        assert multiprocessing.active_children() == []
+        assert len(os.listdir("/proc/self/fd")) == fds
+
     @pytest.mark.parametrize(
         "blocked, named",
         [([2], 2), ([1, 2], 1), ([0, 1], 0)],
-        ids=["child fails", "both fail, parent's seed lower", "both fail, child's seed lower"],
+        ids=["child fails", "both fail, second writer's seed lower",
+             "both fail, first writer's seed lower"],
     )
     def test_unwritable_record_is_exit_3(self, tmp_path, monkeypatch, capsys, blocked, named):
-        # on two CPUs a forked child writes seeds 0 and 2, this process seed 1
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        # on three CPUs one forked writer takes seeds 0 and 2, another seed 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         config_path = write_config(
             tmp_path / "c.json", scenario="synthetic", T=20, seeds=[0, 1, 2],
             synthetic={"d": 4, "n_ineq": 1, "n_eq": 1}, out_dir=str(tmp_path / "out"),
@@ -536,14 +561,14 @@ class TestRunExperiment:
 
     def test_record_writer_death_is_exit_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        parent, export = os.getpid(), experiment.export
+        parent, record_rows = os.getpid(), experiment.record_rows
 
-        def export_or_die(*args):
+        def record_rows_or_die(*args):
             if os.getpid() != parent:
                 os._exit(7)
-            export(*args)
+            return record_rows(*args)
 
-        monkeypatch.setattr(experiment, "export", export_or_die)
+        monkeypatch.setattr(experiment, "record_rows", record_rows_or_die)
         config_path = write_config(
             tmp_path / "c.json", scenario="synthetic", T=20, seeds=[0, 1],
             synthetic={"d": 4, "n_ineq": 1, "n_eq": 1}, out_dir=str(tmp_path / "out"),

@@ -194,6 +194,11 @@ class TestMirrorStep:
             out = mirror_step(EUCLID, s, y, p, alpha)
             assert np.max(np.abs(out - s.project(y - p / alpha))) < 1e-9
 
+    @pytest.mark.parametrize("weight", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_nonpositive_prox_weight_is_named(self, weight):
+        with pytest.raises(GeometryError, match="prox_weight must be positive"):
+            mirror_step(EUCLID, Simplex(2), np.array([0.5, 0.5]), np.zeros(2), weight)
+
     def test_errors(self):
         with pytest.raises(GeometryError):
             mirror_step(EUCLID, Simplex(2), np.array([0.7, 0.7]), np.zeros(2), 1.0)

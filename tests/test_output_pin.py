@@ -132,7 +132,7 @@ def test_outputs_match_pinned_digests(tmp_path, name):
     assert produce(name, tmp_path / "out") == PINNED[name]
 
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
+@pytest.mark.parametrize("cpus", [1, 2, 3], ids=["in-process", "forked", "two-writers"])
 @pytest.mark.parametrize("name", ["datacenter", "synthetic", "synthetic-simplex"])
 def test_record_splits_match_pinned_digests(tmp_path, monkeypatch, name, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))

@@ -1,4 +1,4 @@
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -12,13 +12,16 @@ from pdomd import (
     Simplex,
     build_datacenter_problem,
     build_synthetic_problem,
+    iterate_run,
     make_linear_problem,
+    parameter_schedule,
     reac_schedule,
     run,
     service_curve,
     service_curve_inverse,
     slot_rng,
 )
+from pdomd import problems
 from pdomd.problems import (
     BUDGET_MEAN,
     CLUSTER_SIZE,
@@ -264,6 +267,27 @@ class TestSampleBlock:
         prob.sample_block((0, 1), 1, 3)
         with pytest.raises(ProblemError, match="slot 3 beyond trace length 3"):
             prob.sample_block((0, 1), 2, 4)
+
+    def test_wide_walk_hashes_each_seed_block_once(self, monkeypatch):
+        # the walk asks for every lane's seed block in turn, so the cache
+        # must hold one per lane even past SEED_CACHE_BLOCKS lanes
+        hashed = Counter()
+        seed_block = problems._seed_block
+
+        def counted(seed, block):
+            hashed[seed, block] += 1
+            return seed_block(seed, block)
+
+        monkeypatch.setattr(problems, "_seed_block", counted)
+        monkeypatch.setattr(problems, "_seed_blocks", {})
+        lanes = tuple(range(100, 180))
+        assert len(lanes) > problems.SEED_CACHE_BLOCKS
+        problem = build_synthetic_problem(4, 1, 1, 0)
+        horizon = SEED_BLOCK + 64
+        params = parameter_schedule(horizon, "simplex")
+        for _ in iterate_run(problem, horizon, params, lanes, "simplex"):
+            pass
+        assert hashed == {(seed, block): 1 for seed in lanes for block in (0, 1)}
 
 
 class TestServiceCurve:
