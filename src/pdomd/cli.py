@@ -12,7 +12,8 @@ Subcommands:
   audit      re-derive a run record's metrics from files alone, checking
              its per-slot bound at each slot's worst comparator
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error.  All outputs
+Exit codes: 0 success, 2 configuration error, 3 runtime error (an
+unwritable output or sizes too large to allocate included).  All outputs
 embed the resolved configuration hash so a record can be audited later
 against the exact configuration that produced it.
 """
@@ -161,6 +162,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (PdomdError, OSError) as exc:  # OSError: an output path cannot be written
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # sizes in the config or flags too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +51,41 @@ class DatacenterSettings:
     pareto_shape: float = 2.5
 
 
+# One row per setting: (JSON key, field, kind, minimum), in the order
+# config_from_mapping checks them, so that of several faults the first is
+# named. An integer must be at least its minimum and a number must exceed
+# it; a kind ending in "?" also takes null, and a class kind is a section.
+_OVERRIDES = (
+    ("V", "objective_weight", "number?", None),
+    ("alpha", "prox_weight", "number?", None),
+    ("theta", "mixing_weight", "number?", None),
+)
+_SECTION_ROWS = {
+    SyntheticSettings: (
+        ("d", "dimension", "int", 2),
+        ("n_ineq", "n_ineq", "int", 0),
+        ("n_eq", "n_eq", "int", 0),
+        ("instance_seed", "instance_seed", "int", 0),
+    ),
+    DatacenterSettings: (
+        ("trace", "trace", "path?", None),
+        ("pareto_shape", "pareto_shape", "number", 1),
+        ("trace_seed", "trace_seed", "int", 0),
+    ),
+}
+_ROWS = (
+    ("scenario", "scenario", "scenario", None),
+    ("T", "horizon", "int", 2),
+    ("seeds", "seeds", "seeds", 0),
+    ("variant", "variant", "variant?", None),
+    *_OVERRIDES,
+    ("synthetic", "synthetic", SyntheticSettings, None),
+    ("datacenter", "datacenter", DatacenterSettings, None),
+    ("out_dir", "out_dir", "text", None),
+    ("sweep_T", "sweep_horizons", "horizons", 2),
+)
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str = "synthetic"
@@ -73,207 +108,121 @@ class ExperimentConfig:
 
     @property
     def has_param_overrides(self) -> bool:
-        return any(
-            v is not None
-            for v in (self.objective_weight, self.prox_weight, self.mixing_weight)
-        )
+        return bool(self._overrides())
+
+    def _overrides(self) -> dict:
+        """The schedule values this config replaces, by AlgorithmParams field."""
+        overrides = {}
+        for _, field, _, _ in _OVERRIDES:
+            if getattr(self, field) is not None:
+                overrides[field] = getattr(self, field)
+        return overrides
 
     def params_for(self, horizon: int) -> AlgorithmParams:
         params = parameter_schedule(horizon, self.resolved_variant)
-        overrides = {}
-        if self.objective_weight is not None:
-            overrides["objective_weight"] = self.objective_weight
-        if self.prox_weight is not None:
-            overrides["prox_weight"] = self.prox_weight
-        if self.mixing_weight is not None:
-            overrides["mixing_weight"] = self.mixing_weight
+        overrides = self._overrides()
         if overrides:
             params = dataclasses.replace(params, **overrides)
         return params
 
     def canonical(self) -> dict:
-        """Everything that affects results; the output directory does not."""
-
-        def as_float(value):
-            return None if value is None else float(value)
-
-        return {
-            "scenario": self.scenario,
-            "T": self.horizon,
-            "seeds": list(self.seeds),
-            "variant": self.resolved_variant,
-            "V": as_float(self.objective_weight),
-            "alpha": as_float(self.prox_weight),
-            "theta": as_float(self.mixing_weight),
-            "synthetic": dataclasses.asdict(self.synthetic),
-            "datacenter": dataclasses.asdict(self.datacenter),
-            "sweep_T": list(self.sweep_horizons),
-        }
+        """Everything that affects results; the output directory does not.
+        An unset override hashes as null and a section under its field
+        names (`dimension`, not `d`)."""
+        values = config_to_mapping(self)
+        del values["out_dir"]
+        for key, field, kind, _ in _ROWS:
+            value = getattr(self, field)
+            if isinstance(kind, type):
+                values[key] = dataclasses.asdict(value)
+            elif kind == "number?":
+                values[key] = None if value is None else float(value)
+        return values
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _expect_mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object")
+def _read(value, path: str, kind, minimum):
+    """One setting's value, checked against its row's kind and minimum."""
+    if isinstance(kind, type):
+        return kind(**dict(_section(value, _SECTION_ROWS[kind], path)))
+    if kind.endswith("?"):
+        if value is None:
+            return None
+        kind = kind[:-1]
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: expected an integer")
+        if value < minimum:
+            raise ConfigError(f"{path}: must be at least {minimum}")
+        return value
+    if kind == "number":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{path}: expected a number")
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}: expected a finite number")
+        if minimum is not None and number <= minimum:
+            raise ConfigError(f"{path}: must exceed {minimum}")
+        return number
+    if kind == "seeds":
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: expected a nonempty list of integers")
+        seeds = tuple(_read(s, f"{path}[{i}]", "int", minimum) for i, s in enumerate(value))
+        if len(set(seeds)) != len(seeds):
+            raise ConfigError(f"{path}: duplicate entries")
+        return seeds
+    if kind == "horizons":
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list of integers")
+        horizons = tuple(_read(t, f"{path}[{i}]", "int", minimum) for i, t in enumerate(value))
+        if any(b <= a for a, b in zip(horizons, horizons[1:])):
+            raise ConfigError(f"{path}: horizons must be strictly increasing")
+        return horizons
+    if kind == "scenario" and value not in ("synthetic", "datacenter"):
+        raise ConfigError(f"{path}: must be 'synthetic' or 'datacenter'")
+    if kind == "variant" and value not in VARIANTS:
+        raise ConfigError(f"{path}: must be one of {VARIANTS}")
+    if kind == "path" and not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a path string or null")
+    if kind == "text" and not (isinstance(value, str) and value):
+        raise ConfigError(f"{path}: expected a nonempty string")
     return value
 
 
-def _expect_int(value, path: str, minimum: Optional[int] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be at least {minimum}")
-    return value
-
-
-def _expect_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{path}: expected a finite number")
-    return number
-
-
-def _reject_unknown(mapping: dict, allowed: Sequence[str], path: str) -> None:
-    for key in mapping:
-        if key not in allowed:
+def _section(raw, rows, path: str, extra_keys=()):
+    """Yield (field, value) for each row whose key `raw` sets, in row order,
+    once `raw` is known to be an object with no key outside the rows."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'config'}: expected an object")
+    known = [key for key, _, _, _ in rows] + list(extra_keys)
+    for key in raw:
+        if key not in known:
             where = f"{path}.{key}" if path else key
             raise ConfigError(f"unknown key {where!r}")
+    for key, field, kind, minimum in rows:
+        if key in raw:
+            yield field, _read(raw[key], f"{path}.{key}" if path else key, kind, minimum)
 
 
 def config_from_mapping(raw: dict) -> ExperimentConfig:
-    raw = _expect_mapping(raw, "config")
-    _reject_unknown(
-        raw,
-        (
-            "scenario",
-            "T",
-            "seeds",
-            "variant",
-            "V",
-            "alpha",
-            "theta",
-            "synthetic",
-            "datacenter",
-            "out_dir",
-            "sweep_T",
-            "config_hash",
-        ),
-        "",
-    )
-    config = ExperimentConfig()
-
-    scenario = raw.get("scenario", config.scenario)
-    if scenario not in ("synthetic", "datacenter"):
-        raise ConfigError("scenario: must be 'synthetic' or 'datacenter'")
-
-    horizon = _expect_int(raw.get("T", config.horizon), "T", minimum=2)
-
-    seeds_raw = raw.get("seeds", list(config.seeds))
-    if not isinstance(seeds_raw, list) or not seeds_raw:
-        raise ConfigError("seeds: expected a nonempty list of integers")
-    seeds = tuple(_expect_int(s, f"seeds[{i}]", minimum=0) for i, s in enumerate(seeds_raw))
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds: duplicate entries")
-
-    variant = raw.get("variant")
-    if variant is not None and variant not in VARIANTS:
-        raise ConfigError(f"variant: must be one of {VARIANTS}")
-    if scenario == "datacenter" and variant == "simplex":
-        raise ConfigError(
-            "variant: the datacenter decision set is a box; "
-            "the simplex variant does not apply"
-        )
-
-    v = raw.get("V")
-    alpha = raw.get("alpha")
-    theta = raw.get("theta")
-    if v is not None:
-        v = _expect_number(v, "V")
-    if alpha is not None:
-        alpha = _expect_number(alpha, "alpha")
-    if theta is not None:
-        theta = _expect_number(theta, "theta")
-
-    synth = config.synthetic
-    if "synthetic" in raw:
-        section = _expect_mapping(raw["synthetic"], "synthetic")
-        _reject_unknown(
-            section, ("d", "n_ineq", "n_eq", "instance_seed"), "synthetic"
-        )
-        synth = SyntheticSettings(
-            dimension=_expect_int(
-                section.get("d", synth.dimension), "synthetic.d", minimum=2
-            ),
-            n_ineq=_expect_int(
-                section.get("n_ineq", synth.n_ineq), "synthetic.n_ineq", minimum=0
-            ),
-            n_eq=_expect_int(
-                section.get("n_eq", synth.n_eq), "synthetic.n_eq", minimum=0
-            ),
-            instance_seed=_expect_int(
-                section.get("instance_seed", synth.instance_seed),
-                "synthetic.instance_seed",
-                minimum=0,
-            ),
-        )
-        if synth.n_eq >= synth.dimension:
+    fields = {}
+    for field, value in _section(raw, _ROWS, "", extra_keys=("config_hash",)):
+        fields[field] = value
+        if field == "variant" and value == "simplex" and fields.get("scenario") == "datacenter":
+            raise ConfigError(
+                "variant: the datacenter decision set is a box; "
+                "the simplex variant does not apply"
+            )
+        if field == "synthetic" and value.n_eq >= value.dimension:
             raise ConfigError("synthetic.n_eq: must be smaller than synthetic.d")
-
-    dc = config.datacenter
-    if "datacenter" in raw:
-        section = _expect_mapping(raw["datacenter"], "datacenter")
-        _reject_unknown(section, ("trace", "trace_seed", "pareto_shape"), "datacenter")
-        trace = section.get("trace", dc.trace)
-        if trace is not None and not isinstance(trace, str):
-            raise ConfigError("datacenter.trace: expected a path string or null")
-        shape = _expect_number(
-            section.get("pareto_shape", dc.pareto_shape), "datacenter.pareto_shape"
-        )
-        if shape <= 1.0:
-            raise ConfigError("datacenter.pareto_shape: must exceed 1")
-        dc = DatacenterSettings(
-            trace=trace,
-            trace_seed=_expect_int(
-                section.get("trace_seed", dc.trace_seed), "datacenter.trace_seed", minimum=0
-            ),
-            pareto_shape=shape,
-        )
-
-    out_dir = raw.get("out_dir", config.out_dir)
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError("out_dir: expected a nonempty string")
-
-    sweep_raw = raw.get("sweep_T", list(config.sweep_horizons))
-    if not isinstance(sweep_raw, list):
-        raise ConfigError("sweep_T: expected a list of integers")
-    sweep = tuple(
-        _expect_int(t, f"sweep_T[{i}]", minimum=2) for i, t in enumerate(sweep_raw)
-    )
-    if any(b <= a for a, b in zip(sweep, sweep[1:])):
-        raise ConfigError("sweep_T: horizons must be strictly increasing")
-
-    config = ExperimentConfig(
-        scenario=scenario,
-        horizon=horizon,
-        seeds=seeds,
-        variant=variant,
-        objective_weight=v,
-        prox_weight=alpha,
-        mixing_weight=theta,
-        synthetic=synth,
-        datacenter=dc,
-        out_dir=out_dir,
-        sweep_horizons=sweep,
-    )
-    if theta is not None and config.resolved_variant == "general":
+    config = ExperimentConfig(**fields)
+    if config.mixing_weight is not None and config.resolved_variant == "general":
         raise ConfigError("theta: the general variant has no mixing step")
 
     # Resolved configs written by run_experiment carry their own hash; when a
@@ -293,28 +242,19 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
 
 
 def config_to_mapping(config: ExperimentConfig) -> dict:
-    """Inverse of config_from_mapping: a mapping parse_config accepts."""
-    mapping = {
-        "scenario": config.scenario,
-        "T": config.horizon,
-        "seeds": list(config.seeds),
-        "variant": config.resolved_variant,
-        "synthetic": {
-            "d": config.synthetic.dimension,
-            "n_ineq": config.synthetic.n_ineq,
-            "n_eq": config.synthetic.n_eq,
-            "instance_seed": config.synthetic.instance_seed,
-        },
-        "datacenter": dataclasses.asdict(config.datacenter),
-        "out_dir": config.out_dir,
-        "sweep_T": list(config.sweep_horizons),
-    }
-    if config.objective_weight is not None:
-        mapping["V"] = config.objective_weight
-    if config.prox_weight is not None:
-        mapping["alpha"] = config.prox_weight
-    if config.mixing_weight is not None:
-        mapping["theta"] = config.mixing_weight
+    """Inverse of config_from_mapping: a mapping parse_config accepts. It
+    names the resolved variant and leaves an unset override out."""
+    mapping = {}
+    for key, field, kind, _ in _ROWS:
+        value = getattr(config, field)
+        if field == "variant":
+            value = config.resolved_variant
+        elif isinstance(kind, type):
+            value = {k: getattr(value, f) for k, f, _, _ in _SECTION_ROWS[kind]}
+        elif isinstance(value, tuple):
+            value = list(value)
+        if value is not None:
+            mapping[key] = value
     return mapping
 
 

@@ -7,6 +7,9 @@ import math
 import multiprocessing
 import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +262,153 @@ def test_broken_config_is_exit_2_property(tmp_path_factory, mapping):
     path.write_text(json.dumps(mapping))
     out = str(path.with_name("out"))  # never written: parsing must fail first
     assert main(["run", "--config", str(path), "--out", out]) == 2
+
+
+# Each mapping and the exact ConfigError it raises: one bad value per
+# setting, each rule that links two fields, non-objects, unknown keys, and
+# mappings with several faults, where the first fault in check order is named.
+_CONFIG_ERRORS = [
+    ({"scenario": "lab"}, "scenario: must be 'synthetic' or 'datacenter'"),
+    ({"T": 1}, "T: must be at least 2"),
+    ({"T": 2.5}, "T: expected an integer"),
+    ({"seeds": []}, "seeds: expected a nonempty list of integers"),
+    ({"seeds": [0, -1]}, "seeds[1]: must be at least 0"),
+    ({"seeds": [0, "1"]}, "seeds[1]: expected an integer"),
+    ({"variant": "mirror"}, "variant: must be one of ('general', 'simplex')"),
+    ({"V": "10"}, "V: expected a number"),
+    ({"alpha": math.inf}, "alpha: expected a finite number"),
+    ({"theta": True}, "theta: expected a number"),
+    ({"synthetic": {"d": 1}}, "synthetic.d: must be at least 2"),
+    ({"synthetic": {"n_ineq": -1}}, "synthetic.n_ineq: must be at least 0"),
+    ({"synthetic": {"n_eq": None}}, "synthetic.n_eq: expected an integer"),
+    ({"synthetic": {"instance_seed": -3}}, "synthetic.instance_seed: must be at least 0"),
+    ({"datacenter": {"trace": 7}}, "datacenter.trace: expected a path string or null"),
+    ({"datacenter": {"pareto_shape": "2"}}, "datacenter.pareto_shape: expected a number"),
+    ({"datacenter": {"pareto_shape": 10**400}}, "datacenter.pareto_shape: expected a finite number"),
+    ({"datacenter": {"trace_seed": False}}, "datacenter.trace_seed: expected an integer"),
+    ({"out_dir": ""}, "out_dir: expected a nonempty string"),
+    ({"sweep_T": 100}, "sweep_T: expected a list of integers"),
+    ({"sweep_T": [100, 1]}, "sweep_T[1]: must be at least 2"),
+    ({"config_hash": 5}, "config_hash: expected a string"),
+    # rules
+    ({"seeds": [0, 1, 1]}, "seeds: duplicate entries"),
+    (
+        {"scenario": "datacenter", "variant": "simplex"},
+        "variant: the datacenter decision set is a box; the simplex variant does not apply",
+    ),
+    ({"synthetic": {"d": 3, "n_eq": 3}}, "synthetic.n_eq: must be smaller than synthetic.d"),
+    ({"datacenter": {"pareto_shape": 1}}, "datacenter.pareto_shape: must exceed 1"),
+    ({"sweep_T": [400, 100]}, "sweep_T: horizons must be strictly increasing"),
+    ({"sweep_T": [100, 100]}, "sweep_T: horizons must be strictly increasing"),
+    ({"variant": "general", "theta": 0.01}, "theta: the general variant has no mixing step"),
+    ({"scenario": "datacenter", "theta": 0.01}, "theta: the general variant has no mixing step"),
+    (
+        {"T": 64, "config_hash": "0" * 64},
+        "config_hash: declared 000000000000 does not match the configured values (965f7b717aa3)",
+    ),
+    # non-objects and unknown keys
+    ([], "config: expected an object"),
+    ("config", "config: expected an object"),
+    ({"synthetic": [1]}, "synthetic: expected an object"),
+    ({"datacenter": None}, "datacenter: expected an object"),
+    ({"alpha_beta": 1}, "unknown key 'alpha_beta'"),
+    ({"synthetic": {"dimension": 5}}, "unknown key 'synthetic.dimension'"),
+    ({"datacenter": {"shape": 2.0}}, "unknown key 'datacenter.shape'"),
+    # several faults
+    ({"datacenter": {"trace_seed": -1, "pareto_shape": 0.5}}, "datacenter.pareto_shape: must exceed 1"),
+    ({"T": 1, "unknown": 0}, "unknown key 'unknown'"),
+    ({"synthetic": {"d": 1, "extra": 0}}, "unknown key 'synthetic.extra'"),
+    ({"T": 1, "synthetic": {"extra": 0}}, "T: must be at least 2"),
+    ({"seeds": [2, 2], "variant": "mirror"}, "seeds: duplicate entries"),
+    (
+        {"scenario": "datacenter", "variant": "simplex", "V": "x", "out_dir": ""},
+        "variant: the datacenter decision set is a box; the simplex variant does not apply",
+    ),
+    (
+        {"synthetic": {"d": 3, "n_eq": 3}, "datacenter": {"pareto_shape": 0}},
+        "synthetic.n_eq: must be smaller than synthetic.d",
+    ),
+    ({"datacenter": {"trace": 1, "pareto_shape": 0}}, "datacenter.trace: expected a path string or null"),
+    ({"out_dir": "", "sweep_T": [1]}, "out_dir: expected a nonempty string"),
+    (
+        {"sweep_T": [5, 4], "variant": "general", "theta": 1},
+        "sweep_T: horizons must be strictly increasing",
+    ),
+    ({"variant": "general", "theta": 1, "config_hash": 5}, "theta: the general variant has no mixing step"),
+]
+
+
+@pytest.mark.parametrize("mapping, message", _CONFIG_ERRORS)
+def test_config_error_messages_pinned(mapping, message):
+    with pytest.raises(ConfigError) as caught:
+        config_from_mapping(mapping)
+    assert str(caught.value) == message
+
+
+# A config that sets every key, its config_hash declared.
+_EVERY_KEY = {
+    "scenario": "synthetic",
+    "T": 250,
+    "seeds": [3, 1, 4],
+    "variant": "simplex",
+    "V": 12.5,
+    "alpha": 300,
+    "theta": 0.25,
+    "synthetic": {"d": 6, "n_ineq": 3, "n_eq": 1, "instance_seed": 9},
+    "datacenter": {"trace": "prices.csv", "trace_seed": 5, "pareto_shape": 3},
+    "out_dir": "elsewhere",
+    "sweep_T": [50, 200],
+    "config_hash": "bbacb65ffbecd6ddc404cd5971cd1f45022cb167195f4b0ebedbc3e37f109b80",
+}
+
+
+def test_config_hashes_pinned():
+    default = ExperimentConfig()
+    assert default.config_hash() == (
+        "61cd09ebc1256b02fc25bfaf2a1688f2b3b542bb235dc5c00b442cf5a043303e"
+    )
+    config = config_from_mapping(_EVERY_KEY)
+    assert config.config_hash() == _EVERY_KEY["config_hash"]
+    assert json.dumps(config_to_mapping(config), sort_keys=True) == (
+        '{"T": 250, "V": 12.5, "alpha": 300.0, "datacenter": {"pareto_shape": 3.0, '
+        '"trace": "prices.csv", "trace_seed": 5}, "out_dir": "elsewhere", '
+        '"scenario": "synthetic", "seeds": [3, 1, 4], "sweep_T": [50, 200], '
+        '"synthetic": {"d": 6, "instance_seed": 9, "n_eq": 1, "n_ineq": 3}, '
+        '"theta": 0.25, "variant": "simplex"}'
+    )
+    assert repr(config) == (
+        "ExperimentConfig(scenario='synthetic', horizon=250, seeds=(3, 1, 4), "
+        "variant='simplex', objective_weight=12.5, prox_weight=300.0, "
+        "mixing_weight=0.25, synthetic=SyntheticSettings(dimension=6, n_ineq=3, "
+        "n_eq=1, instance_seed=9), datacenter=DatacenterSettings(trace='prices.csv', "
+        "trace_seed=5, pareto_shape=3.0), out_dir='elsewhere', sweep_horizons=(50, 200))"
+    )
+    assert config.has_param_overrides and not default.has_param_overrides
+    params = config.params_for(50)
+    assert (params.objective_weight, params.prox_weight, params.mixing_weight) == (
+        12.5, 300.0, 0.25,
+    )
+
+
+def test_readme_config_table_matches_defaults():
+    readme = (REPO / "README.md").read_text()
+    table = readme.split("Config schema", 1)[1].split("\n\n")[1].splitlines()
+    documented = {}
+    for line in table[2:]:  # past the header and its rule
+        key_cell, default_cell = line.strip("| ").split(" | ")[:2]
+        for key in re.findall(r"`(\w+)`", key_cell):
+            documented[key] = default_cell.strip("`")
+    defaults = config_to_mapping(ExperimentConfig())
+    assert set(documented) == set(defaults) | {"V", "alpha", "theta"}
+    for key, default in documented.items():
+        if key in ("V", "alpha", "theta"):  # unset: the schedule supplies them
+            assert default == "schedule"
+        elif key == "variant":
+            assert default == "per scenario"
+        elif key == "seeds":
+            assert list(parse_seed_range(default.strip("[]"))) == defaults[key]
+        else:
+            assert json.loads(default) == defaults[key], key
 
 
 class TestSeedRange:
@@ -1016,6 +1166,30 @@ class TestMainExitCodes:
             assert main(argv) == 3
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_unallocatable_sizes_are_exit_3(self, tmp_path):
+        def cap_address_space():  # the allocation fails at once, never grows
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        config_path = write_config(
+            tmp_path / "c.json", T=20, seeds=[0], synthetic={"d": 10**11},
+            out_dir=str(tmp_path / "out"),
+        )
+        paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        for argv in (
+            ["run", "--config", str(config_path)],  # 745 GiB for d = 10**11
+            ["gen-trace", "--out", str(tmp_path / "t.csv"), "--slots", str(10**12)],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "pdomd", *argv], capture_output=True, text=True,
+                env=env, preexec_fn=cap_address_space, timeout=120,
+            )
+            assert proc.returncode == 3, proc.stderr
+            assert proc.stderr.startswith("error: out of memory: Unable to allocate")
+            assert proc.stderr.count("\n") == 1  # no traceback
+        assert not (tmp_path / "out").exists() and not (tmp_path / "t.csv").exists()
 
     def test_seed_override_applies(self, tmp_path):
         config_path = write_config(
