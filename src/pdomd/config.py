@@ -56,8 +56,8 @@ class DatacenterSettings:
 # named. An integer must be at least its minimum and a number must exceed
 # it; a kind ending in "?" also takes null, and a class kind is a section.
 _OVERRIDES = (
-    ("V", "objective_weight", "number?", None),
-    ("alpha", "prox_weight", "number?", None),
+    ("V", "objective_weight", "number?", 0),
+    ("alpha", "prox_weight", "number?", 0),
     ("theta", "mixing_weight", "number?", None),
 )
 _SECTION_ROWS = {
@@ -222,8 +222,11 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
         if field == "synthetic" and value.n_eq >= value.dimension:
             raise ConfigError("synthetic.n_eq: must be smaller than synthetic.d")
     config = ExperimentConfig(**fields)
-    if config.mixing_weight is not None and config.resolved_variant == "general":
-        raise ConfigError("theta: the general variant has no mixing step")
+    if config.mixing_weight is not None:
+        if config.resolved_variant == "general":
+            raise ConfigError("theta: the general variant has no mixing step")
+        if not 0 <= config.mixing_weight < 1:
+            raise ConfigError("theta: must lie in [0, 1)")
 
     # Resolved configs written by run_experiment carry their own hash; when a
     # file declares one it must match what the values actually hash to, so a

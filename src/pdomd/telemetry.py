@@ -10,7 +10,9 @@ walk; `compute_metrics` and `dpp_audit` are views of it. `COLUMNS` lays
 out the record's columns for `RecordCollector`, the exporters and the importers; in CSV they read
 t, mu_0..mu_{d-1}, f_realized, g_0..g_{L-1}, h_0..h_{M-1}, q_norm, h_norm, drift
 in repr precision, so import reproduces the record bit-exactly. Import
-rejects a NaN or infinite cell and a column row out of that layout.
+rejects a NaN or infinite cell and a column row out of that layout. The CSV
+import checks the lines as text and converts their unquoted cells in one
+call; lines end in "\r\n" or "\n", and blank ones are skipped.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, ProblemError, ReplayMismatchError
 from .geometry import VARIANT_GEOMETRY, prox_base
-from .problems import ObservationBatch, ProblemInstance
+from .problems import SEED_BLOCK, ObservationBatch, ProblemInstance
 
 if TYPE_CHECKING:
     from .core import AlgorithmParams, SolverState, StepOutcome
@@ -37,7 +39,7 @@ Array = np.ndarray
 
 _REPLAY_TOL = 1e-9
 TABLE_ROWS = 500  # table rows held as Python values at a time
-SCORE_BLOCK = 64  # slots the audit draws and checks together
+SCORE_BLOCK = SEED_BLOCK  # slots the audit draws and checks together
 
 #: The record's per-slot columns in file order, as (RunRecord field, CSV name).
 #: A CSV name ending in "_" means a (T, k) field, one numbered column per entry.
@@ -320,14 +322,14 @@ def replay_record(
 
     A record whose (dimension, n_ineq, n_eq) are not the problem's raises
     ProblemError; the divergence is the one `VARIANT_GEOMETRY` gives its variant.
-    Slot t is drawn once, SCORE_BLOCK slots at a time by
-    `problem.sample_block`, and each block is checked with stacked
-    products. The walk checks the objective at decisions[t] and takes
-    f^t(mu_star) unless mu_star is None; advances Q and H with slot t and
-    checks their norms against row t+1;
-    and evaluates the drift-plus-penalty residual of slot t+1, whose step
-    used slot t's functions and Q(t+1), H(t+1), at its worst comparator:
-    entry t-1 of the (T-1,) residuals, where positive or NaN means violated.
+    Slot t is drawn once, SCORE_BLOCK (SEED_BLOCK, as a one-lane walk)
+    slots at a time by `problem.sample_block`, and each block is checked
+    with stacked products. The walk checks the objective at decisions[t]
+    and takes f^t(mu_star) unless mu_star is None; advances Q and H with
+    slot t and checks their norms against row t+1; and evaluates the
+    drift-plus-penalty residual of slot t+1, whose step used slot t's
+    functions and Q(t+1), H(t+1), at its worst comparator: entry t-1 of
+    the (T-1,) residuals, where positive or NaN means violated.
     A disagreement, NaN included, raises ReplayMismatchError at the first
     slot that has one. The drift column is trusted as recorded, so a
     corrupted value shows up as a violation, not a replay mismatch.
@@ -630,37 +632,48 @@ def import_record(path) -> RunRecord:
 
 def _import_record_csv(path) -> RunRecord:
     with open(path, newline="") as fh:
-        header_line = fh.readline()
-        prefix = "# pdomd-run v1 "
-        if not header_line.startswith(prefix):
-            raise ProblemError(f"{path}: not a run record export")
-        header = json.loads(header_line[len(prefix):])
-        reader = csv.reader(fh)
-        names = next(reader, [])
-        widths = [
-            sum(n.startswith(csv_name) and n[len(csv_name):].isdigit() for n in names)
-            if csv_name.endswith("_") else 1
-            for _, csv_name in COLUMNS
-        ]
-        if names != _column_names(widths):
-            raise ProblemError(f"{path}: column row does not match the record layout")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            # reader.line_num counts lines after the header line read above
-            where = f"{path}:{reader.line_num + 1}"
-            if len(row) != len(names):
+        header_line, _, body = fh.read().partition("\n")
+    prefix = "# pdomd-run v1 "
+    if not header_line.startswith(prefix):
+        raise ProblemError(f"{path}: not a run record export")
+    header = json.loads(header_line[len(prefix):])
+    column_row, *lines = body.split("\n")
+    names = column_row.removesuffix("\r").split(",")
+    widths = [
+        sum(n.startswith(csv_name) and n[len(csv_name):].isdigit() for n in names)
+        if csv_name.endswith("_") else 1
+        for _, csv_name in COLUMNS
+    ]
+    if names != _column_names(widths):
+        raise ProblemError(f"{path}: column row does not match the record layout")
+    rows = [(number, line) for number, line in enumerate(lines, 3) if line not in ("", "\r")]
+
+    def cells(data_lines):  # every cell after the slot cell, in one conversion
+        return np.loadtxt(data_lines, delimiter=",", comments=None, quotechar=None,
+                          usecols=range(1, len(names)), ndmin=2)
+
+    try:
+        # the slots read 0..T-1, in order
+        if any(line.count(",") != len(names) - 1 or not line.startswith(f"{k},")
+               for k, (_, line) in enumerate(rows)):
+            raise ValueError("a line's cell count or slot cell")
+        data = cells([line for _, line in rows]) if rows else np.empty((0, len(names) - 1))
+    except ValueError:
+        # name the first faulty line; within it, the first fault in this order
+        for k, (number, line) in enumerate(rows):
+            where = f"{path}:{number}"
+            if line.count(",") != len(names) - 1:
                 raise ProblemError(
-                    f"{where}: expected {len(names)} columns, got {len(row)}"
-                )
-            if row[0] != str(len(rows)):  # the slots read 0..T-1, in order
-                raise ProblemError(f"{where}: slot cell {row[0]!r}, expected {len(rows)}")
+                    f"{where}: expected {len(names)} columns, got {line.count(',') + 1}"
+                ) from None
+            if not line.startswith(f"{k},"):
+                slot = line[:line.find(",")]
+                raise ProblemError(f"{where}: slot cell {slot!r}, expected {k}") from None
             try:
-                rows.append([float(x) for x in row[1:]])
+                cells([line])
             except ValueError:
                 raise ProblemError(f"{where}: non-numeric cell") from None
-    data = np.array(rows, dtype=float).reshape(len(rows), len(names) - 1)
+        raise
     blocks = np.split(data, np.cumsum(widths)[:-1], axis=1)
     columns = {
         field: block if csv_name.endswith("_") else block[:, 0]

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from pdomd import (
     build_synthetic_problem, cli, core, experiment, hindsight_optimum, iterate_run, run,
 )
-from pdomd.problems import reac_schedule
+from pdomd.problems import SEED_BLOCK, reac_schedule
 from pdomd.cli import main
 from pdomd.config import (
     ExperimentConfig,
@@ -84,6 +84,20 @@ class TestConfigParsing:
             assert main(["run", "--config", str(path)]) == 2
             assert key in capsys.readouterr().err
 
+    def test_override_ranges_rejected_by_key(self, tmp_path, capsys):
+        # before the run starts, under the config's key, not the params field
+        for entries, message in (
+            ({"V": -1}, "V: must exceed 0"),
+            ({"alpha": 0}, "alpha: must exceed 0"),
+            ({"theta": 1.5}, "theta: must lie in [0, 1)"),
+        ):
+            path = write_config(tmp_path / "c.json", T=50, seeds=[0], **entries)
+            out = tmp_path / "out"
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+        assert config_from_mapping({"V": 1e-300, "alpha": 5e-324, "theta": 0}).mixing_weight == 0
+
     def test_theta_rejected_on_general_variant(self):
         with pytest.raises(ConfigError, match="theta"):
             config_from_mapping({"variant": "general", "theta": 0.01})
@@ -142,6 +156,7 @@ class TestConfigParsing:
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
@@ -173,10 +188,10 @@ def config_mappings(draw):
         mapping["variant"] = variant
     for key in ("V", "alpha"):
         if draw(st.booleans()):
-            mapping[key] = draw(_FINITE)
+            mapping[key] = draw(_POSITIVE)
     if (variant or ("general" if scenario == "datacenter" else "simplex")) == "simplex":
         if draw(st.booleans()):
-            mapping["theta"] = draw(_FINITE)
+            mapping["theta"] = draw(st.floats(0.0, 1.0, exclude_max=True))
     return mapping
 
 
@@ -230,13 +245,21 @@ _SEED_KEYS = [("seeds", 0), ("synthetic", "instance_seed"), ("datacenter", "trac
 
 @st.composite
 def broken_config_mappings(draw):
-    """A well-formed mapping with one non-finite, unknown or ill-typed key,
-    or one negative seed."""
+    """A well-formed mapping with one non-finite, unknown, ill-typed or
+    out-of-range key, or one negative seed."""
     mapping = draw(config_mappings())
-    kind = draw(st.sampled_from(["non-finite", "unknown", "ill-typed", "negative-seed"]))
+    kind = draw(st.sampled_from(
+        ["non-finite", "unknown", "ill-typed", "negative-seed", "out-of-range"]
+    ))
     if kind == "non-finite":
         path = draw(st.sampled_from(_NUMBER_KEYS))
         value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "out-of-range":
+        path = draw(st.sampled_from([("V",), ("alpha",), ("theta",)]))
+        out_of_range = st.floats(max_value=0.0, allow_infinity=False)
+        if path == ("theta",):
+            out_of_range = out_of_range.filter(lambda x: x < 0) | st.floats(1.0, allow_infinity=False)
+        value = draw(out_of_range)
     elif kind == "negative-seed":
         path = draw(st.sampled_from(_SEED_KEYS))
         value = draw(st.integers(max_value=-1))
@@ -335,6 +358,21 @@ _CONFIG_ERRORS = [
         "sweep_T: horizons must be strictly increasing",
     ),
     ({"variant": "general", "theta": 1, "config_hash": 5}, "theta: the general variant has no mixing step"),
+    # override ranges, checked when the config is read: V and alpha at their
+    # rows, theta's [0, 1) after the general-variant rule
+    ({"V": -1}, "V: must exceed 0"),
+    ({"V": 0}, "V: must exceed 0"),
+    ({"alpha": 0}, "alpha: must exceed 0"),
+    ({"alpha": -2.5}, "alpha: must exceed 0"),
+    ({"theta": 1.5}, "theta: must lie in [0, 1)"),
+    ({"theta": 1}, "theta: must lie in [0, 1)"),
+    ({"theta": -0.01}, "theta: must lie in [0, 1)"),
+    ({"V": 0, "variant": "mirror"}, "variant: must be one of ('general', 'simplex')"),
+    ({"alpha": 0, "synthetic": {"d": 1}}, "alpha: must exceed 0"),
+    ({"theta": 2, "synthetic": {"d": 1}}, "synthetic.d: must be at least 2"),
+    ({"theta": 2, "sweep_T": [5, 4]}, "sweep_T: horizons must be strictly increasing"),
+    ({"theta": 2, "variant": "general"}, "theta: the general variant has no mixing step"),
+    ({"theta": 2, "config_hash": "0" * 64}, "theta: must lie in [0, 1)"),
 ]
 
 
@@ -893,8 +931,9 @@ class TestSweep:
         assert on_disk == json.loads(json.dumps(report))
 
 
-def count_draws(monkeypatch):
-    """Count the lane-slot draws of every synthetic problem `build_problem` builds, by slot."""
+def count_draws(monkeypatch, blocks=None):
+    """Count the lane-slot draws of every synthetic problem `build_problem` builds, by slot;
+    given a list, also append each drawn block's (first, end) to it."""
     draws = collections.Counter()
     build = build_synthetic_problem
 
@@ -902,6 +941,8 @@ def count_draws(monkeypatch):
         problem = build(*args)
 
         def sample_block(seeds, first, end):
+            if blocks is not None:
+                blocks.append((first, end))
             for t in range(first, end):
                 draws[t] += len(seeds)
             return problem.sample_block(seeds, first, end)
@@ -1073,7 +1114,25 @@ class TestMainExitCodes:
         deep = "[" * 200_000 + "]" * 200_000
         deep_json = ['{"columns": ' + deep + "}"]
         deep_header = ["# pdomd-run v1 " + deep] + lines[1:]
+        # a data line's faults, in the order they are checked: its column
+        # count, then its slot cell, then its cells; of faults on several
+        # lines the first line is named, by its number in the file
+        slot_first = with_cell("9", column=0)
+        slot_first[6] = with_cell("x", line=6)[6]
+        cell_then_truncated = with_cell("abc")[:5] + truncated[5:]
+        two_cells = with_cell("abc", line=7)
+        two_cells[3] = with_cell("x")[3]
+        blank_then_fault = lines[:5] + [""] + with_cell("abc", line=7)[5:]
+        blank_then_slot = lines[:5] + [""] + with_cell("3", line=6, column=0)[5:]
         cases = [
+            (slot_first, "run_seed0.csv:4: slot cell '9', expected 1"),
+            (cell_then_truncated, "run_seed0.csv:4: non-numeric cell"),
+            (two_cells, "run_seed0.csv:4: non-numeric cell"),
+            (blank_then_fault, "run_seed0.csv:9: non-numeric cell"),
+            (blank_then_slot, "run_seed0.csv:8: slot cell '3', expected 4"),
+            (with_cell('"0.25"'), "run_seed0.csv:4: non-numeric cell"),
+            (with_cell("1_0"), "run_seed0.csv:4: non-numeric cell"),
+            (with_cell('"1"', column=0), """run_seed0.csv:4: slot cell '"1"', expected 1"""),
             (truncated, "run_seed0.csv:6:"),
             (with_cell("abc"), "run_seed0.csv:4:"),
             (with_cell("nan"), "run_seed0.csv: non-finite decisions[1] at slot 1"),
@@ -1105,16 +1164,34 @@ class TestMainExitCodes:
             code = main(["audit", "--config", str(config_path), "--record", str(path)])
             assert code == 3
             assert named in capsys.readouterr().err
+        # "\r\n" and "\n" line ends and blank lines read alike, clean or not
+        for ends in ("\r\n", "\n"):
+            for rows, named in (
+                (lines, None),
+                (lines[:4] + [""] + lines[4:] + [""], None),
+                (with_cell("abc", line=5), "run_seed0.csv:6: non-numeric cell"),
+            ):
+                record_path.write_bytes((ends.join(rows) + ends).encode())
+                code = main(["audit", "--config", str(config_path), "--record", str(record_path)])
+                err = capsys.readouterr().err
+                if named is None:
+                    assert code == 0, err
+                else:
+                    assert code == 3 and named in err
 
     def test_audit_draws_each_slot_once(self, tmp_path, monkeypatch):
+        # the audit draws a one-lane walk's blocks: ceil(T / SEED_BLOCK) calls
+        horizon = 2 * SEED_BLOCK + 60
         config_path = write_config(
-            tmp_path / "c.json", T=60, seeds=[0], out_dir=str(tmp_path / "out")
+            tmp_path / "c.json", T=horizon, seeds=[0], out_dir=str(tmp_path / "out")
         )
         assert main(["run", "--config", str(config_path)]) == 0
-        draws = count_draws(monkeypatch)
+        blocks = []
+        draws = count_draws(monkeypatch, blocks)
         record_path = tmp_path / "out" / "records" / "run_seed0.csv"
         assert main(["audit", "--config", str(config_path), "--record", str(record_path)]) == 0
-        assert draws == {t: 1 for t in range(60)}
+        assert draws == {t: 1 for t in range(horizon)}
+        assert blocks == [(0, SEED_BLOCK), (SEED_BLOCK, 2 * SEED_BLOCK), (2 * SEED_BLOCK, horizon)]
 
     def test_unknown_audit_flag_is_exit_2(self, capsys):
         # the audit checks every slot at its worst comparator: it takes no

@@ -13,6 +13,7 @@ from pdomd import (
     Box,
     DatacenterConfig,
     MetricsSummary,
+    ProblemError,
     ReplayMismatchError,
     RunRecord,
     Simplex,
@@ -259,11 +260,13 @@ class TestDppAudit:
         assert np.isnan(worst)  # a NaN residual is not dropped from the maximum
 
     @pytest.mark.parametrize("variant", AUDIT_SCENARIOS)
-    def test_shifted_decision_flagged(self, variant):
+    def test_shifted_decision_flagged(self, variant, monkeypatch):
         # One decision moved 1% toward a corner, every other column rebuilt
         # from the decisions, so only the bound can tell; every slot is
         # checked, so there is no audit seed to be lucky with. (Slots 63 and
-        # 64 sit on either side of a replay block's edge.)
+        # 64 sit on either side of a replay block's edge, with the replay's
+        # blocks cut to 64 slots.)
+        monkeypatch.setattr(telemetry, "SCORE_BLOCK", 64)
         problem, record = scenario_run(variant, 120)
         assert dpp_audit(replayed_record(record, problem, record.decisions), problem) <= 1e-6
         for slot in (1, 60, 63, 64):
@@ -492,8 +495,32 @@ def records(draw):
     )
 
 
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, 3.0, -42.0, 2.0**53, 1e16, 0.1, np.inf, -np.inf, np.nan)
+
+
+def edge_record():
+    """A record holding every finite edge float in every column."""
+    finite = np.array([x for x in _EDGE_FLOATS if np.isfinite(x)])
+    return RunRecord(
+        problem="edge",
+        variant="general",
+        seed=0,
+        params=AlgorithmParams(objective_weight=1.0, prox_weight=1.0, mixing_weight=0.0),
+        targets=finite[:2],
+        decisions=np.column_stack([finite, finite[::-1]]),
+        objective_realized=finite,
+        ineq_realized=finite[::-1, None],
+        eq_realized=np.column_stack([finite, -finite]),
+        ineq_dual_norm=np.abs(finite),
+        eq_dual_norm=np.abs(finite[::-1]),
+        drift=-finite,
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(record=records())
+@example(record=edge_record())
 def test_record_round_trip_property(tmp_path_factory, record):
     directory = tmp_path_factory.mktemp("round_trip")
     for fmt in ("csv", "json"):
@@ -511,6 +538,39 @@ def test_record_round_trip_property(tmp_path_factory, record):
         assert loaded.geometry == record.geometry, fmt
 
 
+_BAD_TOKENS = ("abc", "", "1_0", '"0.5"', "0x1p3", "1.5.2", "--1", "nan(1)", "\u0661")
+
+
+@settings(max_examples=60, deadline=None)
+@given(record=records().filter(lambda r: r.horizon > 0), data=st.data())
+def test_broken_record_line_is_named(tmp_path_factory, record, data):
+    """Break one data line of an exported record (a cell that is not a
+    number, a dropped cell or a wrong slot number), with either line end:
+    the import names that line of the file."""
+    path = tmp_path_factory.mktemp("broken") / "record.csv"
+    export(record, "csv", path)
+    header, table = path.read_bytes().decode().split("\n", 1)
+    column_row, *rows, _ = table.split("\r\n")
+    slot = data.draw(st.integers(0, record.horizon - 1))
+    cells = rows[slot].split(",")
+    fault = data.draw(st.sampled_from(["token", "dropped", "slot"]))
+    if fault == "token":
+        cells[data.draw(st.integers(1, len(cells) - 1))] = data.draw(st.sampled_from(_BAD_TOKENS))
+    elif fault == "dropped":
+        del cells[data.draw(st.integers(0, len(cells) - 1))]
+    else:
+        cells[0] = data.draw(
+            st.integers(0, 2 * record.horizon).filter(lambda k: k != slot).map(str)
+            | st.sampled_from(["", "x", f"0{slot}", f"{slot}.0", f" {slot}"])
+        )
+    rows[slot] = ",".join(cells)
+    ends = data.draw(st.sampled_from(["\r\n", "\n"]))
+    path.write_bytes((header + "\n" + ends.join([column_row, *rows]) + ends).encode())
+    with pytest.raises(ProblemError) as caught:
+        import_record(path)
+    assert str(caught.value).startswith(f"{path}:{slot + 3}: ")
+
+
 def reference_table(names, index, blocks):
     """A table as csv.writer writes it, one str(int) / repr(float) cell at a time."""
     fh = io.StringIO()
@@ -522,10 +582,6 @@ def reference_table(names, index, blocks):
             row += [repr(float(x)) for x in np.atleast_1d(block[t])]
         writer.writerow(row)
     return fh.getvalue()
-
-
-_EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
-                1.7976931348623157e308, 3.0, -42.0, 2.0**53, 1e16, 0.1, np.inf, -np.inf, np.nan)
 
 
 @st.composite
