@@ -10,7 +10,6 @@ from .errors import (
     OracleError,
     PdomdError,
     ProblemError,
-    ProxConvergenceError,
     ReplayMismatchError,
 )
 from .geometry import (
@@ -40,7 +39,6 @@ from .problems import (
     reac_schedule,
     service_curve,
     service_curve_inverse,
-    slot_rng,
 )
 from .telemetry import (
     MetricsSummary,

@@ -9,10 +9,6 @@ class GeometryError(PdomdError):
     """Invalid geometry/set combination or malformed geometric input."""
 
 
-class ProxConvergenceError(PdomdError):
-    """The numeric proximal solver failed to reach its gap tolerance."""
-
-
 class ProblemError(PdomdError):
     """Malformed problem description or sampler input."""
 

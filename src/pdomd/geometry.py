@@ -14,12 +14,8 @@ together with its three closed forms: an exponentiated-gradient step for
 the simplex under negative entropy, a clipped gradient step for a box under
 the Euclidean potential, and the sort-based Euclidean projection for the
 simplex under the Euclidean potential.  `closed_form_prox` is the one table
-of them, and the engine's step and `mirror_step` both call it.  Every other
-combination, and every `mirror_step` call with ``force_numeric``, runs a
-certified solve: each coordinate is closed form given the multiplier of the
-simplex's normalisation constraint, which is found by bisection, and the
-result is certified through a Frank-Wolfe optimality gap.  Being a
-different algorithm, it also cross-checks the closed forms.
+of them, and the engine's step and `mirror_step` both call it; a pair
+without a closed form is refused.
 
 Both geometries have strong-convexity modulus 1 with respect to their
 natural norm pair (Euclidean: l2/l2; negative entropy on the simplex: l1
@@ -34,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GeometryError, ProxConvergenceError
+from .errors import GeometryError
 
 Array = np.ndarray
 
@@ -80,10 +76,6 @@ class DecisionSet(ABC):
     @abstractmethod
     def initial_point(self) -> Array:
         """Canonical interior starting point."""
-
-    @abstractmethod
-    def sample(self, rng: np.random.Generator) -> Array:
-        """A random member of the set (used by tests and demos)."""
 
 
 @dataclass(frozen=True)
@@ -135,9 +127,6 @@ class Box(DecisionSet):
     def initial_point(self) -> Array:
         return 0.5 * (self.lower + self.upper)
 
-    def sample(self, rng: np.random.Generator) -> Array:
-        return rng.uniform(self.lower, self.upper)
-
 
 @dataclass(frozen=True)
 class Simplex(DecisionSet):
@@ -146,8 +135,10 @@ class Simplex(DecisionSet):
     dim: int
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise GeometryError("simplex dimension must be at least 1")
+        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
+            raise GeometryError(
+                f"simplex dimension must be an integer of at least 1, got {self.dim!r}"
+            )
         object.__setattr__(self, "dim", int(self.dim))
         ranks = np.arange(1, self.dim + 1)  # the projection's 1..d, built once
         ranks.flags.writeable = False
@@ -190,9 +181,6 @@ class Simplex(DecisionSet):
     def initial_point(self) -> Array:
         return np.full(self.dim, 1.0 / self.dim)
 
-    def sample(self, rng: np.random.Generator) -> Array:
-        return rng.dirichlet(np.ones(self.dim))
-
 
 # ---------------------------------------------------------------------------
 # Bregman geometries
@@ -225,10 +213,6 @@ class BregmanGeometry(ABC):
         """Gradient of the generating potential."""
 
     @abstractmethod
-    def potential_grad_inverse(self, z: Array) -> Array:
-        """Inverse of :meth:`potential_grad` (the mirror map back to primal)."""
-
-    @abstractmethod
     def norm(self, v: Array) -> float:
         """Primal norm."""
 
@@ -253,9 +237,6 @@ class EuclideanGeometry(BregmanGeometry):
 
     def potential_grad(self, x: Array) -> Array:
         return np.asarray(x, dtype=float)
-
-    def potential_grad_inverse(self, z: Array) -> Array:
-        return np.asarray(z, dtype=float)
 
     def norm(self, v: Array) -> float:
         return float(np.linalg.norm(v))
@@ -295,9 +276,6 @@ class NegativeEntropyGeometry(BregmanGeometry):
 
     def potential_grad(self, x: Array) -> Array:
         return np.log(np.asarray(x, dtype=float))
-
-    def potential_grad_inverse(self, z: Array) -> Array:
-        return np.exp(np.asarray(z, dtype=float))
 
     def norm(self, v: Array) -> float:
         return float(np.abs(v).sum())
@@ -359,6 +337,8 @@ def mix_toward_uniform(point: Array, mixing_weight: float) -> Array:
     component is at least ``mixing_weight / d``.
     """
     point = _as_vector(point, "point")
+    if not np.isfinite(point).all():
+        raise GeometryError("point must be finite")
     if not 0.0 <= mixing_weight < 1.0:
         raise GeometryError("mixing weight must lie in [0, 1)")
     if mixing_weight == 0.0:
@@ -386,29 +366,19 @@ def mirror_step(
     base: Array,
     coeffs: Array,
     prox_weight: float,
-    *,
-    force_numeric: bool = False,
 ) -> Array:
     """Solve ``argmin_x <coeffs, x> + prox_weight * D(x, base)`` over the set.
 
     Validates its arguments once, then takes the pair's closed form from
-    `closed_form_prox`, the same step the engine takes.  A pair without one
-    runs the certified solve: a bisection on the simplex's normalisation
-    multiplier, uncapped since it stops once its bracket no longer splits
-    (see ``_bisect_normalisation``), whose result must clear a Frank-Wolfe
-    gap of 1e-10.  ``force_numeric`` routes even the closed-form pairs
-    through the certified solve, which is how the closed forms are
-    cross-validated.
+    `closed_form_prox`, the same step the engine takes.
 
     Raises
     ------
     GeometryError
         On malformed inputs (dimension mismatch, base outside the set, an
         entropy base with a zero entry, nonpositive prox weight, coefficients
-        that are not finite once divided by it), or when the certified solve
-        meets a decision set other than a box or a simplex.
-    ProxConvergenceError
-        When the certified solve misses its gap tolerance.
+        that are not finite once divided by it), or for a pair without a
+        closed form, which `core.initial_state` refuses too.
     """
     base = _as_vector(base, "base")
     coeffs = _as_vector(coeffs, "coeffs")
@@ -424,74 +394,12 @@ def mirror_step(
         scaled = coeffs / prox_weight
     if not np.isfinite(scaled).all():
         raise GeometryError("coefficients must be finite")
-
-    closed_form = None if force_numeric else closed_form_prox(geometry, decision_set)
-    if closed_form is not None:
-        return closed_form(base, coeffs, prox_weight)
-
-    # Coordinate i of the minimiser is clip(grad_phi^-1(shifted_i - nu / prox_weight)),
-    # where nu is the multiplier of sum(x) = 1: zero on a box, bisected on a simplex.
-    grad_base = geometry.potential_grad(base)
-    shifted = grad_base - scaled
-    if isinstance(decision_set, Box):
-        with np.errstate(over="ignore"):  # an overflow clips to the upper bound
-            point = decision_set.project(geometry.potential_grad_inverse(shifted))
-        steps = 0
-    elif isinstance(decision_set, Simplex):
-        point, steps = _bisect_normalisation(geometry, shifted)
-    else:
+    closed_form = closed_form_prox(geometry, decision_set)
+    if closed_form is None:
         raise GeometryError(
-            f"no certified prox for a {type(decision_set).__name__} decision set"
+            f"no closed-form prox for {geometry.name} on a {type(decision_set).__name__}"
         )
-
-    # An entropy coordinate that underflowed to zero has an infinite potential
-    # gradient; the smallest normal float stands in for it in the certificate.
-    probe = np.where(point == 0.0, np.finfo(float).tiny, point)
-    grad = coeffs + prox_weight * (geometry.potential_grad(probe) - grad_base)
-    gap = float(grad @ (point - decision_set.support_minimizer(grad)))
-    if not gap <= 1e-10:
-        raise ProxConvergenceError(
-            f"certified prox missed its tolerance: gap {gap:.3e} "
-            f"after {steps} bisection steps"
-        )
-    return point
-
-
-def _bisect_normalisation(geometry: BregmanGeometry, shifted: Array) -> tuple[Array, int]:
-    """Bisect ``s`` until ``x(s) = max(grad_phi^-1(shifted - s), 0)`` sums to one.
-
-    The sum is nonincreasing in ``s``.  It is at least one where the largest
-    coordinate equals one and at most one where every coordinate is at most
-    ``1/d``, which brackets the root.  Each step halves a finite bracket
-    until it can no longer be split in floating point: about 55 steps for a
-    root of order one, at most about 1,100 beside zero where floats are
-    densest.  A NaN or infinite end fails ``lo < mid < hi`` at once.  The
-    upper end's point is returned with its deficit ``1 - sum`` added to its
-    largest coordinate, so it lies in the simplex.
-    """
-
-    def at(s: float) -> Array:
-        return np.maximum(geometry.potential_grad_inverse(shifted - s), 0.0)
-
-    grad_one, grad_uniform = geometry.potential_grad(np.array([1.0, 1.0 / shifted.shape[0]]))
-    top = float(shifted.max())
-    lo, hi = top - float(grad_one), top - float(grad_uniform)
-    point = at(hi)
-    total = float(point.sum())
-    steps = 0
-    while total != 1.0:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        steps += 1
-        candidate = at(mid)
-        candidate_total = float(candidate.sum())
-        if candidate_total > 1.0:
-            lo = mid
-        else:
-            hi, point, total = mid, candidate, candidate_total
-    point[int(np.argmax(point))] += 1.0 - total
-    return point, steps
+    return closed_form(base, coeffs, prox_weight)
 
 
 @dataclass(frozen=True)

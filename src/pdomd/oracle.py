@@ -91,10 +91,11 @@ def _window_program(problem: ProblemInstance, start: int, length: int) -> _Windo
             f"problem {problem.name!r} records no mean model; "
             "offline references need exact means"
         )
-    if start < 0:
-        raise OracleError("window start must be nonnegative")
-    if length < 1:
-        raise OracleError("window length must be at least 1")
+    for name, value, least in (("start", start, 0), ("length", length, 1)):
+        if not (isinstance(value, (int, np.integer)) and value >= least):
+            raise OracleError(
+                f"window {name} must be an integer of at least {least}, got {value!r}"
+            )
     if problem.horizon_cap is not None and start + length > problem.horizon_cap:
         raise OracleError(
             f"window [{start}, {start + length}) runs past the recorded trace "

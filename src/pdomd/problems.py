@@ -20,8 +20,7 @@ zone, Poisson arrivals, Pareto service noise, budget-pacing equalities).
 Its layout and distribution parameters are module constants; only the Pareto
 shape is set per instance, through `DatacenterConfig`.
 
-Every slot of a run draws from its own generator, `slot_rng(seed, t)`, whose
-stream is exactly numpy's
+Every slot of a run draws from its own stream, exactly numpy's
 `default_rng(SeedSequence(entropy=seed, spawn_key=(t,)))`. So a slot's
 functions are fixed by (seed, t): any slot can be replayed alone, which is
 what the record audit relies on, and drawing a block of slots ahead of the
@@ -30,15 +29,14 @@ for blocks of `SEED_BLOCK` slots at once, and the `SEED_CACHE_BLOCKS` most
 recently used blocks (1 MiB), or one per lane of a wider walk, are kept.
 
 Each scenario defines its distribution once, as a function from a slot's raw
-draws to its `SlotFunctions`, over any leading axes. `sample_slot(t, rng)`
-applies it to one generator's draws; `sample_block(seeds, first, end)` draws
-slots first..end-1 of every seed, each from its `slot_rng` stream, and
-applies it once to the whole block, laid out (slot, lane, ...).
+draws to its `SlotFunctions`, over any leading axes. Its
+`sample_block(seeds, first, end)` draws slots first..end-1 of every seed,
+each from its own stream, and applies that function once to the whole
+block, laid out (slot, lane, ...).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -83,25 +81,6 @@ _POOL_SIZE = 4
 _INTEGER = (int, np.integer)  # what a seed or slot may be; a bool is an int
 
 
-def slot_rng(seed: int, slot: int) -> np.random.Generator:
-    """Generator for one slot of one run, replayable in isolation.
-
-    The stream is exactly that of
-    `default_rng(SeedSequence(entropy=seed, spawn_key=(slot,)))`: spawning
-    off the slot index means any single slot's draws can be reproduced
-    without replaying the slots before it, which is what the record audits
-    rely on. The SeedSequence words come from `_seed_block`, which hashes
-    SEED_BLOCK slots at once; the SEED_CACHE_BLOCKS most recently used
-    blocks (1 MiB), or one per lane of a wider walk, are kept. numpy seeds
-    the PCG64 from them. The returned generator cannot `spawn`.
-
-    Raises ProblemError, naming the argument, unless seed and slot are
-    nonnegative integers (Python or numpy; a bool counts as 0 or 1)."""
-    _check_index("seed", seed)
-    _check_index("slot", slot)
-    return np.random.Generator(_block_bits((seed,), slot, slot + 1)[0])
-
-
 def _check_index(name: str, value) -> None:
     if not (isinstance(value, _INTEGER) and value >= 0):
         raise ProblemError(f"{name} must be a nonnegative integer, got {value!r}")
@@ -109,10 +88,15 @@ def _check_index(name: str, value) -> None:
 
 def _block_bits(seeds: Sequence[int], first: int, end: int) -> list:
     """The PCG64 bit generators of slots first..end-1 of every seed, in
-    (slot, lane) order, seeded as `slot_rng` describes.
+    (slot, lane) order. Slot t of a seed gets the state of
+    `default_rng(SeedSequence(entropy=seed, spawn_key=(t,)))`: its
+    SeedSequence words come from `_cached_seed_block`, and numpy seeds the
+    PCG64 from them. Spawning off the slot index means any single slot's
+    draws can be reproduced without replaying the slots before it.
 
     Raises ProblemError, naming the argument, unless every seed and the
-    first slot are nonnegative integers and the end an integer above it."""
+    first slot are nonnegative integers (Python or numpy; a bool counts as
+    0 or 1) and the end an integer above it."""
     for seed in seeds:
         _check_index("seed", seed)
     _check_index("slot", first)
@@ -236,16 +220,20 @@ def _seed_block(seed: int, block: int) -> Array:
 
 def service_curve(power, gain=SERVICE_GAIN, rate=SERVICE_RATE):
     """Mean jobs served by one server at the given power draw."""
-    served = gain * np.log1p(rate * np.asarray(power, dtype=float))
+    power = np.asarray(power, dtype=float)
+    if not (np.isfinite(power).all() and (power >= 0.0).all()):
+        raise ProblemError("power must be finite and nonnegative")
+    served = gain * np.log1p(rate * power)
     return float(served) if served.ndim == 0 else served
 
 
 def service_curve_inverse(target, gain=SERVICE_GAIN, rate=SERVICE_RATE, power_cap=POWER_CAP):
     """Power needed to serve `target` jobs on average, clipped to the range."""
     target = np.asarray(target, dtype=float)
-    if np.any(target < 0.0):
-        raise ProblemError("service target must be nonnegative")
-    power = np.clip(np.expm1(target / gain) / rate, 0.0, power_cap)
+    if not (np.isfinite(target).all() and (target >= 0.0).all()):
+        raise ProblemError("target must be finite and nonnegative")
+    with np.errstate(over="ignore"):  # an overflow is past the cap, and clips to it
+        power = np.clip(np.expm1(target / gain) / rate, 0.0, power_cap)
     return float(power) if power.ndim == 0 else power
 
 
@@ -327,37 +315,19 @@ class SlotFunctions:
 
     Every objective is linear, so it is its coefficient vector. A block of
     slots (`ProblemInstance.sample_block`) lays its slots and lanes along
-    leading axes, (slot, lane, ...), under its first slot's index, as
-    `stack` lays out a list of slots; every method then evaluates each of
-    them at its own point of a (..., d) stack, or all of them at one (d,)
-    point, with one product per slot of the same form a single slot takes,
-    so the values equal a slot-by-slot loop bit for bit. Row families
-    evaluate points of shape (..., d) the same way. A block's arrays are
-    C-contiguous, so each slot's view is laid out as `stack` lays it out:
-    numpy picks BLAS or a plain loop by stride, and the two round
-    differently."""
+    leading axes, (slot, lane, ...), under its first slot's index; every
+    method then evaluates each of them at its own point of a (..., d)
+    stack, or all of them at one (d,) point, with one product per slot of
+    the same form a single slot takes, so the values equal a slot-by-slot
+    loop bit for bit. Row families evaluate points of shape (..., d) the
+    same way. A block's arrays are C-contiguous, so each slot's view is
+    laid out as that slot's own arrays would be: numpy picks BLAS or a
+    plain loop by stride, and the two round differently."""
 
     slot: int
     objective: Array  # (d,), or (..., d)
     inequalities: LinearRows | ServiceRows
     eq_matrix: Array  # (M, d) rows h_j, or (..., M, d)
-
-    @staticmethod
-    def stack(slots: Sequence["SlotFunctions"]) -> "SlotFunctions":
-        """The functions of `slots` along a new leading axis, under the
-        first one's slot index: the layout of a block."""
-        first = slots[0]
-        rows = first.inequalities
-        # np.array stacks equal-shaped arrays as np.stack does, at a third of its cost
-        return SlotFunctions(
-            slot=first.slot,
-            objective=np.array([fns.objective for fns in slots]),
-            inequalities=dataclasses.replace(rows, **{
-                name: np.array([getattr(fns.inequalities, name) for fns in slots])
-                for name, value in vars(rows).items() if isinstance(value, np.ndarray)
-            }),
-            eq_matrix=np.array([fns.eq_matrix for fns in slots]),
-        )
 
     def at(self, k: int) -> "SlotFunctions":
         """Slot `slot + k` of a block, as a view (every lane of it, if any)."""
@@ -437,20 +407,18 @@ class MeanModel:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A decision set, its slot samplers and the exact means where known.
+    """A decision set, its slot sampler and the exact means where known.
 
-    `sample_slot(t, rng)` draws slot t's functions from one generator.
     `sample_block(seeds, first, end)` returns slots first..end-1 of every
     seed as one `SlotFunctions` laid out (slot, lane, ...), each lane-slot
-    equal bit for bit to `sample_slot(t, slot_rng(seed, t))`, and raises
-    slot_rng's ProblemError for a bad seed or slot before it draws."""
+    drawn from its own stream, and raises ProblemError for a bad seed or
+    slot before it draws."""
 
     name: str
     decision_set: DecisionSet
     n_ineq: int
     n_eq: int
     targets: Array  # (M,)
-    sample_slot: Callable[[int, np.random.Generator], SlotFunctions]
     sample_block: Callable[[Sequence[int], int, int], SlotFunctions]
     means: Optional[MeanModel] = None
     horizon_cap: Optional[int] = None
@@ -555,7 +523,7 @@ def make_linear_problem(
         lead = u.shape[:-1]
 
         def part(name: str, mean: Array, shape: tuple) -> Array:
-            out = np.empty((*lead, *shape))  # C-contiguous, as `SlotFunctions.stack` lays it out
+            out = np.empty((*lead, *shape))  # C-contiguous, so each slot's view is too
             if name in spans:
                 span, level = spans[name]
                 low = -level
@@ -572,9 +540,6 @@ def make_linear_problem(
             ),
             eq_matrix=part("eq", h_rows, (n_eq, d)),
         )
-
-    def sample_slot(t: int, rng: np.random.Generator) -> SlotFunctions:
-        return functions(t, t, rng.random(n_draws))
 
     def sample_block(seeds: Sequence[int], first: int, end: int) -> SlotFunctions:
         raw = np.array(
@@ -595,7 +560,6 @@ def make_linear_problem(
         n_ineq=n_ineq,
         n_eq=n_eq,
         targets=b,
-        sample_slot=sample_slot,
         sample_block=sample_block,
         means=means,
     )
@@ -751,8 +715,7 @@ def build_datacenter_problem(
         """The functions of a slot with objective `rows` (d,), from its
         Poisson arrivals and its Lomax draws (2d,), service noise then
         budgets; or of a block, first slot `slot`, from rows (B, 1, d),
-        arrivals (B, S) and draws (B, S, 2d). Every array is C-contiguous,
-        as `SlotFunctions.stack` lays it out."""
+        arrivals (B, S) and draws (B, S, 2d). Every array is C-contiguous."""
         lead = np.shape(arrivals)
         objective = np.empty((*lead, d))
         objective[...] = rows
@@ -765,16 +728,12 @@ def build_datacenter_problem(
         np.multiply(budgets[..., None, :], structure, out=eq_matrix)
         return SlotFunctions(slot, objective, ServiceRows(levels, weights), eq_matrix)
 
-    def sample_slot(t: int, rng: np.random.Generator) -> SlotFunctions:
-        arrivals = rng.poisson(ARRIVAL_MEAN)
-        return functions(t, objective_at(t), arrivals, rng.pareto(shape, 2 * d))
-
     def sample_block(seeds: Sequence[int], first: int, end: int) -> SlotFunctions:
         bits = _block_bits(seeds, first, end)
         objective_at(end - 1)  # refuses a block past the trace
         arrivals = np.empty(len(bits))
         lomax = np.empty((len(bits), 2 * d))
-        for k, lane_slot in enumerate(bits):  # one generator per lane-slot, as slot_rng's
+        for k, lane_slot in enumerate(bits):  # one generator per lane-slot
             rng = np.random.Generator(lane_slot)
             arrivals[k] = rng.poisson(ARRIVAL_MEAN)
             lomax[k] = rng.pareto(shape, 2 * d)
@@ -795,7 +754,6 @@ def build_datacenter_problem(
         n_ineq=1,
         n_eq=4,
         targets=np.zeros(4),
-        sample_slot=sample_slot,
         sample_block=sample_block,
         means=means,
         horizon_cap=len(prices),

@@ -36,6 +36,7 @@ from pdomd.config import (
 from pdomd.experiment import run_experiment, sweep_rates
 from pdomd.errors import ConfigError, PdomdError
 from pdomd.telemetry import COLUMNS, compute_metrics, import_record
+from reference import member
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -800,7 +801,7 @@ def test_lane_pass_matches_one_seed_runs(scenario, seeds, horizon, block):
     })
     problem = build_problem(config)
     params, variant = config.params_for(horizon), config.resolved_variant
-    point = problem.decision_set.sample(np.random.default_rng(horizon))
+    point = member(problem.decision_set, np.random.default_rng(horizon))
     stock = core.BLOCK_LANE_SLOTS
     core.BLOCK_LANE_SLOTS = block
     try:

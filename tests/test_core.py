@@ -31,6 +31,7 @@ from pdomd import (
 from pdomd.core import AlgorithmParams, DualState, SolverState
 from pdomd.geometry import prox_base
 from pdomd.problems import ObservationBatch
+from reference import slot_functions
 
 
 def penalty_terms(slots):
@@ -118,7 +119,7 @@ class TestAssembly:
             targets=state.targets,
             variant="general",
         )
-        fns = problem.sample_slot(0, np.random.default_rng(0))
+        fns = slot_functions(problem, 0, 0)
         obs = fns.observe(state.decision)
         # Build an observation with exact gradients (no sampling noise).
         coeffs = assemble_dual_weighted_gradient(state, obs)
@@ -129,7 +130,7 @@ class TestAssembly:
         problem = build_synthetic_problem(5, 2, 1, seed=0)
         params = small_params(16)
         state = initial_state(problem, params)
-        fns = problem.sample_slot(0, np.random.default_rng(3))
+        fns = slot_functions(problem, 3, 0)
         obs = fns.observe(state.decision)
         coeffs = assemble_dual_weighted_gradient(state, obs)
         assert np.allclose(coeffs, params.objective_weight * obs.objective_grad)
@@ -157,7 +158,7 @@ class TestStep:
         problem = build_synthetic_problem(5, 2, 1, seed=0)
         state = initial_state(problem, small_params(16))
         other = build_synthetic_problem(4, 2, 1, seed=0)
-        fns = other.sample_slot(0, np.random.default_rng(0))
+        fns = slot_functions(other, 0, 0)
         obs = fns.observe(np.full(4, 0.25))
         with pytest.raises(ProblemError):
             step(state, obs)
@@ -176,7 +177,7 @@ class TestStep:
         )
         state = initial_state(problem, small_params(16), "general")
         state, _ = step(state, None)
-        obs = problem.sample_slot(0, np.random.default_rng(0)).observe(state.decision)
+        obs = slot_functions(problem, 0, 0).observe(state.decision)
         step(state, obs)
         broken = {
             "ineq_values": np.array([np.nan]),

@@ -29,7 +29,7 @@ def test_demo_runs(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / script), *args],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / script), *args],
         capture_output=True,
         text=True,
         cwd=tmp_path,

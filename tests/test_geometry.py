@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdomd.errors import GeometryError, ProxConvergenceError
+from pdomd.errors import GeometryError
 from pdomd.geometry import (
     Box,
     DecisionSet,
@@ -14,6 +14,7 @@ from pdomd.geometry import (
     mix_toward_uniform,
     pushback_check,
 )
+from reference import certified_prox, member
 
 EUCLID = EuclideanGeometry()
 ENTROPY = NegativeEntropyGeometry()
@@ -146,13 +147,13 @@ class TestMirrorStep:
         rng = np.random.default_rng(4)
         box = Box(np.zeros(3), np.full(3, 2.0))
         for _ in range(20):
-            y = box.sample(rng)
+            y = member(box, rng)
             p = rng.normal(size=3)
             out1 = mirror_step(EUCLID, box, y, p, 1.5)
             out2 = mirror_step(EUCLID, box, y, 2.0 * p, 3.0)
             assert np.array_equal(out1, out2)
             s = Simplex(3)
-            ys = s.sample(rng)
+            ys = member(s, rng)
             o1 = mirror_step(ENTROPY, s, ys, p, 1.5)
             o2 = mirror_step(ENTROPY, s, ys, 2.0 * p, 3.0)
             assert np.array_equal(o1, o2)
@@ -168,7 +169,7 @@ class TestMirrorStep:
             alpha = float(rng.uniform(2.0, 20.0))
             for geometry in (ENTROPY, EUCLID):
                 closed = mirror_step(geometry, s, y, p, alpha)
-                numeric = mirror_step(geometry, s, y, p, alpha, force_numeric=True)
+                numeric = certified_prox(geometry, s, y, p, alpha)
                 worst = max(worst, float(np.max(np.abs(closed - numeric))))
         assert worst < 1e-8
 
@@ -177,18 +178,18 @@ class TestMirrorStep:
         for _ in range(50):
             d = int(rng.integers(1, 8))
             box = Box(-rng.uniform(1, 3, size=d), rng.uniform(1, 3, size=d))
-            y = box.sample(rng)
+            y = member(box, rng)
             p = rng.normal(size=d)
             alpha = float(rng.uniform(0.5, 5.0))
             closed = mirror_step(EUCLID, box, y, p, alpha)
-            numeric = mirror_step(EUCLID, box, y, p, alpha, force_numeric=True)
+            numeric = certified_prox(EUCLID, box, y, p, alpha)
             assert np.max(np.abs(closed - numeric)) < 1e-9
 
     def test_euclid_simplex_is_projection(self):
         rng = np.random.default_rng(7)
         s = Simplex(6)
         for _ in range(50):
-            y = s.sample(rng)
+            y = member(s, rng)
             p = rng.normal(size=6)
             alpha = float(rng.uniform(0.5, 4.0))
             out = mirror_step(EUCLID, s, y, p, alpha)
@@ -211,35 +212,31 @@ class TestMirrorStep:
         # finite coefficients that overflow once divided by the prox weight
         with pytest.raises(GeometryError, match="coefficients must be finite"):
             mirror_step(EUCLID, box, np.array([0.5, 0.5]), np.array([1e308, 0.0]), 1e-10)
-        # A NaN coefficient is refused before any solve, the certified one too.
+        # A NaN coefficient is refused before any step.
         with pytest.raises(GeometryError, match="coefficients must be finite"):
-            mirror_step(
-                ENTROPY,
-                Simplex(4),
-                np.full(4, 0.25),
-                np.array([np.nan, -1.0, 2.0, 0.5]),
-                1.0,
-                force_numeric=True,
-            )
+            mirror_step(ENTROPY, Simplex(4), np.full(4, 0.25), np.array([np.nan, -1.0, 2.0, 0.5]), 1.0)
 
         class Ball(DecisionSet):  # neither a box nor a simplex
             dim = 2
-            project = support_minimizer = initial_point = sample = None
+            project = support_minimizer = initial_point = None
 
             def contains(self, point, tol=0.0):
                 return True
 
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="no closed-form prox for euclidean on a Ball"):
             mirror_step(EUCLID, Ball(), np.array([0.5, 0.5]), np.ones(2), 1.0)
+        # entropy on a box has no closed form, as `initial_state` also says
+        with pytest.raises(GeometryError, match="no closed-form prox for negative_entropy on a Box"):
+            mirror_step(ENTROPY, unit_box(2), np.array([0.5, 0.5]), np.ones(2), 1.0)
 
     def test_certificate_refuses_a_wrong_point(self, monkeypatch):
         # The certified solve checks its own answer: a bisection that ended
         # off the minimizer, or on NaNs (a NaN gap), fails the gap test.
         coeffs = np.array([1.0, -1.0, 2.0, 0.5])
         for wrong in (np.full(4, 0.25), np.full(4, np.nan)):
-            monkeypatch.setattr("pdomd.geometry._bisect_normalisation", lambda g, s: (wrong.copy(), 0))
-            with pytest.raises(ProxConvergenceError):
-                mirror_step(ENTROPY, Simplex(4), np.full(4, 0.25), coeffs, 1.0, force_numeric=True)
+            monkeypatch.setattr("reference._bisect_normalisation", lambda g, s: (wrong.copy(), 0))
+            with pytest.raises(AssertionError, match="certified prox missed its tolerance"):
+                certified_prox(ENTROPY, Simplex(4), np.full(4, 0.25), coeffs, 1.0)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -268,7 +265,7 @@ class TestMirrorStep:
             closed = decision_set.project(base * np.exp(-coeffs / alpha))
         else:
             closed = mirror_step(geometry, decision_set, base, coeffs, alpha)
-        numeric = mirror_step(geometry, decision_set, base, coeffs, alpha, force_numeric=True)
+        numeric = certified_prox(geometry, decision_set, base, coeffs, alpha)
         assert np.max(np.abs(closed - numeric)) < 1e-9
         assert decision_set.contains(numeric)
 
@@ -312,6 +309,11 @@ class TestMixing:
         with pytest.raises(GeometryError):
             mix_toward_uniform(np.array([0.5, 0.5]), -0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_named(self, bad):
+        with pytest.raises(GeometryError, match="^point must be finite"):
+            mix_toward_uniform(np.array([bad, 1.0]), 0.1)
+
 
 class TestPushback:
     def test_probe_at_minimizer(self):
@@ -328,7 +330,7 @@ class TestPushback:
             s = Simplex(d)
             y = rng.dirichlet(np.full(d, 1.5))
             p = rng.uniform(-3, 3, size=d)
-            z = s.sample(rng)
+            z = member(s, rng)
             res = pushback_check(ENTROPY, s, p, y, float(rng.uniform(0.5, 5.0)), z)
             assert res.holds, res.residual
 
@@ -337,9 +339,9 @@ class TestPushback:
         for _ in range(500):
             d = int(rng.integers(1, 7))
             box = Box(-rng.uniform(0.5, 2, size=d), rng.uniform(0.5, 2, size=d))
-            y = box.sample(rng)
+            y = member(box, rng)
             p = rng.normal(size=d) * 2
-            z = box.sample(rng)
+            z = member(box, rng)
             res = pushback_check(EUCLID, box, p, y, float(rng.uniform(0.5, 5.0)), z)
             assert res.holds, res.residual
 
@@ -369,7 +371,7 @@ class TestDecisionSets:
             assert s.contains(p, tol=1e-9)
             # Projection optimality: no feasible point is closer.
             for _ in range(5):
-                z = s.sample(rng)
+                z = member(s, rng)
                 assert np.linalg.norm(v - p) <= np.linalg.norm(v - z) + 1e-9
         with pytest.raises(GeometryError, match="onto a 5-simplex"):
             s.project(np.ones(4))
@@ -383,7 +385,13 @@ class TestDecisionSets:
 
     def test_initial_points(self):
         assert np.array_equal(Simplex(4).initial_point(), np.full(4, 0.25))
+        assert np.array_equal(Simplex(np.int64(4)).initial_point(), np.full(4, 0.25))
         assert np.array_equal(Box(np.zeros(2), np.array([30.0, 10.0])).initial_point(), np.array([15.0, 5.0]))
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.7, 3.0, float("nan"), "3", None])
+    def test_simplex_dimension_must_be_a_positive_integer(self, dim):
+        with pytest.raises(GeometryError, match="^simplex dimension must be an integer of at least 1"):
+            Simplex(dim)
 
     def test_box_validation(self):
         with pytest.raises(GeometryError):

@@ -29,7 +29,7 @@ AlgorithmParams Box BregmanGeometry ConfigError DatacenterConfig DecisionSet
 DualPoint DualState EuclideanGeometry ExperimentConfig GeometryError
 InfeasibleProblemError LinearRows MeanModel MetricsSummary MultiplierDivergenceError
 NegativeEntropyGeometry ObservationBatch OracleError PdomdError PriceTrace
-ProblemError ProblemInstance ProxConvergenceError PushbackResult ReplayMismatchError
+ProblemError ProblemInstance PushbackResult ReplayMismatchError
 RunRecord ServiceRows Simplex SlotFunctions SolverState StepOutcome
 assemble_dual_weighted_gradient build_datacenter_problem
 build_synthetic_problem compute_metrics dpp_audit dual_function estimate_multipliers
@@ -37,7 +37,7 @@ export generate_price_trace
 hindsight_optimum import_record ingest_price_trace initial_state iterate_run
 make_linear_problem mirror_step mix_toward_uniform parameter_schedule parse_config
 pushback_check reac_schedule run run_experiment service_curve service_curve_inverse
-slot_rng step sweep_rates weak_ebc_probe write_price_trace
+step sweep_rates weak_ebc_probe write_price_trace
 """.split()
 
 

@@ -111,7 +111,6 @@ def service_instance(objective, rows, eq_matrix, targets, decision_set):
         n_ineq=len(rows),
         n_eq=eq_matrix.shape[0],
         targets=targets,
-        sample_slot=lambda t, rng: None,
         sample_block=lambda seeds, first, end: None,
         means=means,
     )
@@ -300,6 +299,42 @@ class TestHindsight:
             hindsight_optimum(problem, -1, 5)
         with pytest.raises(OracleError):
             hindsight_optimum(problem, 0, 0)
+
+
+WINDOW_CALLS = {
+    "hindsight_optimum": lambda p, start, length: hindsight_optimum(p, start, length),
+    "dual_function": lambda p, start, length: dual_function(
+        p, start, length, DualPoint(np.zeros(1), np.zeros(1))
+    ),
+    "estimate_multipliers": lambda p, start, length: estimate_multipliers(p, start, length),
+    "weak_ebc_probe": lambda p, start, length: weak_ebc_probe(p, start, length, 1, [1.0]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WINDOW_CALLS))
+@pytest.mark.parametrize(
+    "start, length, message",
+    [
+        (0, 2.5, "window length must be an integer of at least 1, got 2.5"),
+        (0, 2.0, "window length must be an integer of at least 1, got 2.0"),
+        (0, "3", "window length must be an integer of at least 1, got '3'"),
+        (0, 0, "window length must be an integer of at least 1, got 0"),
+        (1.0, 3, "window start must be an integer of at least 0, got 1.0"),
+        (-1, 3, "window start must be an integer of at least 0, got -1"),
+        (None, 3, "window start must be an integer of at least 0, got None"),
+    ],
+)
+def test_window_must_be_integers(call, start, length, message):
+    problem = build_synthetic_problem(3, 1, 1, 0)
+    with pytest.raises(OracleError, match=f"^{message}$"):
+        WINDOW_CALLS[call](problem, start, length)
+
+
+def test_window_takes_numpy_integers():
+    problem = build_synthetic_problem(3, 1, 1, 0)
+    point, value = hindsight_optimum(problem, np.int64(0), np.int64(4))
+    expected_point, expected_value = hindsight_optimum(problem, 0, 4)
+    assert point.tobytes() == expected_point.tobytes() and value == expected_value
 
 
 class TestDualFunction:

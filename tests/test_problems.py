@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from pdomd import (
     DatacenterConfig,
+    LinearRows,
     PriceTrace,
     ProblemError,
+    ServiceRows,
     Simplex,
     build_datacenter_problem,
     build_synthetic_problem,
@@ -19,10 +21,10 @@ from pdomd import (
     run,
     service_curve,
     service_curve_inverse,
-    slot_rng,
 )
 from pdomd import problems
 from pdomd.problems import (
+    ARRIVAL_MEAN,
     BUDGET_MEAN,
     CLUSTER_SIZE,
     N_CLUSTERS,
@@ -31,9 +33,9 @@ from pdomd.problems import (
     SEED_BLOCK,
     SERVICE_GAIN,
     SERVICE_RATE,
-    SlotFunctions,
     _pacing_structure,
 )
+from reference import slot_functions
 
 # Frozen reference: (e^(5/8) - 1)/4
 INVERSE_AT_FIVE = 0.2170614893580556
@@ -104,8 +106,18 @@ class TestSamplers:
         assert seq_a == seq_b
 
 
+def spawned_rng(seed, slot):
+    """numpy's own generator for slot `slot` of seed's run."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(slot,)))
+
+
+def slot_generator(seed, slot):
+    """The generator of one slot, as `sample_block` seeds it."""
+    return np.random.Generator(problems._block_bits((seed,), slot, slot + 1)[0])
+
+
 class TestSlotRng:
-    """slot_rng's stream is numpy's spawned SeedSequence stream, bit for bit."""
+    """A slot's generator is numpy's spawned SeedSequence stream, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**130 - 1), st.integers(0, 2**40 - 1))
@@ -118,8 +130,8 @@ class TestSlotRng:
     @example(2**64, 2**32 + 513)  # a three-word seed
     @example(True, np.int64(513))  # a bool and a numpy integer, as numpy reads them
     def test_matches_numpy_seed_sequence(self, seed, slot):
-        ours = slot_rng(seed, slot)
-        reference = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(slot,)))
+        ours = slot_generator(seed, slot)
+        reference = spawned_rng(seed, slot)
         assert ours.bit_generator.state == reference.bit_generator.state
         assert np.array_equal(ours.uniform(size=5), reference.uniform(size=5))
 
@@ -128,10 +140,10 @@ class TestSlotRng:
     )
     def test_bad_seed_or_slot_is_named(self, seed, slot, name):
         with pytest.raises(ProblemError, match=f"^{name} must be a nonnegative integer"):
-            slot_rng(seed, slot)
+            slot_generator(seed, slot)
 
     def test_generator_holds_only_its_pcg64_seed(self):
-        rng = slot_rng(0, 0)
+        rng = slot_generator(0, 0)
         with pytest.raises(ProblemError, match="PCG64's four 64-bit words"):
             rng.bit_generator.seed_seq.generate_state(8)
         with pytest.raises(TypeError):
@@ -176,6 +188,41 @@ BLOCK_PROBLEMS = {
 BLOCK_FIRSTS = [0, SEED_BLOCK - 5, 2 * SEED_BLOCK - 1, 2**32 - 7, 2**32 + SEED_BLOCK - 2]
 
 
+NOISE = {"synthetic": (0.2, 0.2, 0.1), "drifting": (0.2, 0.0, 0.05)}  # objective, ineq, eq
+
+
+def numpy_slot(name, problem, seed, t):
+    """The arrays of slot t of seed's run, by field name, from numpy's own
+    samplers on the slot's spawned stream: uniform noise on the linear
+    scenarios' means, in the order objective, inequalities, equalities;
+    Poisson arrivals and then Pareto service noise and budgets on the
+    datacenter's."""
+    rng, means = spawned_rng(seed, t), problem.means
+    if name == "datacenter":
+        arrivals = poisson_sample(ARRIVAL_MEAN, rng)
+        noise = pareto_sample(1.0, 2.2, rng, size=50)
+        budgets = pareto_sample(BUDGET_MEAN, 2.2, rng, size=50)
+        return {
+            "objective": means.objective_at(t),
+            "eq_matrix": budgets * _pacing_structure(),
+            "levels": np.array([float(arrivals)]),
+            "weights": noise[None, :],
+        }
+
+    def noisy(mean, level):
+        return mean + rng.uniform(-level, level, mean.shape) if level else mean
+
+    objective_noise, ineq_noise, eq_noise = NOISE[name]
+    objective = noisy(means.objective_at(t), objective_noise)
+    coeffs = noisy(means.inequalities.coeffs, ineq_noise)
+    return {
+        "objective": objective,
+        "eq_matrix": noisy(means.eq_matrix, eq_noise),
+        "coeffs": coeffs,
+        "offsets": means.inequalities.offsets,
+    }
+
+
 def block_arrays(fns):
     rows = fns.inequalities
     return {
@@ -186,7 +233,8 @@ def block_arrays(fns):
 
 
 class TestSampleBlock:
-    """A block of lane-slots is each lane-slot's own draw, bit for bit."""
+    """A block of lane-slots is each lane-slot's own draw from numpy's
+    samplers, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -203,47 +251,17 @@ class TestSampleBlock:
             first %= DC_TRACE_SLOTS - length
         end = first + length
         block = problem.sample_block(seeds, first, end)
-        expected = SlotFunctions.stack([
-            SlotFunctions.stack([problem.sample_slot(t, slot_rng(seed, t)) for seed in seeds])
-            for t in range(first, end)
-        ])
+        slots = [[numpy_slot(name, problem, seed, t) for seed in seeds] for t in range(first, end)]
+        # np.array lays the (slot, lane) grid out C-contiguous, as one slot's own arrays are
+        want = {key: np.array([[lane[key] for lane in row] for row in slots]) for key in slots[0][0]}
         assert block.slot == first
-        assert type(block.inequalities) is type(expected.inequalities)
-        got, want = block_arrays(block), block_arrays(expected)
+        assert type(block.inequalities) is (ServiceRows if name == "datacenter" else LinearRows)
+        got = block_arrays(block)
         assert got.keys() == want.keys()
         for key, value in want.items():
             assert got[key].shape == value.shape, key
             assert got[key].tobytes() == value.tobytes(), key
-            # each slot's view is laid out as the stack lays it out
             assert got[key].strides == value.strides, key
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 2**64 - 1),
-        slot=st.sampled_from(BLOCK_FIRSTS) | st.integers(0, 4000),
-    )
-    def test_slot_draws_numpys_numbers(self, seed, slot):
-        # the one-slot form makes the numbers numpy's own samplers make
-        synthetic = build_synthetic_problem(6, 2, 2, seed=0)
-        fns = synthetic.sample_slot(slot, slot_rng(seed, slot))
-        rng, means = slot_rng(seed, slot), synthetic.means
-        assert fns.objective.tobytes() == (
-            means.objective_at(slot) + rng.uniform(-0.2, 0.2, 6)).tobytes()
-        assert fns.inequalities.coeffs.tobytes() == (
-            means.inequalities.coeffs + rng.uniform(-0.2, 0.2, (2, 6))).tobytes()
-        assert fns.eq_matrix.tobytes() == (
-            means.eq_matrix + rng.uniform(-0.1, 0.1, (2, 6))).tobytes()
-
-        datacenter = BLOCK_PROBLEMS["datacenter"]()
-        slot %= DC_TRACE_SLOTS
-        fns = datacenter.sample_slot(slot, slot_rng(seed, slot))
-        rng = slot_rng(seed, slot)
-        arrivals = poisson_sample(1000.0, rng)
-        noise = pareto_sample(1.0, 2.2, rng, size=50)
-        budgets = pareto_sample(BUDGET_MEAN, 2.2, rng, size=50)
-        assert fns.inequalities.levels.tobytes() == np.array([float(arrivals)]).tobytes()
-        assert fns.inequalities.weights.tobytes() == noise[None, :].tobytes()
-        assert fns.eq_matrix.tobytes() == (budgets * _pacing_structure()).tobytes()
 
     @pytest.mark.parametrize(
         "seeds, first, end, message",
@@ -299,6 +317,9 @@ class TestServiceCurve:
 
     def test_inverse_saturates(self):
         assert service_curve_inverse(1000.0) == 30.0
+        # expm1 overflows past a target of about 709 * gain; the power is the cap
+        assert service_curve_inverse(6000.0) == 30.0
+        assert np.all(reac_schedule([1e6]) == POWER_CAP)
 
     def test_round_trip_identity(self):
         power = np.linspace(0.0, 30.0, 301)
@@ -309,12 +330,19 @@ class TestServiceCurve:
         with pytest.raises(ProblemError):
             service_curve_inverse(-0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_input_is_named(self, bad):
+        with pytest.raises(ProblemError, match="^power must be finite and nonnegative"):
+            service_curve(bad)
+        with pytest.raises(ProblemError, match="^target must be finite and nonnegative"):
+            service_curve_inverse(np.array([1.0, bad]))
+
 
 class TestSyntheticProblem:
     def test_unconstrained_degenerate(self):
         prob = build_synthetic_problem(4, 0, 0, seed=0)
         assert prob.n_ineq == 0 and prob.n_eq == 0
-        slot = prob.sample_slot(3, np.random.default_rng(0))
+        slot = slot_functions(prob, 0, 3)
         assert len(slot.inequalities) == 0
         assert slot.eq_matrix.shape == (0, 4)
 
@@ -363,27 +391,27 @@ class TestSyntheticProblem:
 
     def test_sampling_deterministic(self):
         prob = build_synthetic_problem(6, 2, 1, seed=9)
-        s1 = prob.sample_slot(7, np.random.default_rng(123))
-        s2 = prob.sample_slot(7, np.random.default_rng(123))
+        s1 = slot_functions(prob, 123, 7)
+        s2 = slot_functions(prob, 123, 7)
         mu = np.full(6, 1.0 / 6)
         assert s1.objective @ mu == s2.objective @ mu
         assert np.array_equal(s1.eq_matrix, s2.eq_matrix)
 
     def test_monte_carlo_means_match(self):
+        # slots 0..n-1 of one seed: the noise is i.i.d. across slots, and
+        # nothing drifts, so every slot has the same means
         prob = build_synthetic_problem(5, 2, 2, seed=11)
-        rng = np.random.default_rng(42)
         mu = np.random.default_rng(1).dirichlet(np.ones(5))
         n = 100_000
-        t = 13  # any fixed slot: the noise is i.i.d. across slots
         obj_sum = 0.0
         g_sum = np.zeros(2)
         h_sum = np.zeros((2, 5))
-        for _ in range(n):
-            slot = prob.sample_slot(t, rng)
-            obj_sum += slot.objective @ mu
-            g_sum += slot.inequalities.values(mu)
-            h_sum += slot.eq_matrix
-        mean_obj = prob.means.objective_at(t) @ mu
+        for first in range(0, n, SEED_BLOCK):
+            block = prob.sample_block((42,), first, min(n, first + SEED_BLOCK))
+            obj_sum += np.sum(block.objective @ mu)
+            g_sum += np.sum(block.inequalities.values(mu), axis=(0, 1))
+            h_sum += np.sum(block.eq_matrix, axis=(0, 1))
+        mean_obj = prob.means.objective_at(0) @ mu
         # noise is U[-s, s] per coefficient: var = s^2/3 per entry
         obj_sigma = np.sqrt((0.2**2 / 3) * np.sum(mu**2) / n)
         assert abs(obj_sum / n - mean_obj) < 3 * obj_sigma + 1e-12
@@ -397,13 +425,11 @@ class TestSyntheticProblem:
         # Constraint streams must not depend on the slot index.
         prob = build_synthetic_problem(5, 1, 1, seed=3)
         mu = np.full(5, 0.2)
-        rng = np.random.default_rng(8)
-        early = [prob.sample_slot(t, rng).inequalities.values(mu)[0] for t in range(4000)]
-        late = [
-            prob.sample_slot(t, rng).inequalities.values(mu)[0]
-            for t in range(100_000, 104_000)
-        ]
-        pooled = np.std(early + late) / np.sqrt(len(early))
+        early, late = (
+            prob.sample_block((8,), first, first + 4000).inequalities.values(mu)[:, 0, 0]
+            for first in (0, 100_000)
+        )
+        pooled = np.std(np.concatenate([early, late])) / np.sqrt(len(early))
         assert abs(np.mean(early) - np.mean(late)) < 3 * pooled
 
     def test_pinned_coordinate_example(self):
@@ -442,7 +468,7 @@ class TestDatacenterProblem:
 
     def test_zero_power_is_infeasible(self):
         prob = build_datacenter_problem(DatacenterConfig(), constant_trace(10))
-        slot = prob.sample_slot(0, np.random.default_rng(0))
+        slot = slot_functions(prob, 0, 0)
         zero = np.zeros(50)
         assert slot.inequalities.values(zero)[0] > 0.0
         assert np.allclose(slot.eq_matrix @ zero, 0.0)
@@ -472,16 +498,16 @@ class TestDatacenterProblem:
         assert np.max(np.abs(res_uniform)) > 0.1
 
     def test_sampled_constraint_means(self):
-        prob = build_datacenter_problem(DatacenterConfig(), constant_trace(10))
-        rng = np.random.default_rng(7)
-        mu = np.full(50, 1.0)
+        # slots 0..n-1 of one seed, on a trace as long as the draw
         n = 20_000
+        prob = build_datacenter_problem(DatacenterConfig(), constant_trace(n))
+        mu = np.full(50, 1.0)
         g_vals = np.empty(n)
         h_rows = np.zeros((4, 50))
-        for i in range(n):
-            slot = prob.sample_slot(0, rng)
-            g_vals[i] = slot.inequalities.values(mu)[0]
-            h_rows += slot.eq_matrix
+        for first in range(0, n, SEED_BLOCK):
+            block = prob.sample_block((7,), first, min(n, first + SEED_BLOCK))
+            g_vals[first:first + SEED_BLOCK] = block.inequalities.values(mu)[:, 0, 0]
+            h_rows += np.sum(block.eq_matrix, axis=(0, 1))
         g_mean = prob.means.inequalities.values(mu)[0]
         assert abs(g_vals.mean() - g_mean) < 3 * g_vals.std() / np.sqrt(n)
         assert np.max(np.abs(h_rows / n - prob.means.eq_matrix)) < 0.15
@@ -489,15 +515,15 @@ class TestDatacenterProblem:
     def test_trace_exhaustion(self):
         prob = build_datacenter_problem(DatacenterConfig(), constant_trace(3))
         assert prob.horizon_cap == 3
-        with pytest.raises(ProblemError):
-            prob.sample_slot(3, np.random.default_rng(0))
+        with pytest.raises(ProblemError, match="slot 3 beyond trace length 3"):
+            slot_functions(prob, 0, 3)
 
     def test_build_determinism(self):
         trace = constant_trace(5)
         p1 = build_datacenter_problem(DatacenterConfig(), trace)
         p2 = build_datacenter_problem(DatacenterConfig(), trace)
-        s1 = p1.sample_slot(1, np.random.default_rng(55))
-        s2 = p2.sample_slot(1, np.random.default_rng(55))
+        s1 = slot_functions(p1, 55, 1)
+        s2 = slot_functions(p2, 55, 1)
         mu = np.full(50, 2.0)
         assert s1.inequalities.values(mu)[0] == s2.inequalities.values(mu)[0]
         assert np.array_equal(s1.eq_matrix, s2.eq_matrix)

@@ -26,7 +26,6 @@ from pdomd import (
     import_record,
     make_linear_problem,
     run,
-    slot_rng,
 )
 from pdomd import telemetry
 from pdomd.geometry import VARIANT_GEOMETRY, prox_base
@@ -36,6 +35,7 @@ from pdomd.telemetry import (
     summarize_metrics,
     write_table,
 )
+from reference import member
 
 
 def synthetic_run(horizon=200, variant="general", seed=9, d=6):
@@ -60,10 +60,9 @@ class TestMetrics:
 
     def test_streaming_matches_posthoc(self):
         problem, record = synthetic_run(horizon=120)
+        slots = problem.sample_block((record.seed,), 0, record.horizon).lane(0)
         replayed = sum(
-            problem.sample_slot(t, slot_rng(record.seed, t)).objective
-            @ record.decisions[t]
-            for t in range(record.horizon)
+            slots.at(t).objective @ record.decisions[t] for t in range(record.horizon)
         )
         streaming = float(np.sum(record.objective_realized))
         assert abs(replayed - streaming) <= 1e-9 * max(abs(streaming), 1.0)
@@ -134,8 +133,9 @@ def replayed_record(record, problem, decisions):
     eq = np.zeros((horizon, record.n_eq))
     q_norm, h_norm, drift = np.zeros(horizon), np.zeros(horizon), np.zeros(horizon)
     q, h = np.zeros(record.n_ineq), np.zeros(record.n_eq)
+    slots = problem.sample_block((record.seed,), 0, horizon).lane(0)
     for t in range(horizon):
-        fns = problem.sample_slot(t, slot_rng(record.seed, t))
+        fns = slots.at(t)
         mu = decisions[t]
         objective[t] = fns.objective @ mu
         ineq[t] = fns.inequalities.values(mu)
@@ -192,8 +192,9 @@ def slot_residuals(record, problem, comparators=None):
     params = record.params
     q, h = np.zeros(record.n_ineq), np.zeros(record.n_eq)
     residuals = []
+    slots = problem.sample_block((record.seed,), 0, record.horizon).lane(0)
     for t in range(record.horizon - 1):
-        fns = problem.sample_slot(t, slot_rng(record.seed, t))
+        fns = slots.at(t)
         mu, mu_next = record.decisions[t], record.decisions[t + 1]
         rows = fns.inequalities
         base = prox_base(record.variant, mu, params.mixing_weight)
@@ -325,7 +326,7 @@ def test_exact_comparator_is_each_slots_worst(scenario, horizon, seed, tamper):
     assert np.all(np.abs(residuals - exact[:, 0]) <= 1e-9 * exact[:, 1])
     rng = np.random.default_rng(seed)
     for _ in range(5):
-        points = [problem.decision_set.sample(rng) for _ in range(horizon - 1)]
+        points = [member(problem.decision_set, rng) for _ in range(horizon - 1)]
         sampled = slot_residuals(record, problem, points)
         assert np.all(residuals >= sampled[:, 0] - 1e-9 * (exact[:, 1] + sampled[:, 1]))
     telemetry.SCORE_BLOCK = 1
