@@ -14,7 +14,6 @@ from pdomd import (
     Simplex,
     mirror_step,
     mix_toward_uniform,
-    pushback_check,
 )
 
 entropy = NegativeEntropyGeometry()
@@ -52,13 +51,16 @@ print(f"start {y} -> {moved}  (gradient step, clipped to the box)")
 print()
 print("== pushback inequality ==")
 # The prox minimizer does not just win, it wins by at least the
-# divergence to any competitor. Probe a few random competitors.
+# divergence to any competitor: for x* = the step above and every z,
+#   <g, x*> + a D(x*, p) <= <g, z> + a D(z, p) - a D(z, x*).
+# Probe a few random competitors.
 worst = np.inf
 for _ in range(200):
     z = rng.dirichlet(np.ones(3))
-    res = pushback_check(entropy, Simplex(3), grad, p, alpha, z)
-    worst = min(worst, res.residual)
-    assert res.holds
+    lhs = grad @ stepped + alpha * entropy.divergence(stepped, p)
+    rhs = grad @ z + alpha * entropy.divergence(z, p) - alpha * entropy.divergence(z, stepped)
+    worst = min(worst, rhs - lhs)
+    assert rhs - lhs >= -1e-9
 print(f"200 random probes, all held; smallest slack {worst:.3e}")
 
 print()

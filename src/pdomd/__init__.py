@@ -18,11 +18,9 @@ from .geometry import (
     DecisionSet,
     EuclideanGeometry,
     NegativeEntropyGeometry,
-    PushbackResult,
     Simplex,
     mirror_step,
     mix_toward_uniform,
-    pushback_check,
 )
 from .problems import (
     DatacenterConfig,
@@ -44,7 +42,6 @@ from .telemetry import (
     MetricsSummary,
     RunRecord,
     compute_metrics,
-    dpp_audit,
     export,
     import_record,
 )

@@ -26,6 +26,7 @@ equal its own run's bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -55,6 +56,11 @@ class AlgorithmParams:
             weight = getattr(self, name)
             if not (math.isfinite(weight) and weight > 0.0):
                 raise ConfigError(f"{name} must be finite and positive, got {weight!r}")
+        if self.prox_weight < sys.float_info.min:  # the prox divides by it: 1 / 5e-324 overflows
+            raise ConfigError(
+                f"prox_weight must be a normal float, at least {sys.float_info.min!r}, "
+                f"got {self.prox_weight!r}"
+            )
         if not 0.0 <= self.mixing_weight < 1.0:  # NaN fails too
             raise ConfigError(f"mixing_weight must lie in [0, 1), got {self.mixing_weight!r}")
 

@@ -188,20 +188,16 @@ class Simplex(DecisionSet):
 
 
 class BregmanGeometry(ABC):
-    """A Bregman divergence with its norm pair and convexity modulus.
+    """A Bregman divergence and the gradient of its generating potential.
 
     Attributes
     ----------
     name : str
         Stable identifier used in run headers ("euclidean",
         "negative_entropy").
-    beta : float
-        Strong-convexity modulus of the generating potential with respect to
-        the primal norm, so ``D(x, y) >= beta/2 * norm(x - y)**2``.
     """
 
     name: str
-    beta: float = 1.0
 
     @abstractmethod
     def divergence(self, x: Array, y: Array) -> float:
@@ -212,20 +208,11 @@ class BregmanGeometry(ABC):
     def potential_grad(self, x: Array) -> Array:
         """Gradient of the generating potential."""
 
-    @abstractmethod
-    def norm(self, v: Array) -> float:
-        """Primal norm."""
-
-    @abstractmethod
-    def dual_norm(self, v: Array) -> float:
-        """Dual norm paired with :meth:`norm`."""
-
 
 class EuclideanGeometry(BregmanGeometry):
     """Squared Euclidean distance ``D(x, y) = 0.5 * ||x - y||_2**2``."""
 
     name = "euclidean"
-    beta = 1.0
 
     def divergence(self, x: Array, y: Array) -> float:
         x = _as_vector(x, "x", stack=True)
@@ -238,12 +225,6 @@ class EuclideanGeometry(BregmanGeometry):
     def potential_grad(self, x: Array) -> Array:
         return np.asarray(x, dtype=float)
 
-    def norm(self, v: Array) -> float:
-        return float(np.linalg.norm(v))
-
-    def dual_norm(self, v: Array) -> float:
-        return float(np.linalg.norm(v))
-
 
 class NegativeEntropyGeometry(BregmanGeometry):
     """Generalized Kullback-Leibler divergence from the entropy potential.
@@ -253,13 +234,9 @@ class NegativeEntropyGeometry(BregmanGeometry):
     the divergence reduces to the ordinary KL divergence; off the simplex the
     generalized form keeps ``D >= 0``.  The second argument must be strictly
     positive, the first nonnegative.
-
-    The norm pair is l1 primal / l-infinity dual; Pinsker's inequality gives
-    modulus ``beta = 1`` on the simplex.
     """
 
     name = "negative_entropy"
-    beta = 1.0
 
     def divergence(self, x: Array, y: Array) -> float:
         x = _as_vector(x, "x", stack=True)
@@ -276,12 +253,6 @@ class NegativeEntropyGeometry(BregmanGeometry):
 
     def potential_grad(self, x: Array) -> Array:
         return np.log(np.asarray(x, dtype=float))
-
-    def norm(self, v: Array) -> float:
-        return float(np.abs(v).sum())
-
-    def dual_norm(self, v: Array) -> float:
-        return float(np.max(np.abs(v))) if np.size(v) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -400,45 +371,3 @@ def mirror_step(
             f"no closed-form prox for {geometry.name} on a {type(decision_set).__name__}"
         )
     return closed_form(base, coeffs, prox_weight)
-
-
-@dataclass(frozen=True)
-class PushbackResult:
-    """Outcome of a three-point (pushback) inequality check."""
-
-    holds: bool
-    residual: float
-    minimizer: Array
-
-
-def pushback_check(
-    geometry: BregmanGeometry,
-    decision_set: DecisionSet,
-    coeffs: Array,
-    base: Array,
-    prox_weight: float,
-    probe: Array,
-    tol: float = 1e-9,
-) -> PushbackResult:
-    """Verify the three-point inequality of the proximal step.
-
-    With ``x* = argmin <coeffs, x> + a * D(x, base)`` the inequality
-
-    ``<coeffs, x*> + a D(x*, base) <= <coeffs, z> + a D(z, base) - a D(z, x*)``
-
-    must hold for every ``z`` in the set.  Returns the signed residual
-    (right side minus left side, nonnegative when the inequality holds) and
-    whether it clears ``-tol``.
-    """
-    probe = _as_vector(probe, "probe")
-    if not decision_set.contains(probe, tol=1e-9):
-        raise GeometryError("probe point must belong to the decision set")
-    minimizer = mirror_step(geometry, decision_set, base, coeffs, prox_weight)
-    lhs = float(coeffs @ minimizer) + prox_weight * geometry.divergence(minimizer, base)
-    rhs = (
-        float(coeffs @ probe)
-        + prox_weight * geometry.divergence(probe, base)
-        - prox_weight * geometry.divergence(probe, minimizer)
-    )
-    residual = rhs - lhs
-    return PushbackResult(holds=bool(residual >= -tol), residual=residual, minimizer=minimizer)

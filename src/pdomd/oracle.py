@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InfeasibleProblemError, MultiplierDivergenceError, OracleError
 from .geometry import Box, DecisionSet, Simplex
-from .problems import LinearRows, ProblemInstance, ServiceRows
+from .problems import LinearRows, ProblemInstance, ServiceRows, check_window
 
 Array = np.ndarray
 
@@ -91,11 +91,7 @@ def _window_program(problem: ProblemInstance, start: int, length: int) -> _Windo
             f"problem {problem.name!r} records no mean model; "
             "offline references need exact means"
         )
-    for name, value, least in (("start", start, 0), ("length", length, 1)):
-        if not (isinstance(value, (int, np.integer)) and value >= least):
-            raise OracleError(
-                f"window {name} must be an integer of at least {least}, got {value!r}"
-            )
+    check_window(start, length, OracleError)
     if problem.horizon_cap is not None and start + length > problem.horizon_cap:
         raise OracleError(
             f"window [{start}, {start + length}) runs past the recorded trace "

@@ -384,6 +384,14 @@ class ObservationBatch:
 # problem containers
 
 
+def check_window(start, length, error: type) -> None:
+    """Raise `error` naming the argument unless start is an integer >= 0 and
+    length an integer >= 1 (Python or numpy)."""
+    for name, value, least in (("start", start, 0), ("length", length, 1)):
+        if not (isinstance(value, (int, np.integer)) and value >= least):
+            raise error(f"window {name} must be an integer of at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MeanModel:
     """Exact means of the random slot functions.
@@ -397,8 +405,7 @@ class MeanModel:
 
     def objective_table(self, start: int, length: int) -> Array:
         """(length, d) mean objectives of slots start ... start+length-1."""
-        if length < 1:
-            raise ProblemError("window length must be at least 1")
+        check_window(start, length, ProblemError)
         return np.array([self.objective_at(s) for s in range(start, start + length)])
 
     def window_objective(self, start: int, length: int) -> Array:
@@ -704,6 +711,8 @@ def build_datacenter_problem(
     objectives.flags.writeable = False  # every slot and lane shares its row
 
     def objective_at(t: int) -> Array:
+        if not (isinstance(t, (int, np.integer)) and t >= 0):
+            raise ProblemError(f"slot must be an integer of at least 0, got {t!r}")
         if t >= objectives.shape[0]:
             raise ProblemError(f"slot {t} beyond trace length {objectives.shape[0]}")
         return objectives[t]

@@ -6,7 +6,7 @@ works from records: metric summaries, the drift-plus-penalty audit, and the
 CSV/JSON exporters. `replay_record` is the one replay of a record: it draws
 each slot once and checks the objective, the multiplier norms and the
 drift-plus-penalty residual at each slot's worst comparator in the same
-walk; `compute_metrics` and `dpp_audit` are views of it. `COLUMNS` lays
+walk; `compute_metrics` and the `audit` command read it. `COLUMNS` lays
 out the record's columns for `RecordCollector`, the exporters and the importers; in CSV they read
 t, mu_0..mu_{d-1}, f_realized, g_0..g_{L-1}, h_0..h_{M-1}, q_norm, h_norm, drift
 in repr precision, so import reproduces the record bit-exactly. Import
@@ -435,19 +435,6 @@ def replay_record(
     return comparator_total, residuals
 
 
-def dpp_audit(record: RunRecord, problem: ProblemInstance) -> float:
-    """Check the per-slot drift-plus-penalty inequality at each slot's worst
-    comparator.
-
-    On every slot t >= 1, the recorded drift plus the objective-advance and
-    prox-cost terms must not exceed the comparator side plus the slot's own
-    slack |s|^2/2 + |e|^2/2 for any comparator in the set. Returns the
-    worst residual (positive or NaN means violated; -inf for T < 2), from
-    the same single walk as `compute_metrics`: see `replay_record`, which
-    derives the bound."""
-    return float(np.max(replay_record(record, problem, None)[1], initial=-np.inf))
-
-
 # ---------------------------------------------------------------------------
 # export / import
 
@@ -501,7 +488,7 @@ def summary_cell(value) -> str:
 
 
 def export(obj, fmt: str, path) -> None:
-    """Write a RunRecord or MetricsSummary as csv or json."""
+    """Write a RunRecord as csv or json."""
     if fmt not in ("csv", "json"):
         raise ProblemError(f"unknown export format {fmt!r}")
     if isinstance(obj, RunRecord):
@@ -509,16 +496,6 @@ def export(obj, fmt: str, path) -> None:
             _export_record_csv(obj, path)
         else:
             _export_record_json(obj, path)
-        return
-    if isinstance(obj, MetricsSummary):
-        payload = dataclasses.asdict(obj)
-        with open(path, "w", newline="") as fh:
-            if fmt == "json":
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-            else:
-                cells = np.array([list(payload.values())], dtype=object)
-                write_table(fh, list(payload), [cells], summary_cell)
         return
     raise ProblemError(f"cannot export object of type {type(obj).__name__}")
 

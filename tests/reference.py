@@ -5,13 +5,22 @@ closed forms that `geometry.closed_form_prox` tabulates, so the geometry
 cross-checks and acceptance 1/7 compare the two. Each coordinate of the
 minimiser is closed form given the multiplier of the simplex's
 normalisation constraint, which is found by bisection, and the result is
-certified through a Frank-Wolfe optimality gap. `member` draws a random
-point of a decision set, and `slot_functions` one slot of a seed's run.
+certified through a Frank-Wolfe optimality gap. `pushback_check` checks
+the three-point inequality of one prox step at one probe point, and
+`worst_residual` is a record's worst drift-plus-penalty residual from the
+audit's replay. `member` draws a random point of a decision set, and
+`slot_functions` one slot of a seed's run.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from pdomd.geometry import Box, BregmanGeometry, DecisionSet, Simplex
+from pdomd.errors import GeometryError
+from pdomd.geometry import Box, BregmanGeometry, DecisionSet, Simplex, _as_vector, mirror_step
+from pdomd.telemetry import replay_record
+
+Array = np.ndarray
 
 # The inverse of each geometry's potential gradient: the mirror map back to primal.
 POTENTIAL_GRAD_INVERSE = {"euclidean": lambda z: z, "negative_entropy": np.exp}
@@ -20,6 +29,12 @@ POTENTIAL_GRAD_INVERSE = {"euclidean": lambda z: z, "negative_entropy": np.exp}
 def slot_functions(problem, seed: int, t: int):
     """Slot t of seed's run: the one lane-slot of a one-slot block."""
     return problem.sample_block((seed,), t, t + 1).lane(0).at(0)
+
+
+def worst_residual(record, problem) -> float:
+    """The worst per-slot drift-plus-penalty residual of a record at each
+    slot's worst comparator (positive or NaN means violated; -inf for T < 2)."""
+    return np.max(replay_record(record, problem, None)[1], initial=-np.inf)
 
 
 def member(decision_set: DecisionSet, rng: np.random.Generator) -> np.ndarray:
@@ -105,3 +120,45 @@ def _bisect_normalisation(geometry: BregmanGeometry, shifted: np.ndarray) -> tup
             hi, point, total = mid, candidate, candidate_total
     point[int(np.argmax(point))] += 1.0 - total
     return point, steps
+
+
+@dataclass(frozen=True)
+class PushbackResult:
+    """Outcome of a three-point (pushback) inequality check."""
+
+    holds: bool
+    residual: float
+    minimizer: Array
+
+
+def pushback_check(
+    geometry: BregmanGeometry,
+    decision_set: DecisionSet,
+    coeffs: Array,
+    base: Array,
+    prox_weight: float,
+    probe: Array,
+    tol: float = 1e-9,
+) -> PushbackResult:
+    """Verify the three-point inequality of the proximal step.
+
+    With ``x* = argmin <coeffs, x> + a * D(x, base)`` the inequality
+
+    ``<coeffs, x*> + a D(x*, base) <= <coeffs, z> + a D(z, base) - a D(z, x*)``
+
+    must hold for every ``z`` in the set.  Returns the signed residual
+    (right side minus left side, nonnegative when the inequality holds) and
+    whether it clears ``-tol``.
+    """
+    probe = _as_vector(probe, "probe")
+    if not decision_set.contains(probe, tol=1e-9):
+        raise GeometryError("probe point must belong to the decision set")
+    minimizer = mirror_step(geometry, decision_set, base, coeffs, prox_weight)
+    lhs = float(coeffs @ minimizer) + prox_weight * geometry.divergence(minimizer, base)
+    rhs = (
+        float(coeffs @ probe)
+        + prox_weight * geometry.divergence(probe, base)
+        - prox_weight * geometry.divergence(probe, minimizer)
+    )
+    residual = rhs - lhs
+    return PushbackResult(holds=bool(residual >= -tol), residual=residual, minimizer=minimizer)

@@ -10,6 +10,7 @@ import re
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -258,8 +259,10 @@ def broken_config_mappings(draw):
     elif kind == "out-of-range":
         path = draw(st.sampled_from([("V",), ("alpha",), ("theta",)]))
         out_of_range = st.floats(max_value=0.0, allow_infinity=False)
-        if path == ("theta",):
-            out_of_range = out_of_range.filter(lambda x: x < 0) | st.floats(1.0, allow_infinity=False)
+        if path == ("theta",):  # theta's [0, 1) holds 0.0 and -0.0: draw below both, or from 1 up
+            out_of_range = st.floats(max_value=-math.ulp(0.0), allow_infinity=False) | st.floats(
+                1.0, allow_infinity=False
+            )
         value = draw(out_of_range)
     elif kind == "negative-seed":
         path = draw(st.sampled_from(_SEED_KEYS))
@@ -1009,6 +1012,19 @@ class TestMainExitCodes:
         bad = write_config(tmp_path / "bad.json", alpha_beta=1)
         assert main(["run", "--config", str(bad)]) == 2
         assert "alpha_beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["synthetic", "datacenter"])
+    def test_subnormal_alpha_is_exit_2(self, tmp_path, capsys, scenario):
+        # the prox step divides by alpha and 1 / 5e-324 overflows: the run must
+        # stop before its first step, with no warning, on the simplex and the box
+        path = write_config(tmp_path / "c.json", scenario=scenario, T=40, seeds=[0], alpha=5e-324)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "prox_weight must be a normal float" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreadable_config_is_exit_2(self, tmp_path, capsys):
         latin = tmp_path / "latin.json"

